@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import (
     ConfigError,
@@ -93,6 +92,26 @@ def pool_group(record: SpikeRecord, direction: Direction, n_per_dir: int) -> tup
     return merge_trains(record.spike_times[start + k] for k in range(n_per_dir))
 
 
+def decay_accumulate(n: int, bins: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
+    """y[k] = x[k] + r * y[k-1] over n samples, y[-1] = 0, where x is zero
+    except x[bins] = c (bins non-empty and strictly increasing).
+
+    Between two input bins the recursion is repeated multiplication by r, so
+    each segment is one cumulative product seeded with the recursion's own
+    value at its first bin; the result matches the sample-by-sample loop
+    (scipy.signal.lfilter([1], [1, -r], x)) bit for bit.
+    """
+    y = np.full(n, r)
+    y[: bins[0]] = 0.0
+    ends = [*bins[1:].tolist(), n]
+    prev = 0.0
+    for b, e, cb in zip(bins.tolist(), ends, c.tolist()):
+        y[b] = cb + r * prev
+        np.multiply.accumulate(y[b:e], out=y[b:e])
+        prev = y[e - 1]
+    return y
+
+
 def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> RateSeries:
     """Causal rate estimate: the kernel summed over all past spikes, evaluated
     in closed form at every grid point."""
@@ -102,12 +121,13 @@ def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> Rat
     if len(spikes) == 0:
         return RateSeries(grid.t0, grid.dt, np.zeros(grid.n))
     bins = np.searchsorted(times, spikes, side="left")
+    spike_bins, slot = np.unique(bins, return_inverse=True)
     # Per-step recursion A_k = A_{k-1} * exp(-dt/tau) + (new spikes decayed to t_k)
     values = np.zeros(grid.n)
     for tau, sign in ((fp.tau1, 1.0), (fp.tau2, -1.0)):
-        c = np.zeros(grid.n)
-        np.add.at(c, bins, np.exp(-(times[bins] - spikes) / tau))
-        acc = lfilter([1.0], [1.0, -math.exp(-grid.dt / tau)], c)
+        c = np.zeros(len(spike_bins))
+        np.add.at(c, slot, np.exp(-(times[bins] - spikes) / tau))
+        acc = decay_accumulate(grid.n, spike_bins, c, math.exp(-grid.dt / tau))
         values += sign * acc
     values *= fp.lam
     np.maximum(values, 0.0, out=values)  # clip float dust below zero

@@ -24,6 +24,7 @@ from .core import (
     DomainError,
     NumericFault,
     fmt_float,
+    write_csv,
     write_events_csv,
     write_spikes_csv,
 )
@@ -42,7 +43,7 @@ CONFIG_ENV = "MOTIONSNN_CONFIG"
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
-    data = RunConfig.from_json_file(path).to_dict() if path else {}
+    data = (RunConfig.from_json_file(path) if path else RunConfig()).to_dict()
     if args.set:
         data = apply_overrides(data, args.set)
     return RunConfig.from_dict(data)
@@ -78,18 +79,13 @@ def cmd_events(args: argparse.Namespace) -> int:
 
 
 def _write_rates_csv(path: str, ev) -> None:
-    times = ev.grid.times()
     header = ["t_s"]
     header += [f"{d.value}_hz" for d in DIRECTION_ORDER]
     header += [f"{d.value}_ideal_hz" for d in DIRECTION_ORDER]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(times):
-            row = [fmt_float(float(t))]
-            row += [fmt_float(float(ev.measured[d].values[i])) for d in DIRECTION_ORDER]
-            row += [fmt_float(float(ev.ideal[d].values[i])) for d in DIRECTION_ORDER]
-            writer.writerow(row)
+    columns = [ev.grid.times()]
+    columns += [ev.measured[d].values for d in DIRECTION_ORDER]
+    columns += [ev.ideal[d].values for d in DIRECTION_ORDER]
+    write_csv(path, header, columns)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -1,6 +1,9 @@
 """Rate filtering, ideal channels, accuracy scoring and spectra."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from motionsnn import (
     phase_lag_deg,
     pool_group,
 )
-from motionsnn.analysis import slice_series, spectral_bin_hz, transient_s
+import motionsnn
+from motionsnn.analysis import decay_accumulate, slice_series, spectral_bin_hz, transient_s
 from motionsnn.core import merge_trains
 
 from oracles import brute_force_rate, rel_err
@@ -101,6 +105,87 @@ def test_firing_rate_edge_cases():
     inside = firing_rate((0.01,), FP, grid).values
     with_late = firing_rate((0.01, 0.5), FP, grid).values
     assert np.array_equal(inside, with_late)
+
+
+def _lfilter_rate(train, fp, grid):
+    """firing_rate as a dense scipy.signal.lfilter recursion, the reference
+    the sparse segment form must reproduce bit for bit."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    times = grid.times()
+    spikes = np.asarray(sorted(train), dtype=np.float64)
+    spikes = spikes[spikes <= times[-1]]
+    values = np.zeros(grid.n)
+    if len(spikes) == 0:
+        return values
+    bins = np.searchsorted(times, spikes, side="left")
+    for tau, sign in ((fp.tau1, 1.0), (fp.tau2, -1.0)):
+        c = np.zeros(grid.n)
+        np.add.at(c, bins, np.exp(-(times[bins] - spikes) / tau))
+        values += sign * lfilter([1.0], [1.0, -math.exp(-grid.dt / tau)], c)
+    values *= fp.lam
+    np.maximum(values, 0.0, out=values)
+    return values
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+# fast taus so the long case decays through the subnormal range to zero
+FAST_FP = FilterParams(tau1=0.01, tau2=0.02)
+
+
+@pytest.mark.parametrize(
+    "train, n",
+    [
+        ((0.0123,), 400),  # single spike
+        ((0.0101, 0.0104, 0.0107), 400),  # three spikes in one bin
+        ((0.0101, 0.0111, 0.0121), 400),  # spikes in adjacent bins
+        ((0.0, 0.05), 400),  # a spike in bin 0
+        ((0.002, 0.003), 20000),  # decays into subnormals and on to 0
+        (tuple(np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 300))), 3000),
+    ],
+    ids=["single", "same-bin", "adjacent-bins", "bin-0", "subnormal", "dense"],
+)
+def test_firing_rate_matches_lfilter_bit_for_bit(train, n):
+    grid = RateGrid(0.0, 1e-3, n)
+    for fp in (FP, FAST_FP):
+        got = firing_rate(train, fp, grid).values
+        assert np.array_equal(_bits(got), _bits(_lfilter_rate(train, fp, grid)))
+
+
+def test_decay_accumulate_matches_lfilter_bit_for_bit():
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    rng = np.random.default_rng(17)
+    cases = [
+        (np.array([0]), 50),  # input in bin 0
+        (np.array([3, 4, 5]), 50),  # adjacent bins
+        (np.array([49]), 50),  # input in the last bin only
+        (np.array([0, 10]), 80000),  # long enough to reach subnormals
+    ]
+    cases += [(np.unique(rng.integers(0, 5000, 40)), 5000) for _ in range(5)]
+    for bins, n in cases:
+        c = rng.uniform(0.1, 2.0, len(bins))
+        for r in (math.exp(-1e-3 / 0.01), math.exp(-1e-3 / 0.5), 0.5):
+            x = np.zeros(n)
+            x[bins] = c
+            got = decay_accumulate(n, bins, c, r)
+            assert np.array_equal(_bits(got), _bits(lfilter([1.0], [1.0, -r], x)))
+    y = decay_accumulate(80000, np.array([0, 10]), np.array([1.0, 1.0]), 0.99)
+    assert np.any((y > 0.0) & (y < np.finfo(np.float64).tiny))
+    # Repeated rounding stalls at a subnormal fixed point, where the closed
+    # form r ** m has long reached 0: only the stepwise product matches.
+    assert y[-1] > 0.0 and 0.99 ** (80000 - 10) == 0.0
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(motionsnn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import motionsnn.cli, sys; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ideal_rates_circle():

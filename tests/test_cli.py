@@ -1,10 +1,15 @@
 """Command-line entry points, exit codes and output files."""
 
+import csv
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from motionsnn.cli import main
+from motionsnn.analysis import RateGrid
+from motionsnn.cli import _write_rates_csv, main
+from motionsnn.core import CSV_BLOCK_ROWS, DIRECTION_ORDER, RateSeries, fmt_float
 
 # one-period settle plus three periods at 1 Hz keeps runs around a second
 FAST = {"trajectory": {"kind": "circle", "freq_hz": 1.0, "radius": 3.0}}
@@ -68,6 +73,57 @@ def test_run_writes_spikes_rates_and_summary(tmp_path, capsys):
     )
     assert len(rates) == len(set(r.split(",")[0] for r in rates))  # one row per time
     assert capsys.readouterr().out.startswith("s_acc=")
+
+
+def test_readme_run_without_a_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    out = tmp_path / "out"
+    rc = main(["run", "--set", "trajectory.freq_hz=0.3",
+               "--set", "lateral_inhibition=false", "-d", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["trajectory"] == {"kind": "circle", "freq_hz": 0.3}
+    assert summary["config"]["lateral_inhibition"] is False
+
+
+def _reference_rates_csv(path, ev):
+    """The row-by-row csv.writer export that _write_rates_csv replaces."""
+    header = ["t_s"]
+    header += [f"{d.value}_hz" for d in DIRECTION_ORDER]
+    header += [f"{d.value}_ideal_hz" for d in DIRECTION_ORDER]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, t in enumerate(ev.grid.times()):
+            row = [fmt_float(float(t))]
+            row += [fmt_float(float(ev.measured[d].values[i])) for d in DIRECTION_ORDER]
+            row += [fmt_float(float(ev.ideal[d].values[i])) for d in DIRECTION_ORDER]
+            writer.writerow(row)
+
+
+def test_rates_csv_matches_the_row_by_row_writer(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 37  # crosses block boundaries, ends mid-block
+    rng = np.random.default_rng(8)
+    grid = RateGrid(0.0, 1e-3, n)
+
+    def series(k):
+        v = rng.uniform(0.0, 40.0, n) * 10.0 ** rng.integers(-12, 12, n)
+        v[k::97] = 0.0
+        v[k + 1::89] = -0.0
+        v[k + 2::83] = 5e-324
+        return RateSeries(0.0, 1e-3, v)
+
+    ev = SimpleNamespace(
+        grid=grid,
+        measured={d: series(i) for i, d in enumerate(DIRECTION_ORDER)},
+        ideal={d: series(i + 4) for i, d in enumerate(DIRECTION_ORDER)},
+    )
+    ev.measured[DIRECTION_ORDER[0]].values[CSV_BLOCK_ROWS] = -0.0
+    _write_rates_csv(str(tmp_path / "new.csv"), ev)
+    _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert b"-0," not in new and b",-0\r" not in new
 
 
 def test_run_twice_is_byte_identical(tmp_path):

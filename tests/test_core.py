@@ -1,7 +1,9 @@
 """Value types, device mapping and CSV helpers."""
 
+import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from motionsnn import (
     SynapseDevice,
 )
 from motionsnn.core import (
+    CSV_BLOCK_ROWS,
     DeviceState,
     fmt_float,
     merge_trains,
@@ -184,6 +187,37 @@ def test_spikes_csv_round_trip(tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "2", "0"]
     back = read_spikes_csv(str(path), n_neurons=3)
     assert back.spike_times == rec.spike_times
+
+
+def test_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    # crosses a block boundary; shared times exercise the neuron-id tie break
+    pool = np.round(rng.uniform(0.0, 5.0, 400), 4)
+    trains = tuple(
+        tuple(sorted(set(rng.choice(pool, 45).tolist()))) for _ in range(CSV_BLOCK_ROWS // 40)
+    )
+    rec = SpikeRecord(((0.0,),) + trains)
+    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
+    with open(tmp_path / "spikes_ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["neuron_id", "t_s"])
+        rows = sorted((t, n) for n, train in enumerate(rec.spike_times) for t in train)
+        for t, n in rows:
+            writer.writerow([n, fmt_float(t)])
+    assert rec.total() > CSV_BLOCK_ROWS
+    assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
+
+    events = [Event(int(x), int(y), float(t)) for x, y, t in zip(
+        rng.integers(0, 9, CSV_BLOCK_ROWS + 5), rng.integers(0, 9, CSV_BLOCK_ROWS + 5),
+        rng.uniform(0.0, 3.0, CSV_BLOCK_ROWS + 5))]
+    stream = EventStream.from_events(events + [Event(0, 0, 0.0)], 9, 9)
+    write_events_csv(stream, str(tmp_path / "ev.csv"))
+    with open(tmp_path / "ev_ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "t_s"])
+        for ev in stream.events:
+            writer.writerow([ev.x, ev.y, fmt_float(ev.t)])
+    assert (tmp_path / "ev.csv").read_bytes() == (tmp_path / "ev_ref.csv").read_bytes()
 
 
 def test_read_spikes_rejects_out_of_range_ids(tmp_path):
