@@ -143,8 +143,7 @@ def ideal_rates(
         raise ConfigError("f_max_hz must be positive")
     times = grid.times()
     out: dict[Direction, RateSeries] = {}
-    for d in DIRECTION_ORDER:
-        p_dot, p_dot_max = channel_velocities(traj, d, times)
+    for d, p_dot, p_dot_max in channel_velocities(traj, times):
         if p_dot_max == 0.0:
             values = np.full(grid.n, f_max_hz / 2.0)
         else:

@@ -12,13 +12,15 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DomainError,
     EventStream,
     NumericFault,
     SpikeRecord,
 )
-from .topology import Layer, NetworkGraph
+from .topology import NetworkGraph
 
 
 def decay(v: float, dt: float, tau_m: float, v_floor: float = -math.inf) -> float:
@@ -54,17 +56,25 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     ):
         raise DomainError("stimulus field does not match the network layout")
 
-    n = len(net.neurons)
-    out_syn: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for s in net.synapses:
-        out_syn[s.pre].append((s.post, s.signed_weight))
+    n = net.n_neurons
+    indptr = net.indptr.tolist()
+    out_post = net.post.tolist()
+    out_w = net.signed_w.tolist()
+    tau = net.tau_m.tolist()
+    v_th = net.v_th.tolist()
+    v_floor = net.v_floor.tolist()
+    # LIF constants every neuron shares
+    v_reset = net.params.v_reset
+    t_ref = net.params.t_ref_s
+    d_out = net.params.d_out_s
 
-    tau = [p.params.tau_m for p in net.neurons]
-    v_th = [p.params.v_th for p in net.neurons]
-    v_reset = [p.params.v_reset for p in net.neurons]
-    v_floor = [p.params.v_floor for p in net.neurons]
-    t_ref = [p.params.t_ref for p in net.neurons]
-    d_out = [p.params.d_out for p in net.neurons]
+    # Input neuron id at pixel (x, y), stored at y * width + x; -1 where no
+    # cell covers the pixel.
+    width = net.layout.field_width
+    id_at = np.full(width * net.layout.field_height, -1, dtype=np.int64)
+    px, py = net.input_pixels.T
+    id_at[py * width + px] = np.arange(net.n_inputs)
+    id_at = id_at.tolist()
 
     v = [0.0] * n
     t_last = [0.0] * n
@@ -81,18 +91,18 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     for ev in stim.events:
         if ev.t > t_end:
             break
-        owner = net.input_id_by_pixel.get((ev.x, ev.y))
-        if owner is None:
+        owner = id_at[ev.y * width + ev.x]
+        if owner < 0:
             dropped += 1
             continue
         prev = last_input_spike.get(owner)
-        if prev is not None and ev.t - prev < t_ref[owner]:
+        if prev is not None and ev.t - prev < t_ref:
             refractory_dropped += 1
             continue
         last_input_spike[owner] = ev.t
         spikes[owner].append(ev.t)
-        for post, w in out_syn[owner]:
-            heap.append((ev.t, owner, seq, post, w))
+        for k in range(indptr[owner], indptr[owner + 1]):
+            heap.append((ev.t, owner, seq, out_post[k], out_w[k]))
             seq += 1
     heapq.heapify(heap)
 
@@ -114,19 +124,20 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
             v[post] = v_new
             t_last[post] = t_now
             if v_new >= v_th[post] and t_now >= ref_until[post]:
-                t_spike = t_now + d_out[post]
+                t_spike = t_now + d_out
                 spikes[post].append(t_spike)
-                v[post] = v_reset[post]
-                ref_until[post] = t_now + t_ref[post]
+                v[post] = v_reset
+                ref_until[post] = t_now + t_ref
                 if t_spike <= t_end:
-                    for nxt, w in out_syn[post]:
-                        heapq.heappush(heap, (t_spike, post, seq, nxt, w))
+                    for k in range(indptr[post], indptr[post + 1]):
+                        heapq.heappush(heap, (t_spike, post, seq, out_post[k], out_w[k]))
                         seq += 1
 
     record = SpikeRecord(tuple(tuple(train) for train in spikes))
-    totals = {layer.value: 0 for layer in Layer}
-    for info, train in zip(net.neurons, record.spike_times):
-        totals[info.layer.value] += len(train)
+    totals = {
+        layer.value: sum(map(len, spikes[ids.start : ids.stop]))
+        for layer, ids in net.layer_ids().items()
+    }
     return SimulationOutput(
         record=record,
         dropped_events=dropped,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -243,41 +243,20 @@ class WaypointTrajectory(Trajectory):
         return vx, vy
 
 
-@dataclass(frozen=True)
-class ChannelVelocity:
-    """Signed velocity seen by one direction channel, with its run maximum."""
-
-    channel: Direction
-    p_dot: float
-    p_dot_max: float
-
-
-def channel_velocity(traj: Trajectory, channel: Direction, t: float) -> ChannelVelocity:
-    """Project the object velocity onto a channel: UP reads +dy/dt, DOWN -dy/dt,
-    RIGHT +dx/dt, LEFT -dx/dt."""
-    vx, vy = traj.velocity_xy(t)
-    vx_max, vy_max = traj.speed_bound()
-    if channel is Direction.UP:
-        return ChannelVelocity(channel, vy, vy_max)
-    if channel is Direction.DOWN:
-        return ChannelVelocity(channel, -vy, vy_max)
-    if channel is Direction.RIGHT:
-        return ChannelVelocity(channel, vx, vx_max)
-    return ChannelVelocity(channel, -vx, vx_max)
-
-
 def channel_velocities(
-    traj: Trajectory, channel: Direction, ts: np.ndarray
-) -> tuple[np.ndarray, float]:
+    traj: Trajectory, ts: np.ndarray
+) -> Iterator[tuple[Direction, np.ndarray, float]]:
+    """Object velocity at times ts projected onto each channel in
+    DIRECTION_ORDER, with the channel's run maximum: UP reads +dy/dt, DOWN
+    -dy/dt, LEFT -dx/dt, RIGHT +dx/dt. One velocities() pass serves all four;
+    each projection is made only when the caller asks for it, so the four
+    arrays are never all held at once."""
     vxs, vys = traj.velocities(ts)
     vx_max, vy_max = traj.speed_bound()
-    if channel is Direction.UP:
-        return vys, vy_max
-    if channel is Direction.DOWN:
-        return -vys, vy_max
-    if channel is Direction.RIGHT:
-        return vxs, vx_max
-    return -vxs, vx_max
+    yield Direction.UP, vys, vy_max
+    yield Direction.DOWN, -vys, vy_max
+    yield Direction.LEFT, -vxs, vx_max
+    yield Direction.RIGHT, vxs, vx_max
 
 
 def footprint(px: int, py: int) -> tuple[tuple[int, int], ...]:
@@ -285,46 +264,57 @@ def footprint(px: int, py: int) -> tuple[tuple[int, int], ...]:
     return tuple((px + dx, py + dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
 
 
-def _rounded_position(traj: Trajectory, t: float) -> tuple[int, int]:
-    x, y = traj.position(t)
-    return int(round_half_up(x)), int(round_half_up(y))
-
-
-def _pin_to_grid(
-    traj: Trajectory, t0: float, t1: float, p0: tuple[int, int]
-) -> float:
-    # First nanosecond tick at or after the change bracketed by (t0, t1]:
-    # a function of the trajectory alone, so scan density cannot move it.
-    lo = int(math.floor(t0 / TIME_QUANTUM))
-    hi = int(math.ceil(t1 / TIME_QUANTUM))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _rounded_position(traj, mid * TIME_QUANTUM) == p0:
-            lo = mid
-        else:
-            hi = mid
-    return hi * TIME_QUANTUM
+def _rounded_positions(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
+    """Rounded (half-up) object centers at times ts, as an (n, 2) int array."""
+    xs, ys = traj.positions(ts)
+    return np.stack([round_half_up(xs), round_half_up(ys)], axis=1).astype(np.int64)
 
 
 def _locate_changes(
-    traj: Trajectory,
-    t0: float,
-    t1: float,
-    p0: tuple[int, int],
-    p1: tuple[int, int],
-    out: list[tuple[float, float, tuple[int, int], tuple[int, int]]],
-) -> None:
-    # Bisect until each change instant is isolated to TIME_TOL, keeping the
-    # position on either side of the bracket.
-    if t1 - t0 <= TIME_TOL:
-        out.append((t0, t1, p0, p1))
-        return
-    tm = 0.5 * (t0 + t1)
-    pm = _rounded_position(traj, tm)
-    if pm != p0:
-        _locate_changes(traj, t0, tm, p0, pm, out)
-    if p1 != pm:
-        _locate_changes(traj, tm, t1, pm, p1, out)
+    traj: Trajectory, t0: np.ndarray, t1: np.ndarray, p0: np.ndarray, p1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bisect every bracket (t0, t1] over which the rounded position goes
+    from p0 to p1 until each change instant is isolated to TIME_TOL, keeping
+    the position on either side. All brackets of one depth share a single
+    positions() call; the result is in time order.
+    """
+    done = []
+    while True:
+        fin = t1 - t0 <= TIME_TOL
+        done.append((t0[fin], t1[fin], p0[fin], p1[fin]))
+        live = ~fin
+        if not live.any():
+            break
+        t0, t1, p0, p1 = t0[live], t1[live], p0[live], p1[live]
+        tm = 0.5 * (t0 + t1)
+        pm = _rounded_positions(traj, tm)
+        left = (pm != p0).any(axis=1)  # a change in (t0, tm]
+        right = (p1 != pm).any(axis=1)  # a change in (tm, t1]
+        t0 = np.concatenate([t0[left], tm[right]])
+        t1 = np.concatenate([tm[left], t1[right]])
+        p0, p1 = np.concatenate([p0[left], pm[right]]), np.concatenate([pm[left], p1[right]])
+    t0, t1, p0, p1 = (np.concatenate(parts) for parts in zip(*done))
+    order = np.lexsort((t1, t0))
+    return t0[order], t1[order], p0[order], p1[order]
+
+
+def _pin_to_grid(traj: Trajectory, t0: np.ndarray, t1: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    # First nanosecond tick at or after each change bracketed by (t0, t1]:
+    # a function of the trajectory alone, so scan density cannot move it.
+    lo = np.floor(t0 / TIME_QUANTUM).astype(np.int64)
+    hi = np.ceil(t1 / TIME_QUANTUM).astype(np.int64)
+    while True:
+        live = np.nonzero(hi - lo > 1)[0]
+        if len(live) == 0:
+            return hi * TIME_QUANTUM
+        mid = (lo[live] + hi[live]) // 2
+        before = (_rounded_positions(traj, mid * TIME_QUANTUM) == p0[live]).all(axis=1)
+        lo[live[before]] = mid[before]
+        hi[live[~before]] = mid[~before]
+
+
+# Offsets of the footprint's pixels from its center, in (y, x) order.
+_FOOT_DX, _FOOT_DY = np.array(footprint(0, 0)).T
 
 
 def generate_events(
@@ -355,34 +345,24 @@ def generate_events(
     n *= oversample
 
     ts = (np.arange(n + 1, dtype=np.float64) * traj.t_end) / n if traj.t_end > 0 else np.zeros(1)
-    xs, ys = traj.positions(ts)
-    pxs = round_half_up(xs).astype(np.int64)
-    pys = round_half_up(ys).astype(np.int64)
+    ps = _rounded_positions(traj, ts)
+    moved = np.nonzero((ps[1:] != ps[:-1]).any(axis=1))[0]
+    t_lo, t_hi, before, after = _locate_changes(
+        traj, ts[moved], ts[moved + 1], ps[moved], ps[moved + 1]
+    )
+    t_snap = _pin_to_grid(traj, t_lo, t_hi, before)
 
-    changes: list[tuple[float, float, tuple[int, int], tuple[int, int]]] = []
-    moved = np.nonzero((pxs[1:] != pxs[:-1]) | (pys[1:] != pys[:-1]))[0]
-    for i in moved:
-        _locate_changes(
-            traj,
-            float(ts[i]),
-            float(ts[i + 1]),
-            (int(pxs[i]), int(pys[i])),
-            (int(pxs[i + 1]), int(pys[i + 1])),
-            changes,
-        )
-
-    events: list[Event] = []
-    current = (int(pxs[0]), int(pys[0]))
-    covered = set(footprint(*current))
-    for x, y in sorted(covered, key=lambda p: (p[1], p[0])):
-        events.append(Event(x, y, 0.0))
-    for t_lo, t_hi, before, pos in changes:
-        t_snap = _pin_to_grid(traj, t_lo, t_hi, before)
-        new_cover = set(footprint(*pos))
-        fresh = new_cover if mode is EmitMode.FOOTPRINT else new_cover - covered
-        for x, y in sorted(fresh, key=lambda p: (p[1], p[0])):
-            events.append(Event(x, y, t_snap))
-        covered = new_cover
-        current = pos
-
-    return EventStream.from_events(events, traj.field_width, traj.field_height)
+    # Row 0 is the footprint at t = 0, row j the one entered at change j.
+    centers = np.concatenate([ps[:1], after])
+    xs = centers[:, :1] + _FOOT_DX
+    ys = centers[:, 1:] + _FOOT_DY
+    emit = np.ones(xs.shape, dtype=bool)
+    if mode is EmitMode.ONSET:
+        # a pixel is fresh when it lies outside the previous 3x3 block
+        prev = centers[:-1]
+        emit[1:] = (np.abs(xs[1:] - prev[:, :1]) > 1) | (np.abs(ys[1:] - prev[:, 1:]) > 1)
+    ts_ev = np.broadcast_to(np.concatenate([[0.0], t_snap])[:, None], xs.shape)
+    xs, ys, ts_ev = xs[emit], ys[emit], ts_ev[emit]
+    order = np.lexsort((xs, ys, ts_ev))
+    events = tuple(map(Event, xs[order].tolist(), ys[order].tolist(), ts_ev[order].tolist()))
+    return EventStream(traj.field_width, traj.field_height, events)

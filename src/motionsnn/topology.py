@@ -10,6 +10,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, cached_property
+
+import numpy as np
 
 from .core import (
     ConfigError,
@@ -217,16 +220,34 @@ class NeuronInfo:
     pixel: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkGraph:
-    """Complete feed-forward graph plus lateral inhibition between outputs."""
+    """Complete feed-forward graph plus lateral inhibition between outputs.
+
+    The synapses are one CSR graph: neuron i's out-edges go to
+    post[indptr[i]:indptr[i + 1]] with weights signed_w[...] (negative for
+    inhibitory edges, -0.0 for an inhibitory edge of weight 0), in
+    construction order within each row; edge_index[k] is CSR edge k's
+    position in construction order, which is the order `synapses` and the
+    JSON export list them in. tau_m, v_th and v_floor hold each neuron's own
+    constants by id; the rest of the LIF constants are shared and come from
+    `params`. `neurons`, `synapses` and `input_id_by_pixel` are read-only
+    views derived from these arrays on first access.
+    """
 
     layout: CellLayout
     n_per_dir: int
     output_taus_s: tuple[float, ...]
-    neurons: tuple[NeuronInfo, ...]
-    synapses: tuple[Synapse, ...]
-    input_id_by_pixel: dict[tuple[int, int], int] = field(repr=False)
+    params: NetworkParams
+    indptr: np.ndarray = field(repr=False)
+    post: np.ndarray = field(repr=False)
+    signed_w: np.ndarray = field(repr=False)
+    edge_index: np.ndarray = field(repr=False)
+    tau_m: np.ndarray = field(repr=False)
+    v_th: np.ndarray = field(repr=False)
+    v_floor: np.ndarray = field(repr=False)
+    # (x, y) pixel of each input neuron, by id
+    input_pixels: np.ndarray = field(repr=False)
     output_ids: dict[Direction, tuple[int, ...]] = field(repr=False)
     feed_forward_count: int = 0
     lateral_count: int = 0
@@ -243,8 +264,56 @@ class NetworkGraph:
     def n_outputs(self) -> int:
         return 4 * self.n_per_dir
 
+    @property
+    def n_neurons(self) -> int:
+        return len(self.tau_m)
+
+    def layer_ids(self) -> dict[Layer, range]:
+        """The contiguous id range of each layer."""
+        hidden_base = self.n_inputs
+        output_base = hidden_base + self.n_hidden
+        return {
+            Layer.INPUT: range(0, hidden_base),
+            Layer.HIDDEN: range(hidden_base, output_base),
+            Layer.OUTPUT: range(output_base, self.n_neurons),
+        }
+
     def layer_of(self, neuron_id: int) -> Layer:
         return self.neurons[neuron_id].layer
+
+    @cached_property
+    def input_id_by_pixel(self) -> dict[tuple[int, int], int]:
+        return {(x, y): nid for nid, (x, y) in enumerate(self.input_pixels.tolist())}
+
+    @cached_property
+    def neurons(self) -> tuple[NeuronInfo, ...]:
+        lif = cache(self.params.lif)
+        params = [lif(tau, v_th) for tau, v_th in zip(self.tau_m.tolist(), self.v_th.tolist())]
+        layers = self.layer_ids()
+        out: list[NeuronInfo] = []
+        for nid, (x, y) in zip(layers[Layer.INPUT], self.input_pixels.tolist()):
+            cell, r = divmod(nid, INPUTS_PER_CELL)
+            role = ROLE_ORDER[r]
+            out.append(NeuronInfo(nid, Layer.INPUT, params[nid], cell=cell, role=role, pixel=(x, y)))
+        for nid in layers[Layer.HIDDEN]:
+            cell, slot = divmod(nid - self.n_inputs, HIDDEN_PER_CELL)
+            kind, d = HIDDEN_SLOTS[slot]
+            out.append(NeuronInfo(nid, Layer.HIDDEN, params[nid], cell=cell, kind=kind, direction=d))
+        for d, ids in self.output_ids.items():
+            for rank, nid in enumerate(ids):
+                out.append(NeuronInfo(nid, Layer.OUTPUT, params[nid], direction=d, rank=rank))
+        return tuple(out)
+
+    @cached_property
+    def synapses(self) -> tuple[Synapse, ...]:
+        pre = np.empty_like(self.post)
+        post = np.empty_like(self.post)
+        w = np.empty_like(self.signed_w)
+        pre[self.edge_index] = np.repeat(np.arange(self.n_neurons), np.diff(self.indptr))
+        post[self.edge_index] = self.post
+        w[self.edge_index] = self.signed_w
+        signs = [Sign.INHIBITORY if neg else Sign.EXCITATORY for neg in np.signbit(w).tolist()]
+        return tuple(map(Synapse, pre.tolist(), post.tolist(), np.abs(w).tolist(), signs))
 
     def counts(self) -> dict[str, int]:
         return {
@@ -254,7 +323,7 @@ class NetworkGraph:
             "output_neurons": self.n_outputs,
             "feed_forward_synapses": self.feed_forward_count,
             "lateral_synapses": self.lateral_count,
-            "total_synapses": len(self.synapses),
+            "total_synapses": len(self.post),
         }
 
     def to_json_dict(self) -> dict:
@@ -304,6 +373,16 @@ class NetworkGraph:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+# Input neuron (role index within the cell) feeding each hidden slot.
+_SLOT_SOURCE = np.array([ROLE_ORDER.index(role) for role in SLOT_SOURCE_ROLE])
+# Hidden slot and sign of each output source: rows by direction, columns by source.
+_OUTPUT_SLOT = np.array([[slot for slot, _ in OUTPUT_SOURCES[d]] for d in DIRECTION_ORDER])
+_OUTPUT_INH = np.array(
+    [[sign is Sign.INHIBITORY for _, sign in OUTPUT_SOURCES[d]] for d in DIRECTION_ORDER]
+)
+_ROLE_OFFSET = np.array([ROLE_OFFSETS[role] for role in ROLE_ORDER])
+
+
 def assemble_network(
     layout: CellLayout,
     n_per_dir: int = 1,
@@ -315,6 +394,9 @@ def assemble_network(
 
     Neuron ids are stable: inputs cell by cell in role order, then hidden
     cell by cell in slot order, then outputs grouped by direction and rank.
+    Edges are made in construction order: input to hidden relay cell by cell
+    in slot order, then hidden to output cell by cell, by direction, source
+    and rank, then the lateral pairs.
     """
     params = params or NetworkParams()
     if n_per_dir < 1:
@@ -325,99 +407,96 @@ def assemble_network(
         if not (tau > 0.0 and math.isfinite(tau)):
             raise ConfigError("output time constants must be positive")
 
-    cells = [
-        build_unit_cell(center, layout.field_width, layout.field_height)
-        for center in layout.centers
+    n_cells = layout.n_cells
+    centers = np.array(layout.centers, dtype=np.int64).reshape(n_cells, 2)
+    inside = (centers >= 1) & (centers <= [layout.field_width - 2, layout.field_height - 2])
+    if not inside.all():
+        cx, cy = centers[~inside.all(axis=1)][0].tolist()
+        raise ConfigError(f"cell center ({cx}, {cy}) needs all four neighbors in-field")
+
+    # Per-neuron constants; one LifParams per distinct (tau, v_th) pair
+    # checks them, in id order.
+    hidden_taus = [
+        params.tau_center_s if kind is HiddenKind.CENTER_RELAY else params.tau_directional_s
+        for kind, _ in HIDDEN_SLOTS
     ]
-    neurons: list[NeuronInfo] = []
-    input_id_by_pixel: dict[tuple[int, int], int] = {}
+    pairs = [(params.input_tau_s, params.hidden_v_th)]
+    pairs += [(tau, params.hidden_v_th) for tau in hidden_taus] if n_cells else []
+    pairs += [(tau, params.output_v_th) for tau in output_taus_s]
+    for pair in dict.fromkeys(pairs):
+        params.lif(*pair)
+    tau_m = np.concatenate(
+        [
+            np.full(INPUTS_PER_CELL * n_cells, params.input_tau_s, dtype=np.float64),
+            np.tile(np.asarray(hidden_taus, dtype=np.float64), n_cells),
+            np.tile(np.asarray(output_taus_s, dtype=np.float64), 4),
+        ]
+    )
+    hidden_base = INPUTS_PER_CELL * n_cells
+    output_base = hidden_base + HIDDEN_PER_CELL * n_cells
+    v_th = np.full(len(tau_m), params.hidden_v_th, dtype=np.float64)
+    v_th[output_base:] = params.output_v_th
+    v_floor = np.full(len(tau_m), -params.v_floor_factor * params.hidden_v_th)
+    v_floor[output_base:] = -params.v_floor_factor * params.output_v_th
 
-    input_params = params.lif(params.input_tau_s, params.hidden_v_th)
-    for ci, cell in enumerate(cells):
-        for role in ROLE_ORDER:
-            nid = len(neurons)
-            pixel = cell.pixels[role]
-            input_id_by_pixel[pixel] = nid
-            neurons.append(
-                NeuronInfo(
-                    id=nid,
-                    layer=Layer.INPUT,
-                    params=input_params,
-                    cell=ci,
-                    role=role,
-                    pixel=pixel,
-                )
-            )
+    out_grid = output_base + np.arange(4 * n_per_dir).reshape(4, n_per_dir)
+    output_ids = {d: tuple(out_grid[i].tolist()) for i, d in enumerate(DIRECTION_ORDER)}
 
-    hidden_base = len(neurons)
-    for ci, cell in enumerate(cells):
-        for kind, direction in HIDDEN_SLOTS:
-            tau = params.tau_center_s if kind is HiddenKind.CENTER_RELAY else params.tau_directional_s
-            neurons.append(
-                NeuronInfo(
-                    id=len(neurons),
-                    layer=Layer.HIDDEN,
-                    params=params.lif(tau, params.hidden_v_th),
-                    cell=ci,
-                    kind=kind,
-                    direction=direction,
-                )
-            )
+    # The weights of the edges that exist must be finite and >= 0.
+    used = [params.w_input_hidden, params.w_hidden_output, params.w_hidden_output_inh]
+    used = (used if n_cells else []) + ([params.w_lateral] if lateral_inhibition else [])
+    for w in used:
+        if not (w >= 0.0 and math.isfinite(w)):
+            raise ConfigError("synapse weight must be finite and >= 0")
 
-    output_base = len(neurons)
-    output_ids: dict[Direction, tuple[int, ...]] = {}
-    for d in DIRECTION_ORDER:
-        ids = []
-        for k in range(n_per_dir):
-            nid = len(neurons)
-            ids.append(nid)
-            neurons.append(
-                NeuronInfo(
-                    id=nid,
-                    layer=Layer.OUTPUT,
-                    params=params.lif(output_taus_s[k], params.output_v_th),
-                    direction=d,
-                    rank=k,
-                )
-            )
-        output_ids[d] = tuple(ids)
-
-    synapses: list[Synapse] = []
-    for ci, cell in enumerate(cells):
-        for role, slot in cell.input_wiring:
-            pre = input_id_by_pixel[cell.pixels[role]]
-            post = hidden_base + HIDDEN_PER_CELL * ci + slot
-            synapses.append(Synapse(pre, post, params.w_input_hidden, Sign.EXCITATORY))
-    for ci in range(len(cells)):
-        for d in DIRECTION_ORDER:
-            for slot, sign in OUTPUT_SOURCES[d]:
-                pre = hidden_base + HIDDEN_PER_CELL * ci + slot
-                w = (
-                    params.w_hidden_output
-                    if sign is Sign.EXCITATORY
-                    else params.w_hidden_output_inh
-                )
-                for post in output_ids[d]:
-                    synapses.append(Synapse(pre, post, w, sign))
-    feed_forward = len(synapses)
-
+    cell = np.arange(n_cells)[:, None]
+    relay = hidden_base + HIDDEN_PER_CELL * cell  # first hidden id of each cell
+    # input -> hidden: (cell, slot)
+    pre_ih = INPUTS_PER_CELL * cell + _SLOT_SOURCE
+    post_ih = relay + np.arange(HIDDEN_PER_CELL)
+    # hidden -> output: (cell, direction, source, rank)
+    shape = (n_cells, 4, 3, n_per_dir)
+    pre_ho = np.broadcast_to(relay[:, :, None, None] + _OUTPUT_SLOT[None, :, :, None], shape)
+    post_ho = np.broadcast_to(out_grid[None, :, None, :], shape)
+    w_src = np.where(_OUTPUT_INH, -params.w_hidden_output_inh, params.w_hidden_output)
+    w_ho = np.broadcast_to(w_src[None, :, :, None], shape)
+    # lateral: opposite channels of equal rank veto each other
+    lateral = []
     if lateral_inhibition:
-        # Opposite channels of equal rank veto each other.
         for a, b in ((Direction.UP, Direction.DOWN), (Direction.LEFT, Direction.RIGHT)):
-            for k in range(n_per_dir):
-                ia, ib = output_ids[a][k], output_ids[b][k]
-                synapses.append(Synapse(ia, ib, params.w_lateral, Sign.INHIBITORY))
-                synapses.append(Synapse(ib, ia, params.w_lateral, Sign.INHIBITORY))
-    lateral = len(synapses) - feed_forward
+            for ia, ib in zip(output_ids[a], output_ids[b]):
+                lateral += [(ia, ib), (ib, ia)]
+    lat = np.array(lateral, dtype=np.int64).reshape(-1, 2)
+
+    pre = np.concatenate([pre_ih.ravel(), pre_ho.ravel(), lat[:, 0]])
+    post = np.concatenate([post_ih.ravel(), post_ho.ravel(), lat[:, 1]])
+    signed_w = np.concatenate(
+        [
+            np.full(pre_ih.size, params.w_input_hidden, dtype=np.float64),
+            w_ho.ravel(),
+            np.full(len(lat), -params.w_lateral, dtype=np.float64),
+        ]
+    )
+    # A stable sort keeps each row in construction order, which fixes the
+    # order the engine sums same-instant deliveries in.
+    edge_index = np.argsort(pre, kind="stable")
+    indptr = np.zeros(len(tau_m) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pre, minlength=len(tau_m)), out=indptr[1:])
 
     return NetworkGraph(
         layout=layout,
         n_per_dir=n_per_dir,
         output_taus_s=tuple(float(t) for t in output_taus_s),
-        neurons=tuple(neurons),
-        synapses=tuple(synapses),
-        input_id_by_pixel=input_id_by_pixel,
+        params=params,
+        indptr=indptr,
+        post=post[edge_index],
+        signed_w=signed_w[edge_index],
+        edge_index=edge_index,
+        tau_m=tau_m,
+        v_th=v_th,
+        v_floor=v_floor,
+        input_pixels=(centers[:, None, :] + _ROLE_OFFSET).reshape(-1, 2),
         output_ids=output_ids,
-        feed_forward_count=feed_forward,
-        lateral_count=lateral,
+        feed_forward_count=pre_ih.size + pre_ho.size,
+        lateral_count=len(lat),
     )

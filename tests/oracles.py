@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from motionsnn import (
+    EmitMode,
     Event,
     EventStream,
     NetworkGraph,
@@ -21,6 +22,7 @@ from motionsnn import (
     assemble_network,
     layout_from_centers,
 )
+from motionsnn.stimulus import TIME_QUANTUM, TIME_TOL, footprint, round_half_up
 
 STEP_S = 1e-6
 
@@ -162,3 +164,75 @@ def brute_force_rate(train, fp, grid) -> np.ndarray:
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(b))), 1e-300)
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
+
+
+def _rounded_position(traj, t: float) -> tuple[int, int]:
+    x, y = traj.position(t)
+    return int(round_half_up(x)), int(round_half_up(y))
+
+
+def _pin_to_grid(traj, t0: float, t1: float, p0: tuple[int, int]) -> float:
+    # First nanosecond tick at or after the change bracketed by (t0, t1].
+    lo = int(math.floor(t0 / TIME_QUANTUM))
+    hi = int(math.ceil(t1 / TIME_QUANTUM))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rounded_position(traj, mid * TIME_QUANTUM) == p0:
+            lo = mid
+        else:
+            hi = mid
+    return hi * TIME_QUANTUM
+
+
+def _locate_changes(traj, t0, t1, p0, p1, out) -> None:
+    # Bisect until each change instant is isolated to TIME_TOL, keeping the
+    # position on either side of the bracket.
+    if t1 - t0 <= TIME_TOL:
+        out.append((t0, t1, p0, p1))
+        return
+    tm = 0.5 * (t0 + t1)
+    pm = _rounded_position(traj, tm)
+    if pm != p0:
+        _locate_changes(traj, t0, tm, p0, pm, out)
+    if p1 != pm:
+        _locate_changes(traj, tm, t1, pm, p1, out)
+
+
+def reference_events(
+    traj, mode=EmitMode.ONSET, samples_per_pixel: float = 8.0, oversample: int = 1
+) -> tuple[Event, ...]:
+    """The event encoder one change at a time: the same dense scan, then a
+    recursive bisection and a nanosecond pin per change, each probe one
+    scalar `Trajectory.position` call."""
+    mode = EmitMode(mode)
+    vmax = max(traj.speed_bound())
+    n = max(16, int(math.ceil(traj.t_end * vmax * samples_per_pixel)))
+    n += n % 2
+    n *= oversample
+    ts = (np.arange(n + 1, dtype=np.float64) * traj.t_end) / n if traj.t_end > 0 else np.zeros(1)
+    xs, ys = traj.positions(ts)
+    pxs = round_half_up(xs).astype(np.int64)
+    pys = round_half_up(ys).astype(np.int64)
+
+    changes: list = []
+    moved = np.nonzero((pxs[1:] != pxs[:-1]) | (pys[1:] != pys[:-1]))[0]
+    for i in moved:
+        _locate_changes(
+            traj,
+            float(ts[i]),
+            float(ts[i + 1]),
+            (int(pxs[i]), int(pys[i])),
+            (int(pxs[i + 1]), int(pys[i + 1])),
+            changes,
+        )
+
+    covered = set(footprint(int(pxs[0]), int(pys[0])))
+    events = [Event(x, y, 0.0) for x, y in sorted(covered, key=lambda p: (p[1], p[0]))]
+    for t_lo, t_hi, before, pos in changes:
+        t_snap = _pin_to_grid(traj, t_lo, t_hi, before)
+        new_cover = set(footprint(*pos))
+        fresh = new_cover if mode is EmitMode.FOOTPRINT else new_cover - covered
+        for x, y in sorted(fresh, key=lambda p: (p[1], p[0])):
+            events.append(Event(x, y, t_snap))
+        covered = new_cover
+    return EventStream.from_events(events, traj.field_width, traj.field_height).events

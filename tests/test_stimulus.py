@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from motionsnn import (
     CircleTrajectory,
+    DIRECTION_ORDER,
     Direction,
     DomainError,
     EightTrajectory,
@@ -19,11 +20,13 @@ from motionsnn import (
 )
 from motionsnn.core import ConfigError
 from motionsnn.stimulus import (
-    channel_velocity,
+    channel_velocities,
     footprint,
     round_half_up,
     snap_time,
 )
+
+from oracles import reference_events
 
 TRAJECTORIES = [
     CircleTrajectory(field_width=10, field_height=11, t_end=2.0, radius=3.0, freq_hz=0.7),
@@ -149,17 +152,20 @@ def test_eight_is_periodic_and_centered():
 
 def test_channel_velocity_projection():
     traj = TRAJECTORIES[2]  # vx=4, vy=2
+    velocities = {
+        d: (p_dot[0], p_dot_max)
+        for d, p_dot, p_dot_max in channel_velocities(traj, np.array([0.5]))
+    }
+    assert list(velocities) == list(DIRECTION_ORDER)
     for d, want in [
         (Direction.RIGHT, 4.0),
         (Direction.LEFT, -4.0),
         (Direction.UP, 2.0),
         (Direction.DOWN, -2.0),
     ]:
-        cv = channel_velocity(traj, d, 0.5)
-        assert cv.channel is d
-        assert cv.p_dot == pytest.approx(want)
-    assert channel_velocity(traj, Direction.RIGHT, 0.5).p_dot_max == pytest.approx(4.0)
-    assert channel_velocity(traj, Direction.UP, 0.5).p_dot_max == pytest.approx(2.0)
+        assert velocities[d][0] == pytest.approx(want)
+    assert velocities[Direction.RIGHT][1] == pytest.approx(4.0)
+    assert velocities[Direction.UP][1] == pytest.approx(2.0)
 
 
 def test_footprint_is_a_3x3_block_in_row_order():
@@ -235,3 +241,52 @@ def test_generate_events_validation():
         generate_events(TRAJECTORIES[0], samples_per_pixel=0.0)
     with pytest.raises(ValueError):
         generate_events(TRAJECTORIES[0], mode="both")
+
+
+# Paths on the 10 x 11 field: x must stay in [0.5, 8.5) and y in [0.5, 9.5).
+@st.composite
+def trajectories(draw):
+    kind = draw(st.sampled_from(["circle", "eight", "linear", "waypoints"]))
+    field = dict(field_width=10, field_height=11)
+    if kind == "circle":
+        r = draw(st.floats(0.3, 3.5))
+        return CircleTrajectory(
+            **field,
+            t_end=draw(st.floats(0.1, 4.0)),
+            cx=draw(st.floats(0.6 + r, 8.4 - r)),
+            cy=draw(st.floats(0.6 + r, 9.4 - r)),
+            radius=r,
+            freq_hz=draw(st.floats(0.05, 2.0)),
+        )
+    if kind == "eight":
+        ax, ay = draw(st.floats(0.3, 3.5)), draw(st.floats(0.3, 4.2))
+        return EightTrajectory(
+            **field,
+            t_end=draw(st.floats(0.1, 4.0)),
+            cx=draw(st.floats(0.6 + ax, 8.4 - ax)),
+            cy=draw(st.floats(0.6 + ay, 9.4 - ay)),
+            ax=ax,
+            ay=ay,
+            freq_hz=draw(st.floats(0.05, 1.5)),
+        )
+    xs, ys = st.floats(0.6, 8.4), st.floats(0.6, 9.4)
+    if kind == "linear":
+        t_end = draw(st.floats(0.05, 3.0))
+        x0, y0, x1, y1 = draw(xs), draw(ys), draw(xs), draw(ys)
+        return LinearTrajectory(
+            **field, t_end=t_end, x0=x0, y0=y0, vx=(x1 - x0) / t_end, vy=(y1 - y0) / t_end
+        )
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    times = np.concatenate([[0.0], np.cumsum(gaps)]).tolist()
+    points = tuple((t, draw(xs), draw(ys)) for t in times)
+    return WaypointTrajectory(**field, t_end=times[-1], points=points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trajectories(), st.sampled_from(["onset", "footprint"]), st.sampled_from([1, 3]))
+def test_encoder_matches_the_change_by_change_reference(traj, mode, oversample):
+    # The vectorised bisection probes many instants per positions() call;
+    # the reference probes one per position() call. Equal streams also mean
+    # the two calls agree bit for bit.
+    stream = generate_events(traj, mode=mode, oversample=oversample)
+    assert stream.events == reference_events(traj, mode=mode, oversample=oversample)

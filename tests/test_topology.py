@@ -1,7 +1,9 @@
 """Plus-pentomino tiling and network assembly."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from motionsnn import (
     layout_from_centers,
     tessellate,
 )
+from motionsnn.cli import main
+from motionsnn.config import RunConfig, apply_overrides, build_network
 from motionsnn.topology import (
     HIDDEN_PER_CELL,
     HIDDEN_SLOTS,
@@ -296,3 +300,48 @@ def test_json_export_is_stable(default_net):
     assert len(data["synapses"]) == 319
     again = assemble_network(tessellate(10, 11))
     assert again.to_json() == text
+
+
+# sha256 of `motionsnn topo` standard output, recorded from the object-by-
+# object builder that the array build replaced.
+TOPO_GOLDEN = {
+    "default": ([], "ad2620b40542416ff005d9841f6c6f10362414b07f1aba8e85d941b00e845881"),
+    "n5-no-lateral": (
+        [
+            "n_per_dir=5",
+            "output_taus_s=[0.005,0.015811388300841896,0.05,0.15811388300841897,0.5]",
+            "lateral_inhibition=false",
+        ],
+        "20809fa52907eb70452538e47b5564f5e254e453cc2eca725ca41e13a270fd3d",
+    ),
+    "100x101": (
+        ["field_width=100", "field_height=101"],
+        "95f052da7c3e6329389c304c142ede04ca8c6d9b3ac3441e3c5364ab4dad4083",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPO_GOLDEN))
+def test_topo_export_matches_the_recorded_bytes(name, capsys):
+    overrides, digest = TOPO_GOLDEN[name]
+    args = ["topo"] + [a for item in overrides for a in ("--set", item)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(TOPO_GOLDEN))
+def test_csr_rows_hold_the_synapses_in_construction_order(name):
+    overrides, _ = TOPO_GOLDEN[name]
+    net = build_network(RunConfig.from_dict(apply_overrides(RunConfig().to_dict(), overrides)))
+    indptr = net.indptr
+    assert indptr[0] == 0 and np.all(np.diff(indptr) >= 0)
+    assert indptr[-1] == net.counts()["total_synapses"] == len(net.synapses)
+    rows: dict[int, list] = {}
+    for s in net.synapses:
+        rows.setdefault(s.pre, []).append((s.post, s.signed_weight))
+    for pre in range(net.n_neurons):
+        lo, hi = indptr[pre], indptr[pre + 1]
+        assert np.all(np.diff(net.edge_index[lo:hi]) > 0)
+        got = list(zip(net.post[lo:hi].tolist(), net.signed_w[lo:hi].tolist()))
+        assert got == rows.get(pre, [])
