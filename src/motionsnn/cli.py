@@ -190,6 +190,8 @@ def _write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     freqs = _parse_freqs(args)
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     by_label = {v.label: v for v in default_sweep_variants()}
     try:
         variants = tuple(by_label[name] for name in args.variants.split(","))

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-import numpy as np
-
+from .analysis import FilterParams, transient_s
 from .core import ConfigError
 from .stimulus import (
     CircleTrajectory,
@@ -118,14 +117,10 @@ class RunConfig:
         return cls.from_dict(data)
 
 
-def _transient_s(self_taus: tuple[float, ...], period_s: float | None) -> float:
-    tau1 = float(np.mean(np.asarray(self_taus)))
-    return max(4.0 * tau1, period_s or 0.0)  # 2 * tau2 with tau2 = 2 * tau1
-
-
 def resolve_t_end(cfg: RunConfig) -> float:
-    """Explicit t_end_s wins; periodic kinds default to a settling stretch
-    plus three full periods; other kinds require it."""
+    """Explicit t_end_s wins; periodic kinds default to the settling stretch
+    the scoring window skips (`analysis.transient_s`) plus three full
+    periods; other kinds require it."""
     kind = cfg.trajectory["kind"]
     if kind == "waypoints":
         points = cfg.trajectory.get("points") or ()
@@ -139,7 +134,8 @@ def resolve_t_end(cfg: RunConfig) -> float:
         if not (freq > 0.0 and math.isfinite(freq)):
             raise ConfigError("freq_hz must be positive")
         period = 1.0 / freq
-        return _transient_s(cfg.output_taus_s, period) + 3.0 * period
+        fp = FilterParams.from_output_taus(cfg.output_taus_s)
+        return transient_s(fp, period) + 3.0 * period
     raise ConfigError(f"t_end_s is required for trajectory kind {kind!r}")
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -272,6 +274,40 @@ def fmt_float(v: float) -> str:
 
 
 CSV_BLOCK_ROWS = 4096
+# Tables of at least this many rows are formatted by a process pool. On two
+# CPUs the pool first beats the serial loop between 8k and 16k rows; the 4x
+# margin keeps tables where it would save a few ms serial. The saving relies
+# on forked workers: under spawn each worker imports the package afresh and
+# a 400k-row table took longer than the serial loop.
+CSV_PARALLEL_ROWS = 16 * CSV_BLOCK_ROWS
+
+
+def _format_block(row: str, columns: Sequence[np.ndarray], i: int) -> str:
+    """Rows i .. i + CSV_BLOCK_ROWS as text: one %-format of `row` repeated."""
+    # + 0.0 turns -0.0 into 0.0, as fmt_float does
+    block = np.column_stack([c[i : i + CSV_BLOCK_ROWS] for c in columns]) + 0.0
+    return (row * len(block)) % tuple(block.ravel().tolist())
+
+
+_worker_table: tuple[str, Sequence[np.ndarray]]  # assigned in pool workers only
+
+
+def _init_format_worker(row: str, columns: Sequence[np.ndarray]) -> None:
+    # Runs once in each pool worker: under fork the table is inherited, under
+    # spawn or forkserver it is pickled once per worker, never per block.
+    global _worker_table
+    _worker_table = (row, columns)
+
+
+def _format_worker_block(i: int) -> str:
+    return _format_block(*_worker_table, i)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -282,15 +318,24 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
     The columns are stacked as float64, so integer values must stay below
     2**53 in magnitude (ids and pixel coordinates do). Each block of
     CSV_BLOCK_ROWS rows is one %-format of a repeated row template, so the
-    whole text is never held at once.
+    whole text is never held at once. A table of CSV_PARALLEL_ROWS rows or
+    more is formatted by a process pool, one worker per usable CPU, and the
+    blocks are written in order; both paths share `_format_block`, so the
+    bytes are the same.
     """
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
+    n = len(columns[0])
+    starts = range(0, n, CSV_BLOCK_ROWS)
+    workers = min(_usable_cpus(), len(starts)) if n >= CSV_PARALLEL_ROWS else 1
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            # + 0.0 turns -0.0 into 0.0, as fmt_float does
-            block = np.column_stack([c[i : i + CSV_BLOCK_ROWS] for c in columns]) + 0.0
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        if workers > 1:
+            with ProcessPoolExecutor(
+                workers, initializer=_init_format_worker, initargs=(row, columns)
+            ) as pool:
+                fh.writelines(pool.map(_format_worker_block, starts))
+        else:
+            fh.writelines(_format_block(row, columns, i) for i in starts)
 
 
 def write_events_csv(stream: EventStream, path: str) -> None:

@@ -211,7 +211,8 @@ def frequency_sweep(
         if (f, v.label) not in done
     ]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under fork every worker starts up front, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:
         rows = [_sweep_worker(t) for t in tasks]

@@ -1,6 +1,9 @@
+import os
+
 import pytest
 
 from motionsnn import assemble_network, tessellate
+from motionsnn import core
 
 # Filled by tests/test_acceptance.py; shown after the run so the checklist
 # survives output capture.
@@ -22,3 +25,30 @@ def default_layout():
 @pytest.fixture(scope="session")
 def default_net(default_layout):
     return assemble_network(default_layout)
+
+
+@pytest.fixture
+def pooled_csv(monkeypatch):
+    """Send every CSV table of one block or more through a two-worker format
+    pool, whatever this host has; the list collects each pool made."""
+    made = []
+
+    class CountedPool(core.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", core.CSV_BLOCK_ROWS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(core, "ProcessPoolExecutor", CountedPool)
+    return made
+
+
+@pytest.fixture
+def no_csv_pool(monkeypatch):
+    """Fail any attempt to start a CSV format pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSV format pool was started")
+
+    monkeypatch.setattr(core, "ProcessPoolExecutor", refuse)

@@ -9,7 +9,13 @@ import pytest
 
 from motionsnn.analysis import RateGrid
 from motionsnn.cli import _write_rates_csv, main
-from motionsnn.core import CSV_BLOCK_ROWS, DIRECTION_ORDER, RateSeries, fmt_float
+from motionsnn.core import (
+    CSV_BLOCK_ROWS,
+    CSV_PARALLEL_ROWS,
+    DIRECTION_ORDER,
+    RateSeries,
+    fmt_float,
+)
 
 # one-period settle plus three periods at 1 Hz keeps runs around a second
 FAST = {"trajectory": {"kind": "circle", "freq_hz": 1.0, "radius": 3.0}}
@@ -101,8 +107,9 @@ def _reference_rates_csv(path, ev):
             writer.writerow(row)
 
 
-def test_rates_csv_matches_the_row_by_row_writer(tmp_path):
-    n = 2 * CSV_BLOCK_ROWS + 37  # crosses block boundaries, ends mid-block
+def _random_rates(n):
+    """A run evaluation stand-in: n grid rows of wide-ranging rates with 0,
+    -0.0 and the smallest subnormal mixed in."""
     rng = np.random.default_rng(8)
     grid = RateGrid(0.0, 1e-3, n)
 
@@ -119,11 +126,33 @@ def test_rates_csv_matches_the_row_by_row_writer(tmp_path):
         ideal={d: series(i + 4) for i, d in enumerate(DIRECTION_ORDER)},
     )
     ev.measured[DIRECTION_ORDER[0]].values[CSV_BLOCK_ROWS] = -0.0
+    return ev
+
+
+def test_rates_csv_matches_the_row_by_row_writer(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 37  # crosses block boundaries, ends mid-block
+    ev = _random_rates(n)
     _write_rates_csv(str(tmp_path / "new.csv"), ev)
     _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert b"-0," not in new and b",-0\r" not in new
+
+
+def test_pooled_rates_csv_matches_the_row_by_row_writer(tmp_path, pooled_csv):
+    ev = _random_rates(2 * CSV_BLOCK_ROWS + 37)
+    _write_rates_csv(str(tmp_path / "new.csv"), ev)
+    _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
+    assert len(pooled_csv) == 1
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_default_run_starts_no_format_pool(tmp_path, monkeypatch, no_csv_pool):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    out = tmp_path / "out"
+    assert main(["run", "-d", str(out)]) == 0
+    rows = len((out / "rates.csv").read_bytes().splitlines()) - 1
+    assert CSV_BLOCK_ROWS < rows < CSV_PARALLEL_ROWS
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -173,6 +202,17 @@ def test_sweep_rejects_unknown_variants(tmp_path, capsys):
                "-o", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_cfg(tmp_path, FAST)
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "-c", cfg, "--freqs", "0.8", "--variants", "n1",
+               "-j", jobs, "-o", str(out)])
+    assert rc == 2
+    assert "config error: --jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Run configuration parsing, overrides and derived run length."""
 
+import ast
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from motionsnn import (
@@ -12,6 +15,7 @@ from motionsnn import (
     RunConfig,
     WaypointTrajectory,
 )
+from motionsnn.analysis import FilterParams, transient_s
 from motionsnn.config import (
     apply_overrides,
     build_network,
@@ -20,6 +24,7 @@ from motionsnn.config import (
     build_trajectory,
     resolve_t_end,
 )
+from motionsnn.experiment import default_sweep_variants
 
 
 def test_defaults_round_trip():
@@ -95,6 +100,46 @@ def test_resolve_t_end_rules():
                                 "points": [[0.0, 2.0, 2.0], [2.5, 6.0, 2.0]]},
                     t_end_s=9.0)
     assert resolve_t_end(way) == 2.5
+
+
+@pytest.mark.parametrize("variant", default_sweep_variants(), ids=lambda v: v.label)
+@pytest.mark.parametrize("freq_hz", [0.01, 0.15, 1.0, 7.0])
+def test_t_end_settles_for_exactly_the_scored_transient(variant, freq_hz):
+    cfg = RunConfig(trajectory={"kind": "circle", "freq_hz": freq_hz},
+                    n_per_dir=variant.n_per_dir, output_taus_s=variant.output_taus_s)
+    period = 1.0 / freq_hz
+    t_end = resolve_t_end(cfg)
+    fp = FilterParams.from_output_taus(variant.output_taus_s)
+    assert t_end == transient_s(fp, period) + 3.0 * period
+    # the separate config-side formula this replaced, to the last bit
+    tau1 = float(np.mean(np.asarray(variant.output_taus_s)))
+    assert t_end == max(4.0 * tau1, period) + 3.0 * period
+
+
+def test_package_imports_form_no_cycle():
+    src = Path(__file__).resolve().parents[1] / "src" / "motionsnn"
+    deps = {}
+    for path in src.glob("*.py"):
+        body = ast.parse(path.read_text()).body
+        deps[path.stem] = {
+            node.module for node in body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        }
+    done, active = set(), []
+
+    def visit(mod):
+        assert mod not in active, " -> ".join(active + [mod])
+        if mod in done:
+            return
+        active.append(mod)
+        for dep in deps.get(mod, ()):
+            visit(dep)
+        active.pop()
+        done.add(mod)
+
+    for mod in deps:
+        visit(mod)
+    assert "analysis" in deps["config"]
 
 
 def test_network_param_overrides_are_applied():

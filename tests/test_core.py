@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from motionsnn import (
     Synapse,
     SynapseDevice,
 )
+from motionsnn import core
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
     DeviceState,
@@ -189,21 +191,31 @@ def test_spikes_csv_round_trip(tmp_path):
     assert back.spike_times == rec.spike_times
 
 
-def test_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path):
-    rng = np.random.default_rng(4)
-    # crosses a block boundary; shared times exercise the neuron-id tie break
+def _tied_spike_record(rng):
+    """Spike trains over a bit more than one CSV block, with shared times."""
     pool = np.round(rng.uniform(0.0, 5.0, 400), 4)
     trains = tuple(
         tuple(sorted(set(rng.choice(pool, 45).tolist()))) for _ in range(CSV_BLOCK_ROWS // 40)
     )
-    rec = SpikeRecord(((0.0,),) + trains)
-    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
-    with open(tmp_path / "spikes_ref.csv", "w", newline="") as fh:
+    return SpikeRecord(((0.0,),) + trains)
+
+
+def _reference_spikes_csv(rec, path):
+    """The row-by-row csv.writer export that write_spikes_csv replaces."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["neuron_id", "t_s"])
         rows = sorted((t, n) for n, train in enumerate(rec.spike_times) for t in train)
         for t, n in rows:
             writer.writerow([n, fmt_float(t)])
+
+
+def test_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    # crosses a block boundary; shared times exercise the neuron-id tie break
+    rec = _tied_spike_record(rng)
+    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
+    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
     assert rec.total() > CSV_BLOCK_ROWS
     assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
 
@@ -218,6 +230,36 @@ def test_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path):
         for ev in stream.events:
             writer.writerow([ev.x, ev.y, fmt_float(ev.t)])
     assert (tmp_path / "ev.csv").read_bytes() == (tmp_path / "ev_ref.csv").read_bytes()
+
+
+def test_pooled_spikes_csv_matches_the_row_by_row_writer(tmp_path, pooled_csv):
+    rec = _tied_spike_record(np.random.default_rng(4))
+    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
+    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
+    assert len(pooled_csv) == 1
+    assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
+
+
+def test_one_usable_cpu_formats_serially(tmp_path, monkeypatch, no_csv_pool):
+    monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", CSV_BLOCK_ROWS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    rec = _tied_spike_record(np.random.default_rng(4))
+    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
+    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
+    assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
+
+
+def _fail_in_worker(i):
+    raise RuntimeError(f"block at row {i} failed in a pool worker")
+
+
+def test_pool_worker_error_propagates(tmp_path, monkeypatch, pooled_csv):
+    # only pool workers call this; a serial fallback would write the table
+    monkeypatch.setattr(core, "_format_worker_block", _fail_in_worker)
+    rec = _tied_spike_record(np.random.default_rng(4))
+    with pytest.raises(RuntimeError, match="pool worker"):
+        write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
+    assert len(pooled_csv) == 1
 
 
 def test_read_spikes_rejects_out_of_range_ids(tmp_path):

@@ -1,7 +1,7 @@
 """The run path works on the array forms of the network and the stimulus."""
 
 from motionsnn import RunConfig, Trajectory, evaluate, run_experiment
-from motionsnn import stimulus
+from motionsnn import experiment, stimulus
 
 
 def test_run_path_builds_no_views_and_no_scalar_positions(monkeypatch):
@@ -29,3 +29,27 @@ def test_run_path_builds_no_views_and_no_scalar_positions(monkeypatch):
     assert len(result.stream) > 0
     for view in ("synapses", "neurons", "input_id_by_pixel"):
         assert view not in vars(result.network)
+
+
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    base = RunConfig(trajectory={"kind": "circle", "freq_hz": 1.0, "radius": 3.0})
+    n1 = experiment.default_sweep_variants()[:1]
+    rows = experiment.frequency_sweep(base, (0.8, 1.7), n1, jobs=8)
+    assert sizes == [2]
+    assert [r.status for r in rows] == ["ok", "ok"]
