@@ -161,9 +161,13 @@ def _read_sweep_csv(path: str) -> dict[tuple[float, str], SweepRow]:
         header = next(reader, None)
         if header != ["freq_hz", "variant", "s_acc", "s_acc_norm", "status"]:
             raise ConfigError(f"unexpected sweep header in {path}: {header}")
-        for freq_s, variant, s_acc_s, _norm, status in reader:
-            freq = float(freq_s)
-            s_acc = float(s_acc_s) if s_acc_s else None
+        for row in reader:
+            try:
+                freq_s, variant, s_acc_s, _norm, status = row
+                freq = float(freq_s)
+                s_acc = float(s_acc_s) if s_acc_s else None
+            except ValueError as exc:
+                raise ConfigError(f"malformed row {reader.line_num} in {path}: {row}") from exc
             rows[(freq, variant)] = SweepRow(freq, variant, s_acc, status)
     return rows
 

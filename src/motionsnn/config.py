@@ -43,6 +43,13 @@ _TRAJECTORY_KINDS = {
 _NETWORK_KEYS = tuple(f.name for f in dataclasses.fields(NetworkParams))
 
 
+def _number(name: str, value: Any) -> float:
+    """A config number as a float: a JSON number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     schema_version: int = SCHEMA_VERSION
@@ -61,26 +68,43 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
+        # exact types: a bool is no size, and the string "false" is truthy
+        for name, kind in (("field_width", int), ("field_height", int), ("n_per_dir", int),
+                           ("lateral_inhibition", bool)):
+            if type(getattr(self, name)) is not kind:
+                raise ConfigError(f"{name} must be {kind.__name__}, got {getattr(self, name)!r}")
+        _number("samples_per_pixel", self.samples_per_pixel)
         if self.field_width < 1 or self.field_height < 1:
             raise ConfigError("field dimensions must be positive")
         kind = self.trajectory.get("kind")
-        if kind not in _TRAJECTORY_KINDS:
+        if not isinstance(kind, str) or kind not in _TRAJECTORY_KINDS:
             raise ConfigError(f"unknown trajectory kind {kind!r}")
         extra = set(self.trajectory) - {"kind", *_TRAJECTORY_KINDS[kind]}
         if extra:
             raise ConfigError(f"unknown trajectory keys: {sorted(extra)}")
+        numbers = [(k, v) for k, v in self.trajectory.items() if k != "kind"]
+        if kind == "waypoints":
+            points = self.trajectory.get("points") or []
+            if not isinstance(points, list | tuple) or not all(
+                isinstance(p, list | tuple) and len(p) == 3 for p in points
+            ):
+                raise ConfigError("each waypoint must be [t, x, y]")
+            numbers = [("points", v) for p in points for v in p]
+        for key, value in numbers:
+            _number(f"trajectory.{key}", value)
         if self.encoding not in ("onset", "footprint"):
             raise ConfigError(f"unknown encoding {self.encoding!r}")
         if self.n_per_dir < 1:
             raise ConfigError("n_per_dir must be >= 1")
         if len(self.output_taus_s) != self.n_per_dir:
             raise ConfigError("output_taus_s must have one entry per output rank")
-        if not (self.grid_dt_s > 0.0 and math.isfinite(self.grid_dt_s)):
+        if not (_number("grid_dt_s", self.grid_dt_s) > 0.0 and math.isfinite(self.grid_dt_s)):
             raise ConfigError("grid_dt_s must be positive")
         bad = set(self.network) - set(_NETWORK_KEYS)
         if bad:
             raise ConfigError(f"unknown network keys: {sorted(bad)}")
-        if self.t_end_s is not None and not (self.t_end_s > 0.0 and math.isfinite(self.t_end_s)):
+        t_end = self.t_end_s
+        if t_end is not None and not (_number("t_end_s", t_end) > 0.0 and math.isfinite(t_end)):
             raise ConfigError("t_end_s must be positive when given")
 
     @classmethod
@@ -90,12 +114,15 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
+        for key, types in (("output_taus_s", (list, tuple)), ("trajectory", dict), ("network", dict)):
+            if key in kwargs and not isinstance(kwargs[key], types):
+                raise ConfigError(f"{key} has the wrong type: {kwargs[key]!r}")
         if "output_taus_s" in kwargs:
-            kwargs["output_taus_s"] = tuple(float(v) for v in kwargs["output_taus_s"])
+            kwargs["output_taus_s"] = tuple(_number("output_taus_s", v) for v in kwargs["output_taus_s"])
         if "trajectory" in kwargs:
             kwargs["trajectory"] = dict(kwargs["trajectory"])
         if "network" in kwargs:
-            kwargs["network"] = {k: float(v) for k, v in kwargs["network"].items()}
+            kwargs["network"] = {k: _number(f"network.{k}", v) for k, v in kwargs["network"].items()}
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -151,9 +178,6 @@ def build_trajectory(cfg: RunConfig) -> Trajectory:
     if kind == "linear":
         return LinearTrajectory(**common, **{k: float(v) for k, v in params.items()})
     points = tuple(tuple(float(v) for v in p) for p in params["points"])
-    for p in points:
-        if len(p) != 3:
-            raise ConfigError("each waypoint must be [t, x, y]")
     return WaypointTrajectory(**common, points=points)
 
 

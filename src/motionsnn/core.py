@@ -5,8 +5,8 @@ upward, membrane potentials are dimensionless (rest = 0).
 """
 from __future__ import annotations
 
-import csv
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -68,12 +68,6 @@ class Role(Enum):
     DOWN = "down"
     LEFT = "left"
     RIGHT = "right"
-
-    @property
-    def direction(self) -> Direction:
-        if self is Role.CENTER:
-            raise ValueError("center pixel has no direction")
-        return Direction(self.value)
 
 
 ROLE_ORDER: tuple[Role, ...] = (Role.CENTER, Role.UP, Role.DOWN, Role.LEFT, Role.RIGHT)
@@ -182,37 +176,6 @@ class Synapse:
         return self.weight if self.sign is Sign.EXCITATORY else -self.weight
 
 
-class DeviceState(Enum):
-    ON = "on"
-    OFF = "off"
-
-
-@dataclass(frozen=True)
-class SynapseDevice:
-    """Behavioral two-state resistive device: only the ON/OFF conductance ratio
-    survives into the network; no switching dynamics are modeled."""
-
-    g_on: float = 180e-9
-    g_off: float = 100e-12
-    state: DeviceState = DeviceState.ON
-
-    def __post_init__(self) -> None:
-        if not (self.g_on > 0.0 and self.g_off > 0.0):
-            raise ConfigError("device conductances must be positive")
-        if self.g_off >= self.g_on:
-            raise ConfigError("require g_off < g_on")
-
-
-def weight_from_device(device: SynapseDevice, w_on: float) -> float:
-    """Map a device state to a synaptic weight: w_on when ON, scaled by the
-    conductance ratio g_off/g_on when OFF."""
-    if not (w_on > 0.0 and math.isfinite(w_on)):
-        raise ConfigError("w_on must be positive and finite")
-    if device.state is DeviceState.ON:
-        return w_on
-    return w_on * (device.g_off / device.g_on)
-
-
 @dataclass(frozen=True)
 class SpikeRecord:
     """Per-neuron spike times (s), each strictly increasing."""
@@ -276,9 +239,9 @@ def fmt_float(v: float) -> str:
 CSV_BLOCK_ROWS = 4096
 # Tables of at least this many rows are formatted by a process pool. On two
 # CPUs the pool first beats the serial loop between 8k and 16k rows; the 4x
-# margin keeps tables where it would save a few ms serial. The saving relies
-# on forked workers: under spawn each worker imports the package afresh and
-# a 400k-row table took longer than the serial loop.
+# margin keeps tables where it would save a few ms serial. Only forked
+# workers save time: under spawn each imports the package afresh, and a
+# 400k-row table took longer than serial. Hosts without fork stay serial.
 CSV_PARALLEL_ROWS = 16 * CSV_BLOCK_ROWS
 
 
@@ -293,8 +256,8 @@ _worker_table: tuple[str, Sequence[np.ndarray]]  # assigned in pool workers only
 
 
 def _init_format_worker(row: str, columns: Sequence[np.ndarray]) -> None:
-    # Runs once in each pool worker: under fork the table is inherited, under
-    # spawn or forkserver it is pickled once per worker, never per block.
+    # Runs once in each forked pool worker, which inherits the table; only
+    # block offsets are sent per block.
     global _worker_table
     _worker_table = (row, columns)
 
@@ -319,19 +282,21 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
     2**53 in magnitude (ids and pixel coordinates do). Each block of
     CSV_BLOCK_ROWS rows is one %-format of a repeated row template, so the
     whole text is never held at once. A table of CSV_PARALLEL_ROWS rows or
-    more is formatted by a process pool, one worker per usable CPU, and the
-    blocks are written in order; both paths share `_format_block`, so the
-    bytes are the same.
+    more is formatted by a pool of forked processes, one per usable CPU,
+    where the platform can fork, and the blocks are written in order; both
+    paths share `_format_block`, so the bytes are the same.
     """
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
     n = len(columns[0])
     starts = range(0, n, CSV_BLOCK_ROWS)
-    workers = min(_usable_cpus(), len(starts)) if n >= CSV_PARALLEL_ROWS else 1
+    pooled = n >= CSV_PARALLEL_ROWS and "fork" in multiprocessing.get_all_start_methods()
+    workers = min(_usable_cpus(), len(starts)) if pooled else 1
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         if workers > 1:
+            fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(
-                workers, initializer=_init_format_worker, initargs=(row, columns)
+                workers, fork, initializer=_init_format_worker, initargs=(row, columns)
             ) as pool:
                 fh.writelines(pool.map(_format_worker_block, starts))
         else:
@@ -351,22 +316,6 @@ def write_events_csv(stream: EventStream, path: str) -> None:
     )
 
 
-def read_events_csv(path: str, field_width: int, field_height: int) -> EventStream:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y", "t_s"]:
-            raise ConfigError(f"unexpected events header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ConfigError(f"malformed events row: {row}")
-            events.append(Event(int(row[0]), int(row[1]), float(row[2])))
-    return EventStream.from_events(events, field_width, field_height)
-
-
 def write_spikes_csv(record: SpikeRecord, path: str) -> None:
     """All spikes as `neuron_id,t_s` rows ordered by (time, neuron id)."""
     counts = [len(train) for train in record.spike_times]
@@ -374,25 +323,6 @@ def write_spikes_csv(record: SpikeRecord, path: str) -> None:
     n = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     order = np.lexsort((n, t))
     write_csv(path, ["neuron_id", "t_s"], [n[order], t[order]])
-
-
-def read_spikes_csv(path: str, n_neurons: int) -> SpikeRecord:
-    trains: list[list[float]] = [[] for _ in range(n_neurons)]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["neuron_id", "t_s"]:
-            raise ConfigError(f"unexpected spikes header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            n = int(row[0])
-            if not (0 <= n < n_neurons):
-                raise ConfigError(f"neuron id {n} out of range")
-            trains[n].append(float(row[1]))
-    for train in trains:
-        train.sort()
-    return SpikeRecord(tuple(tuple(t) for t in trains))
 
 
 def merge_trains(trains: Iterable[Sequence[float]]) -> tuple[float, ...]:

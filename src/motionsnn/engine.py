@@ -23,16 +23,6 @@ from .core import (
 from .topology import NetworkGraph
 
 
-def decay(v: float, dt: float, tau_m: float, v_floor: float = -math.inf) -> float:
-    """Exponential relaxation of the potential toward rest over dt seconds."""
-    if dt < 0.0:
-        raise NumericFault("negative time step")
-    if tau_m <= 0.0:
-        raise NumericFault("tau_m must be positive")
-    out = v * math.exp(-dt / tau_m)
-    return out if out >= v_floor else v_floor
-
-
 @dataclass(frozen=True)
 class SimulationOutput:
     record: SpikeRecord

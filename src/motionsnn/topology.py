@@ -23,7 +23,6 @@ from .core import (
     ROLE_ORDER,
     Sign,
     Synapse,
-    fmt_float,
     role_of,
 )
 
@@ -86,45 +85,34 @@ OUTPUT_SOURCES: dict[Direction, tuple[tuple[int, Sign], ...]] = {
 
 @dataclass(frozen=True)
 class CellLayout:
-    """Placement of unit cells on the field plus the pixel ownership map."""
+    """Placement of unit cells on the field, centers sorted by (y, x)."""
 
     field_width: int
     field_height: int
     offset: int
     centers: tuple[tuple[int, int], ...]
-    owner: dict[tuple[int, int], tuple[int, Role]] = field(repr=False)
 
     @property
     def n_cells(self) -> int:
         return len(self.centers)
 
-    def pixel_owner(self, x: int, y: int) -> tuple[int, Role] | None:
-        return self.owner.get((x, y))
-
-
-def _build_owner(
-    centers: tuple[tuple[int, int], ...]
-) -> dict[tuple[int, int], tuple[int, Role]]:
-    owner: dict[tuple[int, int], tuple[int, Role]] = {}
-    for idx, (cx, cy) in enumerate(centers):
-        for role in ROLE_ORDER:
-            dx, dy = ROLE_OFFSETS[role]
-            pixel = (cx + dx, cy + dy)
-            if pixel in owner:  # impossible on the mod-5 lattice
-                raise ConfigError(f"cells overlap at pixel {pixel}")
-            owner[pixel] = (idx, role)
-    return owner
-
 
 def layout_from_centers(
     field_width: int, field_height: int, centers: list[tuple[int, int]], offset: int = -1
 ) -> CellLayout:
-    """Build a layout from explicit cell centers (cells must fit the field)."""
+    """Build a layout from explicit cell centers (cells must fit the field and not overlap)."""
     ordered = tuple(sorted(centers, key=lambda c: (c[1], c[0])))
     for cx, cy in ordered:
         if not (1 <= cx <= field_width - 2 and 1 <= cy <= field_height - 2):
             raise ConfigError(f"cell center ({cx}, {cy}) touches the field boundary")
-    return CellLayout(field_width, field_height, offset, ordered, _build_owner(ordered))
+    covered: set[tuple[int, int]] = set()
+    for cx, cy in ordered:
+        for dx, dy in ROLE_OFFSETS.values():
+            pixel = (cx + dx, cy + dy)
+            if pixel in covered:
+                raise ConfigError(f"cells overlap at pixel {pixel}")
+            covered.add(pixel)
+    return CellLayout(field_width, field_height, offset, ordered)
 
 
 def tessellate(field_width: int, field_height: int) -> CellLayout:
@@ -136,39 +124,16 @@ def tessellate(field_width: int, field_height: int) -> CellLayout:
     """
     if field_width < 1 or field_height < 1:
         raise ConfigError("field dimensions must be positive")
-    best_offset = 0
-    best: tuple[tuple[int, int], ...] = ()
-    for c in range(5):
-        centers = tuple(
-            (x, y)
-            for y in range(1, field_height - 1)
-            for x in range(1, field_width - 1)
-            if (2 * x + y) % 5 == c
-        )
-        if len(centers) > len(best):
-            best_offset, best = c, centers
-    return CellLayout(field_width, field_height, best_offset, best, _build_owner(best))
-
-
-@dataclass(frozen=True)
-class UnitCell:
-    """One cell's pixels and its intra-cell wiring template."""
-
-    center: tuple[int, int]
-    pixels: dict[Role, tuple[int, int]]
-    # (input role, hidden slot) pairs: one synapse per hidden relay.
-    input_wiring: tuple[tuple[Role, int], ...]
-
-
-def build_unit_cell(center: tuple[int, int], field_width: int, field_height: int) -> UnitCell:
-    cx, cy = center
-    if not (1 <= cx <= field_width - 2 and 1 <= cy <= field_height - 2):
-        raise ConfigError(f"cell center ({cx}, {cy}) needs all four neighbors in-field")
-    pixels = {
-        role: (cx + dx, cy + dy) for role, (dx, dy) in ROLE_OFFSETS.items()
-    }
-    wiring = tuple((SLOT_SOURCE_ROLE[slot], slot) for slot in range(HIDDEN_PER_CELL))
-    return UnitCell(center, pixels, wiring)
+    # candidate centers with all four neighbours in the field, in (y, x) order
+    ys, xs = np.meshgrid(
+        np.arange(1, field_height - 1), np.arange(1, field_width - 1), indexing="ij"
+    )
+    residue = (2 * xs + ys) % 5
+    # argmax takes the first, so the smallest, of equally large offsets
+    offset = int(np.argmax(np.bincount(residue.ravel(), minlength=5)))
+    chosen = residue == offset
+    centers = tuple(zip(xs[chosen].tolist(), ys[chosen].tolist()))
+    return CellLayout(field_width, field_height, offset, centers)
 
 
 @dataclass(frozen=True)
@@ -277,9 +242,6 @@ class NetworkGraph:
             Layer.HIDDEN: range(hidden_base, output_base),
             Layer.OUTPUT: range(output_base, self.n_neurons),
         }
-
-    def layer_of(self, neuron_id: int) -> Layer:
-        return self.neurons[neuron_id].layer
 
     @cached_property
     def input_id_by_pixel(self) -> dict[tuple[int, int], int]:

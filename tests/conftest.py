@@ -34,9 +34,10 @@ def pooled_csv(monkeypatch):
     made = []
 
     class CountedPool(core.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
+        def __init__(self, max_workers=None, mp_context=None, **kwargs):
             made.append(self)
-            super().__init__(*args, **kwargs)
+            self.start_method = mp_context and mp_context.get_start_method()
+            super().__init__(max_workers, mp_context, **kwargs)
 
     monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", core.CSV_BLOCK_ROWS)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

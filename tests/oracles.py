@@ -1,9 +1,8 @@
 """Reference implementations the test suite checks the package against.
 
 Everything in here is written the slow, obvious way on purpose: a fixed-step
-integrator for the network, direct kernel superposition for the rate filter,
-forward Euler for membrane decay. The package has to agree with these, not
-the other way around.
+integrator for the network and direct kernel superposition for the rate
+filter. The package has to agree with these, not the other way around.
 """
 
 from __future__ import annotations
@@ -25,12 +24,6 @@ from motionsnn import (
 from motionsnn.stimulus import TIME_QUANTUM, TIME_TOL, footprint, round_half_up
 
 STEP_S = 1e-6
-
-
-def euler_decay(v0: float, dt: float, tau: float, n: int = 500_000) -> float:
-    """Forward-Euler membrane decay with n sub-steps."""
-    h = dt / n
-    return v0 * (1.0 - h / tau) ** n
 
 
 def fixed_step_spikes(

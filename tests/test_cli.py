@@ -221,6 +221,31 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+SWEEP_HEADER = "freq_hz,variant,s_acc,s_acc_norm,status\r\n"
+
+
+@pytest.mark.parametrize("args, resume_csv", [
+    (["run", "--set", "network.w_lateral=abc"], None),
+    (["run", "--set", "trajectory.freq_hz=abc"], None),
+    (["run", "--set", 'field_width="x"'], None),
+    (["run", "--set", 'output_taus_s=["a"]'], None),
+    (["run", "--set", 'lateral_inhibition="false"'], None),
+    (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1\r\n"),
+    (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "abc,n1,,,ok\r\n"),
+], ids=["network-value", "trajectory-value", "field-width", "output-tau",
+        "lateral-string", "short-sweep-row", "sweep-freq"])
+def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    out = tmp_path / "out"
+    if resume_csv is None:
+        args = args + ["-d", str(out)]
+    else:
+        out.write_bytes((SWEEP_HEADER + resume_csv).encode())
+        args = args + ["-o", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_domain_error_exits_3(tmp_path, capsys):
     big = write_cfg(tmp_path, {"trajectory": {"kind": "circle", "freq_hz": 1.0,
                                               "radius": 6.0}})

@@ -142,6 +142,24 @@ def test_package_imports_form_no_cycle():
     assert "analysis" in deps["config"]
 
 
+def test_package_modules_use_every_name_they_import():
+    src = Path(__file__).resolve().parents[1] / "src" / "motionsnn"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the public API
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{ln} {name}" for name, ln in imported.items() if name not in used]
+    assert not unused
+
+
 def test_network_param_overrides_are_applied():
     cfg = RunConfig(network={"output_v_th": 1.8, "w_lateral": 0.7})
     params = build_network_params(cfg)

@@ -1,7 +1,8 @@
-"""Value types, device mapping and CSV helpers."""
+"""Value types and CSV writers."""
 
 import csv
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -21,18 +22,13 @@ from motionsnn import (
     Sign,
     SpikeRecord,
     Synapse,
-    SynapseDevice,
 )
 from motionsnn import core
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
-    DeviceState,
     fmt_float,
     merge_trains,
-    read_events_csv,
-    read_spikes_csv,
     role_of,
-    weight_from_device,
     write_events_csv,
     write_spikes_csv,
 )
@@ -55,26 +51,6 @@ def test_role_of_maps_onto_matching_role():
     for d in Direction:
         assert role_of(d).value == d.value
     assert Role.CENTER.value not in {d.value for d in Direction}
-
-
-def test_device_conductance_ratio():
-    dev = SynapseDevice()
-    assert dev.g_on / dev.g_off == pytest.approx(1800.0)
-
-
-def test_weight_follows_device_state():
-    on = SynapseDevice()
-    off = SynapseDevice(state=DeviceState.OFF)
-    assert weight_from_device(on, 1.0) == 1.0
-    assert weight_from_device(off, 1.0) == pytest.approx(1.0 / 1800.0)
-    assert weight_from_device(off, 0.5) == pytest.approx(0.5 / 1800.0)
-
-
-def test_device_validation():
-    with pytest.raises(ConfigError):
-        SynapseDevice(g_on=1e-10, g_off=1e-9)
-    with pytest.raises(ConfigError):
-        weight_from_device(SynapseDevice(), 0.0)
 
 
 def test_event_stream_sorts_by_time_then_row_then_column():
@@ -174,9 +150,7 @@ def test_events_csv_round_trip(tmp_path):
     path = tmp_path / "ev.csv"
     write_events_csv(stream, str(path))
     text = path.read_text().splitlines()
-    assert text[0] == "x,y,t_s"
-    back = read_events_csv(str(path), 5, 5)
-    assert back.events == stream.events
+    assert text == ["x,y,t_s", "1,2,0", "2,2,0.000123457", "4,0,0.5"]
 
 
 def test_spikes_csv_round_trip(tmp_path):
@@ -186,9 +160,7 @@ def test_spikes_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "neuron_id,t_s"
     # rows come out sorted by time, not by neuron
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "2", "0"]
-    back = read_spikes_csv(str(path), n_neurons=3)
-    assert back.spike_times == rec.spike_times
+    assert lines[1:] == ["0,0.0001", "2,0.1", "0,0.25"]
 
 
 def _tied_spike_record(rng):
@@ -237,12 +209,24 @@ def test_pooled_spikes_csv_matches_the_row_by_row_writer(tmp_path, pooled_csv):
     write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
     _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
     assert len(pooled_csv) == 1
+    # workers must inherit the package and the table, not import them afresh
+    assert pooled_csv[0].start_method == "fork"
     assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
 
 
 def test_one_usable_cpu_formats_serially(tmp_path, monkeypatch, no_csv_pool):
     monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", CSV_BLOCK_ROWS)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    rec = _tied_spike_record(np.random.default_rng(4))
+    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
+    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
+    assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
+
+
+def test_host_without_fork_formats_serially(tmp_path, monkeypatch, no_csv_pool):
+    monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", CSV_BLOCK_ROWS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     rec = _tied_spike_record(np.random.default_rng(4))
     write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
     _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
@@ -260,13 +244,6 @@ def test_pool_worker_error_propagates(tmp_path, monkeypatch, pooled_csv):
     with pytest.raises(RuntimeError, match="pool worker"):
         write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
     assert len(pooled_csv) == 1
-
-
-def test_read_spikes_rejects_out_of_range_ids(tmp_path):
-    path = tmp_path / "spikes.csv"
-    path.write_text("neuron_id,t_s\n7,0.1\n")
-    with pytest.raises(ConfigError):
-        read_spikes_csv(str(path), n_neurons=3)
 
 
 sorted_train = st.lists(

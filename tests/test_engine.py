@@ -10,15 +10,13 @@ from motionsnn import (
     Event,
     EventStream,
     NetworkParams,
-    NumericFault,
     assemble_network,
     layout_from_centers,
     pool_group,
     simulate,
 )
-from motionsnn.engine import decay
 
-from oracles import engine_spike_steps, euler_decay, fixed_step_spikes, random_single_cell
+from oracles import engine_spike_steps, fixed_step_spikes, random_single_cell
 
 # One cell on a 3 x 3 field: center (1, 1), edge pixels one step out.
 CENTER = (1, 1)
@@ -38,25 +36,6 @@ def stream(*events):
 def out_train(net, sim, direction):
     nid = net.output_ids[direction][0]
     return sim.record.spike_times[nid]
-
-
-def test_decay_basics():
-    assert decay(1.0, 0.0, 0.02) == 1.0
-    tau = 0.31
-    assert decay(1.0, tau * math.log(2.0), tau) == pytest.approx(0.5, rel=1e-12)
-    assert decay(1.0, tau * math.log(2.0), tau) == pytest.approx(
-        euler_decay(1.0, tau * math.log(2.0), tau), rel=1e-6
-    )
-    # negative potentials relax upward and the floor only cuts from below
-    assert decay(-5.0, 0.0, 0.02, v_floor=-3.0) == -3.0
-    assert decay(-2.0, 0.02, 0.02, v_floor=-3.0) == pytest.approx(-2.0 / math.e)
-
-
-def test_decay_guards():
-    with pytest.raises(NumericFault):
-        decay(1.0, -1e-9, 0.02)
-    with pytest.raises(NumericFault):
-        decay(1.0, 0.1, 0.0)
 
 
 def test_empty_stimulus_is_silent():

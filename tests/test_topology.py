@@ -16,7 +16,6 @@ from motionsnn import (
     Role,
     Sign,
     assemble_network,
-    build_unit_cell,
     layout_from_centers,
     tessellate,
 )
@@ -33,8 +32,19 @@ from motionsnn.topology import (
 )
 
 
+# Pixel of each role relative to the cell center (y increases upward).
+ROLE_STEP = {
+    Role.CENTER: (0, 0), Role.UP: (0, 1), Role.DOWN: (0, -1),
+    Role.LEFT: (-1, 0), Role.RIGHT: (1, 0),
+}
+
+
 def plus_pixels(cx, cy):
-    return {(cx, cy), (cx, cy + 1), (cx, cy - 1), (cx - 1, cy), (cx + 1, cy)}
+    return {(cx + dx, cy + dy) for dx, dy in ROLE_STEP.values()}
+
+
+def covered_pixels(layout):
+    return set().union(*(plus_pixels(cx, cy) for cx, cy in layout.centers))
 
 
 # Centers of the 10 x 11 tiling, recomputed by hand from the residue rule.
@@ -47,23 +57,24 @@ DEFAULT_CENTERS = {
 def test_default_field_tiles_into_15_cells(default_layout):
     assert default_layout.n_cells == 15
     assert set(default_layout.centers) == DEFAULT_CENTERS
-    assert len(default_layout.owner) == 75
-    assert 10 * 11 - len(default_layout.owner) == 35
+    assert len(covered_pixels(default_layout)) == 75
+    assert 10 * 11 - len(covered_pixels(default_layout)) == 35
 
 
-def test_default_tiling_is_disjoint_and_in_field(default_layout):
+def test_default_tiling_is_disjoint_and_in_field(default_layout, default_net):
     seen = {}
     for idx, (cx, cy) in enumerate(default_layout.centers):
         for px in plus_pixels(cx, cy):
             assert px not in seen, f"pixel {px} claimed twice"
             seen[px] = idx
             assert 0 <= px[0] < 10 and 0 <= px[1] < 11
-    assert seen == {px: idx for px, (idx, _role) in default_layout.owner.items()}
+    by_pixel = default_net.input_id_by_pixel
+    assert seen == {px: nid // INPUTS_PER_CELL for px, nid in by_pixel.items()}
 
 
 def test_default_tiling_is_locally_maximal(default_layout):
     # No further cell fits: every candidate center's plus hits covered ground.
-    covered = set(default_layout.owner)
+    covered = covered_pixels(default_layout)
     for cx in range(1, 9):
         for cy in range(1, 10):
             assert plus_pixels(cx, cy) & covered, f"room left at ({cx}, {cy})"
@@ -80,7 +91,7 @@ def test_tessellate_small_fields():
 @given(st.integers(1, 13), st.integers(1, 13))
 def test_tessellate_properties(w, h):
     layout = tessellate(w, h)
-    assert len(layout.owner) == 5 * layout.n_cells
+    assert len(covered_pixels(layout)) == 5 * layout.n_cells
 
     def lattice_count(c):
         return sum(
@@ -100,26 +111,12 @@ def test_tessellate_properties(w, h):
         assert layout.offset == min(c for c in range(5) if lattice_count(c) == best)
 
 
-def test_build_unit_cell_pixels():
-    cell = build_unit_cell((4, 5), 10, 11)
-    assert cell.pixels[Role.CENTER] == (4, 5)
-    assert cell.pixels[Role.UP] == (4, 6)
-    assert cell.pixels[Role.DOWN] == (4, 4)
-    assert cell.pixels[Role.LEFT] == (3, 5)
-    assert cell.pixels[Role.RIGHT] == (5, 5)
-
-
-@pytest.mark.parametrize("center", [(0, 5), (9, 5), (4, 0), (4, 10)])
-def test_build_unit_cell_rejects_border_centers(center):
-    with pytest.raises(ConfigError):
-        build_unit_cell(center, 10, 11)
-
-
 def test_layout_from_centers_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"cells overlap at pixel \(3, 2\)"):
         layout_from_centers(10, 11, [(2, 2), (3, 2)])  # pluses overlap
-    with pytest.raises(ConfigError):
-        layout_from_centers(10, 11, [(0, 2)])
+    for center in [(0, 2), (0, 5), (9, 5), (4, 0), (4, 10)]:
+        with pytest.raises(ConfigError, match="touches the field boundary"):
+            layout_from_centers(10, 11, [center])
     layout = layout_from_centers(10, 11, [(4, 2), (1, 3)])
     assert layout.centers == ((4, 2), (1, 3))  # sorted by (y, x)
 
@@ -193,8 +190,9 @@ def test_every_relay_listens_to_one_pixel(default_net):
         assert pre.layer is Layer.INPUT and pre.cell == post_info.cell
         # the relay's pixel role matches the slot table
         slot = HIDDEN_SLOTS.index((post_info.kind, post_info.direction))
-        cell = build_unit_cell(default_net.layout.centers[pre.cell], 10, 11)
-        assert cell.pixels[SLOT_SOURCE_ROLE[slot]] == pre.pixel
+        cx, cy = default_net.layout.centers[pre.cell]
+        dx, dy = ROLE_STEP[SLOT_SOURCE_ROLE[slot]]
+        assert pre.role is SLOT_SOURCE_ROLE[slot] and pre.pixel == (cx + dx, cy + dy)
 
 
 def test_output_wiring_per_cell(default_net):
