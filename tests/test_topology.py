@@ -114,11 +114,17 @@ def test_tessellate_properties(w, h):
 def test_layout_from_centers_validation():
     with pytest.raises(ConfigError, match=r"cells overlap at pixel \(3, 2\)"):
         layout_from_centers(10, 11, [(2, 2), (3, 2)])  # pluses overlap
-    for center in [(0, 2), (0, 5), (9, 5), (4, 0), (4, 10)]:
-        with pytest.raises(ConfigError, match="touches the field boundary"):
-            layout_from_centers(10, 11, [center])
+    with pytest.raises(ConfigError, match="touches the field boundary"):
+        layout_from_centers(10, 11, [(0, 2)])
     layout = layout_from_centers(10, 11, [(4, 2), (1, 3)])
     assert layout.centers == ((4, 2), (1, 3))  # sorted by (y, x)
+
+
+@pytest.mark.parametrize("center", [(0, 5), (9, 5), (4, 0), (4, 10)])
+def test_build_unit_cell_rejects_border_centers(center):
+    # A cell whose plus would leave the field is refused when the layout is built.
+    with pytest.raises(ConfigError, match="touches the field boundary"):
+        layout_from_centers(10, 11, [center])
 
 
 def test_hidden_slot_table():
