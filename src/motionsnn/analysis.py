@@ -186,14 +186,13 @@ def accuracy(
     return AccuracyScore(raw=raw, clamped=max(raw, 0.0), per_channel=per)
 
 
-def slice_series(series: RateSeries, t_start: float, t_stop: float | None = None) -> RateSeries:
-    """Sub-series with t >= t_start (and t <= t_stop when given), grid preserved."""
+def slice_series(series: RateSeries, t_start: float) -> RateSeries:
+    """Sub-series with t >= t_start, grid preserved."""
     times = series.times()
     k0 = int(np.searchsorted(times, t_start, side="left"))
-    k1 = len(times) if t_stop is None else int(np.searchsorted(times, t_stop, side="right"))
-    if k0 >= k1:
+    if k0 >= len(times):
         raise DomainError("empty analysis window")
-    return RateSeries(float(times[k0]), series.dt, series.values[k0:k1].copy())
+    return RateSeries(float(times[k0]), series.dt, series.values[k0:].copy())
 
 
 def transient_s(fp: FilterParams, period_s: float | None) -> float:

@@ -166,6 +166,8 @@ def _read_sweep_csv(path: str) -> dict[tuple[float, str], SweepRow]:
                 freq_s, variant, s_acc_s, _norm, status = row
                 freq = float(freq_s)
                 s_acc = float(s_acc_s) if s_acc_s else None
+                if status == "ok" and (s_acc is None or not math.isfinite(s_acc)):
+                    raise ValueError("an ok row needs a finite s_acc")
             except ValueError as exc:
                 raise ConfigError(f"malformed row {reader.line_num} in {path}: {row}") from exc
             rows[(freq, variant)] = SweepRow(freq, variant, s_acc, status)

@@ -11,6 +11,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -86,38 +87,52 @@ class Event:
     t: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventStream:
-    """Sorted stimulus events on a bounded pixel field.
-
-    Events are ordered by (t, y, x); duplicates are preserved.
+    """Stimulus events on a bounded pixel field as three read-only arrays:
+    pixel `x`, `y` (int64) and time `t` (float64, seconds), ordered by
+    (t, y, x); duplicates are preserved.
     """
 
     field_width: int
     field_height: int
-    events: tuple[Event, ...]
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    t: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.field_width < 1 or self.field_height < 1:
             raise ConfigError("field dimensions must be positive")
-        prev = None
-        for ev in self.events:
-            if not (0 <= ev.x < self.field_width and 0 <= ev.y < self.field_height):
-                raise ConfigError(f"event pixel ({ev.x}, {ev.y}) outside field")
-            if ev.t < 0.0 or not math.isfinite(ev.t):
-                raise ConfigError(f"event time {ev.t!r} must be finite and >= 0")
-            key = (ev.t, ev.y, ev.x)
-            if prev is not None and key < prev:
-                raise ConfigError("events not sorted by (t, y, x)")
-            prev = key
+        for name, dtype in (("x", np.int64), ("y", np.int64), ("t", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        x, y, t = self.x, self.y, self.t
+        if not len(x) == len(y) == len(t):
+            raise ConfigError("event x, y and t must have the same length")
+        outside = (x < 0) | (x >= self.field_width) | (y < 0) | (y >= self.field_height)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ConfigError(f"event pixel ({x[i]}, {y[i]}) outside field")
+        bad_t = ~(np.isfinite(t) & (t >= 0.0))
+        if bad_t.any():
+            raise ConfigError(f"event time {float(t[np.argmax(bad_t)])!r} must be finite and >= 0")
+        dt, dy, dx = np.diff(t), np.diff(y), np.diff(x)
+        if ((dt < 0) | ((dt == 0) & ((dy < 0) | ((dy == 0) & (dx < 0))))).any():
+            raise ConfigError("events not sorted by (t, y, x)")
 
     @classmethod
     def from_events(cls, events: Iterable[Event], field_width: int, field_height: int) -> "EventStream":
-        ordered = tuple(sorted(events, key=lambda e: (e.t, e.y, e.x)))
-        return cls(field_width, field_height, ordered)
+        xyt = np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
+        return cls(field_width, field_height, *xyt[np.lexsort(xyt.T)].T)
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        """The stream as `Event`s, built on first access."""
+        return tuple(map(Event, self.x.tolist(), self.y.tolist(), self.t.tolist()))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -304,16 +319,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
 
 
 def write_events_csv(stream: EventStream, path: str) -> None:
-    events = stream.events
-    write_csv(
-        path,
-        ["x", "y", "t_s"],
-        [
-            np.array([ev.x for ev in events], dtype=np.int64),
-            np.array([ev.y for ev in events], dtype=np.int64),
-            np.array([ev.t for ev in events], dtype=np.float64),
-        ],
-    )
+    write_csv(path, ["x", "y", "t_s"], [stream.x, stream.y, stream.t])
 
 
 def write_spikes_csv(record: SpikeRecord, path: str) -> None:

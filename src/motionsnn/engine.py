@@ -59,41 +59,38 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     d_out = net.params.d_out_s
 
     # Input neuron id at pixel (x, y), stored at y * width + x; -1 where no
-    # cell covers the pixel.
+    # cell covers the pixel. Only events at or before t_end are looked up.
     width = net.layout.field_width
     id_at = np.full(width * net.layout.field_height, -1, dtype=np.int64)
     px, py = net.input_pixels.T
     id_at[py * width + px] = np.arange(net.n_inputs)
-    id_at = id_at.tolist()
+    n_ev = int(np.searchsorted(stim.t, t_end, side="right"))
+    owners = id_at[stim.y[:n_ev] * width + stim.x[:n_ev]]
 
     v = [0.0] * n
     t_last = [0.0] * n
     ref_until = [-math.inf] * n
     spikes: list[list[float]] = [[] for _ in range(n)]
 
-    # Heap entries: (delivery time, presynaptic id, sequence, target, signed weight).
-    heap: list[tuple[float, int, int, int, float]] = []
-    seq = 0
+    # Heap entries: (delivery time, presynaptic id), one per spike; a wave
+    # sums the popped neurons' out-edges in (pre, CSR row) order. The pair
+    # is unique: the input gate drops a second event on a pixel at the same
+    # instant, and t_ref > 0 keeps one neuron's spikes apart.
+    heap: list[tuple[float, int]] = []
 
-    dropped = 0
+    dropped = int(np.count_nonzero(owners < 0))
     refractory_dropped = 0
     last_input_spike: dict[int, float] = {}
-    for ev in stim.events:
-        if ev.t > t_end:
-            break
-        owner = id_at[ev.y * width + ev.x]
+    for t, owner in zip(stim.t[:n_ev].tolist(), owners.tolist()):
         if owner < 0:
-            dropped += 1
             continue
         prev = last_input_spike.get(owner)
-        if prev is not None and ev.t - prev < t_ref:
+        if prev is not None and t - prev < t_ref:
             refractory_dropped += 1
             continue
-        last_input_spike[owner] = ev.t
-        spikes[owner].append(ev.t)
-        for k in range(indptr[owner], indptr[owner + 1]):
-            heap.append((ev.t, owner, seq, out_post[k], out_w[k]))
-            seq += 1
+        last_input_spike[owner] = t
+        spikes[owner].append(t)
+        heap.append((t, owner))
     heapq.heapify(heap)
 
     while heap:
@@ -102,8 +99,10 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
         # triggered now deliver at t_now + d_out (a later wave when d_out = 0).
         sums: dict[int, float] = {}
         while heap and heap[0][0] == t_now:
-            _, _, _, post, w = heapq.heappop(heap)
-            sums[post] = sums.get(post, 0.0) + w
+            pre = heapq.heappop(heap)[1]
+            for k in range(indptr[pre], indptr[pre + 1]):
+                post = out_post[k]
+                sums[post] = sums.get(post, 0.0) + out_w[k]
         for post in sorted(sums):
             dt = t_now - t_last[post]
             v_new = v[post] * math.exp(-dt / tau[post]) + sums[post]
@@ -119,9 +118,7 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
                 v[post] = v_reset
                 ref_until[post] = t_now + t_ref
                 if t_spike <= t_end:
-                    for k in range(indptr[post], indptr[post + 1]):
-                        heapq.heappush(heap, (t_spike, post, seq, out_post[k], out_w[k]))
-                        seq += 1
+                    heapq.heappush(heap, (t_spike, post))
 
     record = SpikeRecord(tuple(tuple(train) for train in spikes))
     totals = {

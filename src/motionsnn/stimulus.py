@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ConfigError, Direction, DomainError, Event, EventStream
+from .core import ConfigError, Direction, DomainError, EventStream
 
 # Change instants are located to TIME_TOL and stamped on a 1 ns grid, which
 # makes the emitted stream independent of the scan density.
@@ -82,10 +82,6 @@ class Trajectory:
     def position(self, t: float) -> tuple[float, float]:
         xs, ys = self.positions(np.asarray([t], dtype=np.float64))
         return float(xs[0]), float(ys[0])
-
-    def velocity_xy(self, t: float) -> tuple[float, float]:
-        vxs, vys = self.velocities(np.asarray([t], dtype=np.float64))
-        return float(vxs[0]), float(vys[0])
 
 
 @dataclass(frozen=True)
@@ -364,5 +360,4 @@ def generate_events(
     ts_ev = np.broadcast_to(np.concatenate([[0.0], t_snap])[:, None], xs.shape)
     xs, ys, ts_ev = xs[emit], ys[emit], ts_ev[emit]
     order = np.lexsort((xs, ys, ts_ev))
-    events = tuple(map(Event, xs[order].tolist(), ys[order].tolist(), ts_ev[order].tolist()))
-    return EventStream(traj.field_width, traj.field_height, events)
+    return EventStream(traj.field_width, traj.field_height, xs[order], ys[order], ts_ev[order])

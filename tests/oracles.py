@@ -7,16 +7,20 @@ filter. The package has to agree with these, not the other way around.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
 from motionsnn import (
+    DomainError,
     EmitMode,
     Event,
     EventStream,
     NetworkGraph,
     NetworkParams,
+    NumericFault,
+    SimulationOutput,
     SpikeRecord,
     assemble_network,
     layout_from_centers,
@@ -141,6 +145,142 @@ def random_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
     stream = EventStream.from_events(events, 5, 5)
     t_end = (float(times_us.max()) + 357.0) * 1e-6 + 5e-7
     return net, stream, t_end
+
+
+def tie_heavy_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
+    """One single-cell network and a stream full of exact ties.
+
+    Unlike `random_single_cell`, events sit on the 100 us grid (the spike
+    output delay), two or three pixels share most instants, and some pixels
+    fire again exactly t_ref later, so delivery chains from different events
+    land on the same instant and the order of same-instant sums matters.
+    """
+    rng = np.random.default_rng(seed)
+    params = NetworkParams(
+        hidden_v_th=float(rng.uniform(0.3, 0.8)),
+        output_v_th=float(rng.uniform(1.2, 2.2)),
+        w_hidden_output=float(rng.uniform(0.6, 1.4)),
+        w_hidden_output_inh=float(rng.uniform(0.6, 1.6)),
+        w_lateral=float(rng.uniform(0.5, 2.0)),
+    )
+    layout = layout_from_centers(5, 5, [(2, 2)])
+    taus = tuple(float(t) for t in rng.uniform(0.003, 0.6, int(rng.integers(1, 3))))
+    net = assemble_network(layout, n_per_dir=len(taus), output_taus_s=taus, params=params)
+    ref_ticks = int(round(params.t_ref_s / 1e-4))
+    events = []
+    for tick in np.sort(rng.integers(0, 60, size=int(rng.integers(10, 25)))):
+        k = int(rng.integers(2, 4))
+        for i in rng.choice(len(_CELL_PIXELS), size=k, replace=False):
+            x, y = _CELL_PIXELS[i]
+            events.append(Event(x, y, float(tick) * 1e-4))
+            if rng.random() < 0.3:
+                events.append(Event(x, y, float(tick + ref_ticks) * 1e-4))
+    stream = EventStream.from_events(events, 5, 5)
+    return net, stream, float(stream.t[-1]) + 1e-3
+
+
+def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOutput:
+    """The event-driven engine with one heap entry per delivered edge, keyed
+    (t, pre, seq, post, w). That key fixes the order in which same-instant
+    deliveries are summed; `simulate`'s queue of one (t, pre) pair per spike
+    has to reproduce it bit for bit.
+    """
+    if t_end < 0.0 or not math.isfinite(t_end):
+        raise DomainError("t_end must be finite and >= 0")
+    if (
+        stim.field_width != net.layout.field_width
+        or stim.field_height != net.layout.field_height
+    ):
+        raise DomainError("stimulus field does not match the network layout")
+
+    n = net.n_neurons
+    indptr = net.indptr.tolist()
+    out_post = net.post.tolist()
+    out_w = net.signed_w.tolist()
+    tau = net.tau_m.tolist()
+    v_th = net.v_th.tolist()
+    v_floor = net.v_floor.tolist()
+    # LIF constants every neuron shares
+    v_reset = net.params.v_reset
+    t_ref = net.params.t_ref_s
+    d_out = net.params.d_out_s
+
+    # Input neuron id at pixel (x, y), stored at y * width + x; -1 where no
+    # cell covers the pixel.
+    width = net.layout.field_width
+    id_at = np.full(width * net.layout.field_height, -1, dtype=np.int64)
+    px, py = net.input_pixels.T
+    id_at[py * width + px] = np.arange(net.n_inputs)
+    id_at = id_at.tolist()
+
+    v = [0.0] * n
+    t_last = [0.0] * n
+    ref_until = [-math.inf] * n
+    spikes: list[list[float]] = [[] for _ in range(n)]
+
+    # Heap entries: (delivery time, presynaptic id, sequence, target, signed weight).
+    heap: list[tuple[float, int, int, int, float]] = []
+    seq = 0
+
+    dropped = 0
+    refractory_dropped = 0
+    last_input_spike: dict[int, float] = {}
+    for ev in stim.events:
+        if ev.t > t_end:
+            break
+        owner = id_at[ev.y * width + ev.x]
+        if owner < 0:
+            dropped += 1
+            continue
+        prev = last_input_spike.get(owner)
+        if prev is not None and ev.t - prev < t_ref:
+            refractory_dropped += 1
+            continue
+        last_input_spike[owner] = ev.t
+        spikes[owner].append(ev.t)
+        for k in range(indptr[owner], indptr[owner + 1]):
+            heap.append((ev.t, owner, seq, out_post[k], out_w[k]))
+            seq += 1
+    heapq.heapify(heap)
+
+    while heap:
+        t_now = heap[0][0]
+        # One wave: everything already queued for this exact instant. Spikes
+        # triggered now deliver at t_now + d_out (a later wave when d_out = 0).
+        sums: dict[int, float] = {}
+        while heap and heap[0][0] == t_now:
+            _, _, _, post, w = heapq.heappop(heap)
+            sums[post] = sums.get(post, 0.0) + w
+        for post in sorted(sums):
+            dt = t_now - t_last[post]
+            v_new = v[post] * math.exp(-dt / tau[post]) + sums[post]
+            if v_new < v_floor[post]:
+                v_new = v_floor[post]
+            if not math.isfinite(v_new):
+                raise NumericFault(f"non-finite potential on neuron {post}")
+            v[post] = v_new
+            t_last[post] = t_now
+            if v_new >= v_th[post] and t_now >= ref_until[post]:
+                t_spike = t_now + d_out
+                spikes[post].append(t_spike)
+                v[post] = v_reset
+                ref_until[post] = t_now + t_ref
+                if t_spike <= t_end:
+                    for k in range(indptr[post], indptr[post + 1]):
+                        heapq.heappush(heap, (t_spike, post, seq, out_post[k], out_w[k]))
+                        seq += 1
+
+    record = SpikeRecord(tuple(tuple(train) for train in spikes))
+    totals = {
+        layer.value: sum(map(len, spikes[ids.start : ids.stop]))
+        for layer, ids in net.layer_ids().items()
+    }
+    return SimulationOutput(
+        record=record,
+        dropped_events=dropped,
+        refractory_dropped=refractory_dropped,
+        spike_totals=totals,
+    )
 
 
 def brute_force_rate(train, fp, grid) -> np.ndarray:

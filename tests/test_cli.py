@@ -1,6 +1,7 @@
 """Command-line entry points, exit codes and output files."""
 
 import csv
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -51,6 +52,34 @@ def test_events_writes_csv(tmp_path, capsys):
     assert lines[0] == "x,y,t_s"
     assert len(lines) > 10
     assert f"wrote {len(lines) - 1} events" in capsys.readouterr().out
+
+
+# sha256 of `motionsnn events` output, recorded from the encoder that built
+# one `Event` object per row before the stream became three arrays.
+EVENTS_GOLDEN = {
+    "default": ([], "5b51ea63255b929e4004632457321f4c25859e62f39b12f43d6aaaec6d1a640e"),
+    "100x101-footprint": (
+        [
+            "field_width=100",
+            "field_height=101",
+            "trajectory.cx=49.5",
+            "trajectory.cy=50.0",
+            "trajectory.radius=45.0",
+            'encoding="footprint"',
+        ],
+        "d2736b0943aa18481948a3ba18f819825f0ae836c8cff42e26f8c69404277995",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENTS_GOLDEN))
+def test_events_csv_matches_the_recorded_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    overrides, digest = EVENTS_GOLDEN[name]
+    out = tmp_path / "ev.csv"
+    args = ["events", "-o", str(out)] + [a for item in overrides for a in ("--set", item)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_config_comes_from_the_environment(tmp_path, capsys, monkeypatch):
@@ -232,8 +261,11 @@ SWEEP_HEADER = "freq_hz,variant,s_acc,s_acc_norm,status\r\n"
     (["run", "--set", 'lateral_inhibition="false"'], None),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "abc,n1,,,ok\r\n"),
+    (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1,,,ok\r\n"),
+    (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1,nan,,ok\r\n"),
 ], ids=["network-value", "trajectory-value", "field-width", "output-tau",
-        "lateral-string", "short-sweep-row", "sweep-freq"])
+        "lateral-string", "short-sweep-row", "sweep-freq", "ok-row-without-score",
+        "ok-row-nan-score"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv):
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     out = tmp_path / "out"
@@ -243,7 +275,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv
         out.write_bytes((SWEEP_HEADER + resume_csv).encode())
         args = args + ["-o", str(out)]
     assert main(args) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if resume_csv is not None:
+        assert err.startswith("config error: malformed row 2 in ")
 
 
 def test_domain_error_exits_3(tmp_path, capsys):

@@ -66,16 +66,32 @@ def test_event_stream_sorts_by_time_then_row_then_column():
 
 
 def test_event_stream_rejects_bad_input():
-    with pytest.raises(ConfigError):
-        EventStream(3, 3, (Event(1, 1, 0.002), Event(1, 1, 0.001)))
-    with pytest.raises(ConfigError):
-        EventStream(3, 3, (Event(3, 1, 0.0),))
-    with pytest.raises(ConfigError):
-        EventStream(3, 3, (Event(1, 1, -1e-9),))
-    with pytest.raises(ConfigError):
-        EventStream(3, 3, (Event(1, 1, math.nan),))
-    with pytest.raises(ConfigError):
-        EventStream(0, 3, ())
+    with pytest.raises(ConfigError, match=r"not sorted by \(t, y, x\)"):
+        EventStream(3, 3, [1, 1], [1, 1], [0.002, 0.001])
+    with pytest.raises(ConfigError, match=r"event pixel \(3, 1\) outside field"):
+        EventStream(3, 3, [3], [1], [0.0])
+    with pytest.raises(ConfigError, match="event time -1e-09 must be finite"):
+        EventStream(3, 3, [1], [1], [-1e-9])
+    with pytest.raises(ConfigError, match="event time nan must be finite"):
+        EventStream(3, 3, [1], [1], [math.nan])
+    with pytest.raises(ConfigError, match="field dimensions must be positive"):
+        EventStream(0, 3, [], [], [])
+
+
+def test_event_stream_holds_read_only_arrays_in_order():
+    # ties on t fall back to y, then x; unequal lengths are refused
+    s = EventStream(4, 4, [2, 1, 3, 0], [1, 2, 2, 0], [0.0, 0.0, 0.0, 1e-4])
+    assert (s.x.dtype, s.y.dtype, s.t.dtype) == (np.int64, np.int64, np.float64)
+    for arr in (s.x, s.y, s.t):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert "events" not in vars(s)
+    assert s.events == (Event(2, 1, 0.0), Event(1, 2, 0.0), Event(3, 2, 0.0), Event(0, 0, 1e-4))
+    with pytest.raises(ConfigError, match="same length"):
+        EventStream(4, 4, [1, 2], [1], [0.0])
+    with pytest.raises(ConfigError, match="not sorted"):
+        EventStream(4, 4, [2, 1], [1, 1], [0.0, 0.0])
+    assert len(EventStream.from_events([], 4, 4)) == 0
 
 
 def test_lif_defaults():

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from motionsnn import (
     Direction,
+    RunConfig,
     DomainError,
     Event,
     EventStream,
@@ -16,7 +18,15 @@ from motionsnn import (
     simulate,
 )
 
-from oracles import engine_spike_steps, fixed_step_spikes, random_single_cell
+from motionsnn.config import build_network, build_stimulus, resolve_t_end
+
+from oracles import (
+    engine_spike_steps,
+    fixed_step_spikes,
+    per_edge_heap_simulate,
+    random_single_cell,
+    tie_heavy_single_cell,
+)
 
 # One cell on a 3 x 3 field: center (1, 1), edge pixels one step out.
 CENTER = (1, 1)
@@ -40,7 +50,7 @@ def out_train(net, sim, direction):
 
 def test_empty_stimulus_is_silent():
     net = one_cell()
-    sim = simulate(net, EventStream(3, 3, ()), t_end=1.0)
+    sim = simulate(net, EventStream(3, 3, [], [], []), t_end=1.0)
     assert sim.record.total() == 0
     assert sim.dropped_events == 0 and sim.refractory_dropped == 0
 
@@ -48,11 +58,11 @@ def test_empty_stimulus_is_silent():
 def test_simulate_validation():
     net = one_cell()
     with pytest.raises(DomainError):
-        simulate(net, EventStream(3, 3, ()), t_end=-1.0)
+        simulate(net, EventStream(3, 3, [], [], []), t_end=-1.0)
     with pytest.raises(DomainError):
-        simulate(net, EventStream(4, 4, ()), t_end=1.0)
+        simulate(net, EventStream(4, 4, [], [], []), t_end=1.0)
     # zero-length runs are legal and empty
-    assert simulate(net, EventStream(3, 3, ()), t_end=0.0).record.total() == 0
+    assert simulate(net, EventStream(3, 3, [], [], []), t_end=0.0).record.total() == 0
 
 
 def test_inputs_pass_through_and_relays_lag_by_the_output_delay():
@@ -92,6 +102,20 @@ def test_same_wave_deliveries_aggregate_before_the_threshold_check():
     assert out_train(net, sim, Direction.RIGHT) == (pytest.approx(2e-4),)
     assert out_train(net, sim, Direction.UP) == ()
     assert out_train(net, sim, Direction.DOWN) == ()
+
+
+def test_same_instant_deliveries_are_summed_in_presynaptic_id_order():
+    # (1.2 + 1.2) - 0.3 rounds to 2.1, but -0.3 + 1.2 + 1.2 and
+    # (1.2 - 0.3) + 1.2 round below it: with the threshold at 2.1 the RIGHT
+    # output fires only if its three relays are added in id order
+    params = NetworkParams(w_hidden_output=1.2, w_hidden_output_inh=0.3, output_v_th=2.1)
+    net = one_cell(params)
+    right = net.output_ids[Direction.RIGHT][0]
+    relays = sorted((s.pre, s.signed_weight) for s in net.synapses
+                    if s.post == right and net.neurons[s.pre].layer.value == "hidden")
+    assert [w for _, w in relays] == [1.2, 1.2, -0.3]
+    sim = simulate(net, stream((CENTER, 0.0), (LEFT_PX, 0.0), (RIGHT_PX, 0.0)), t_end=0.01)
+    assert out_train(net, sim, Direction.RIGHT) == (pytest.approx(2e-4),)
 
 
 def test_inhibition_shortly_before_the_pair_vetoes_it():
@@ -146,6 +170,17 @@ def test_events_off_the_tiling_are_dropped():
     assert sim.record.spike_times[layout_net.input_id_by_pixel[CENTER]] == (0.0,)
 
 
+def test_events_up_to_t_end_are_taken():
+    net = one_cell()
+    sim = simulate(
+        net,
+        stream((CENTER, 0.0), ((0, 0), 0.01), (CENTER, 0.01), ((0, 0), 0.02), (CENTER, 0.02)),
+        t_end=0.01,
+    )
+    assert sim.record.spike_times[net.input_id_by_pixel[CENTER]] == (0.0, 0.01)
+    assert sim.dropped_events == 1
+
+
 def test_potential_floor_limits_inhibition_depth():
     # a huge lateral IPSP must saturate at v_floor = -2 * v_th, so the
     # silenced channel recovers on schedule instead of staying dead
@@ -196,3 +231,33 @@ def test_per_neuron_trains_respect_the_refractory_gap(seed):
         t_ref = net.neurons[nid].params.t_ref
         for a, b in zip(train, train[1:]):
             assert b - a >= t_ref - 1e-12
+
+
+def assert_same_simulation(sim, ref):
+    assert sim.record.spike_times == ref.record.spike_times
+    assert sim.dropped_events == ref.dropped_events
+    assert sim.refractory_dropped == ref.refractory_dropped
+    assert sim.spike_totals == ref.spike_totals
+
+
+def test_per_spike_queue_sums_ties_like_the_per_edge_heap():
+    # exact float equality: same-instant deliveries must be summed in the
+    # per-edge heap's (t, pre, seq) order
+    refractory_dropped = output_spikes = 0
+    for seed in range(60):
+        net, stim, t_end = tie_heavy_single_cell(seed)
+        sim = simulate(net, stim, t_end)
+        assert_same_simulation(sim, per_edge_heap_simulate(net, stim, t_end))
+        refractory_dropped += sim.refractory_dropped
+        output_spikes += sim.spike_totals["output"]
+    # the streams really exercise the gate and reach the outputs
+    assert refractory_dropped > 0 and output_spikes > 0
+
+
+def test_per_spike_queue_matches_the_per_edge_heap_on_five_ranks():
+    taus = tuple(float(t) for t in np.logspace(np.log10(0.005), np.log10(0.5), 5))
+    cfg = RunConfig(n_per_dir=5, output_taus_s=taus, lateral_inhibition=False)
+    net, stim, t_end = build_network(cfg), build_stimulus(cfg), resolve_t_end(cfg)
+    sim = simulate(net, stim, t_end)
+    assert sim.spike_totals["output"] > 0
+    assert_same_simulation(sim, per_edge_heap_simulate(net, stim, t_end))

@@ -29,6 +29,7 @@ def test_run_path_builds_no_views_and_no_scalar_positions(monkeypatch):
     assert len(result.stream) > 0
     for view in ("synapses", "neurons", "input_id_by_pixel"):
         assert view not in vars(result.network)
+    assert "events" not in vars(result.stream)
 
 
 def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
