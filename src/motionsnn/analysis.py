@@ -7,7 +7,7 @@ velocity-derived ideal response channel by channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,18 +65,22 @@ class FilterParams:
 
 @dataclass(frozen=True)
 class RateGrid:
+    """n samples from t0 in steps of dt; `times` is the time axis, built once
+    with the grid and shared by every series and export on it."""
+
     t0: float
     dt: float
     n: int
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ConfigError("grid dt must be positive")
         if self.n < 1:
             raise ConfigError("grid needs at least one sample")
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
+        times = self.t0 + self.dt * np.arange(self.n)
+        times.setflags(write=False)
+        object.__setattr__(self, "times", times)
 
 
 def pool_group(record: SpikeRecord, direction: Direction, n_per_dir: int) -> tuple[float, ...]:
@@ -115,7 +119,7 @@ def decay_accumulate(n: int, bins: np.ndarray, c: np.ndarray, r: float) -> np.nd
 def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> RateSeries:
     """Causal rate estimate: the kernel summed over all past spikes, evaluated
     in closed form at every grid point."""
-    times = grid.times()
+    times = grid.times
     spikes = np.asarray(sorted(train), dtype=np.float64)
     spikes = spikes[spikes <= times[-1]]
     if len(spikes) == 0:
@@ -123,12 +127,14 @@ def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> Rat
     bins = np.searchsorted(times, spikes, side="left")
     spike_bins, slot = np.unique(bins, return_inverse=True)
     # Per-step recursion A_k = A_{k-1} * exp(-dt/tau) + (new spikes decayed to t_k)
-    values = np.zeros(grid.n)
-    for tau, sign in ((fp.tau1, 1.0), (fp.tau2, -1.0)):
+    acc = []
+    for tau in (fp.tau1, fp.tau2):
         c = np.zeros(len(spike_bins))
         np.add.at(c, slot, np.exp(-(times[bins] - spikes) / tau))
-        acc = decay_accumulate(grid.n, spike_bins, c, math.exp(-grid.dt / tau))
-        values += sign * acc
+        acc.append(decay_accumulate(grid.n, spike_bins, c, math.exp(-grid.dt / tau)))
+    # Both sums are >= 0, so acc1 - acc2 in acc1's buffer is bit for bit the
+    # same as 0 + acc1 + (-1 * acc2).
+    values = np.subtract(acc[0], acc[1], out=acc[0])
     values *= fp.lam
     np.maximum(values, 0.0, out=values)  # clip float dust below zero
     return RateSeries(grid.t0, grid.dt, values)
@@ -141,13 +147,16 @@ def ideal_rates(
     f = (f_max / 2) * |p_dot / p_dot_max + 1|; motionless axes hold f_max / 2."""
     if not (f_max_hz > 0.0 and math.isfinite(f_max_hz)):
         raise ConfigError("f_max_hz must be positive")
-    times = grid.times()
     out: dict[Direction, RateSeries] = {}
-    for d, p_dot, p_dot_max in channel_velocities(traj, times):
+    for d, p_dot, p_dot_max in channel_velocities(traj, grid.times):
         if p_dot_max == 0.0:
             values = np.full(grid.n, f_max_hz / 2.0)
         else:
-            values = (f_max_hz / 2.0) * np.abs(p_dot / p_dot_max + 1.0)
+            # the same operations, in the same order, all in one buffer
+            values = p_dot / p_dot_max
+            values += 1.0
+            np.abs(values, out=values)
+            values *= f_max_hz / 2.0
         out[d] = RateSeries(grid.t0, grid.dt, values)
     return out
 
@@ -186,53 +195,31 @@ def accuracy(
     return AccuracyScore(raw=raw, clamped=max(raw, 0.0), per_channel=per)
 
 
-def slice_series(series: RateSeries, t_start: float) -> RateSeries:
-    """Sub-series with t >= t_start, grid preserved."""
-    times = series.times()
-    k0 = int(np.searchsorted(times, t_start, side="left"))
-    if k0 >= len(times):
-        raise DomainError("empty analysis window")
-    return RateSeries(float(times[k0]), series.dt, series.values[k0:].copy())
-
-
 def transient_s(fp: FilterParams, period_s: float | None) -> float:
     """Length of the start-up stretch excluded from scoring."""
     return max(2.0 * fp.tau2, period_s or 0.0)
 
 
-def dominant_frequency(series: RateSeries) -> float:
-    """Frequency (Hz) of the largest non-DC magnitude in the spectrum."""
-    x = series.values - np.mean(series.values)
-    if not np.any(x != 0.0):
-        raise DomainError("dominant frequency undefined for a constant series")
-    mags = np.abs(np.fft.rfft(x))
+def dominant_frequency(spectrum: np.ndarray, span_s: float) -> float:
+    """Frequency (Hz) of the largest non-DC magnitude in the rfft `spectrum`
+    of a mean-removed window `span_s` seconds long (samples times dt)."""
+    mags = np.abs(spectrum)
     if len(mags) < 2:
         raise DomainError("series too short for spectral analysis")
     k = int(np.argmax(mags[1:])) + 1
     if mags[k] <= 0.0:
         raise DomainError("flat spectrum")
-    return k / (len(x) * series.dt)
+    return k / span_s
 
 
-def spectral_bin_hz(series: RateSeries) -> float:
-    return 1.0 / (len(series.values) * series.dt)
+def phase_lag_deg(za: complex, zb: complex) -> float:
+    """Phase of zb minus phase of za, in (-180, 180] degrees, where each is a
+    mean-removed window summed against one basis exp(-2 pi i f t).
 
-
-def phase_lag_deg(a: RateSeries, b: RateSeries, freq_hz: float) -> float:
-    """Phase of b minus phase of a at freq_hz, in (-180, 180] degrees.
-
-    A signal delayed relative to `a` comes out negative.
+    A window delayed relative to the one behind `za` comes out negative.
     """
-    if not a.same_grid(b):
-        raise ConfigError("phase comparison needs a shared grid")
-    if not (freq_hz > 0.0 and math.isfinite(freq_hz)):
-        raise ConfigError("freq_hz must be positive")
-    times = a.times()
-    basis = np.exp(-2j * math.pi * freq_hz * times)
-    za = np.sum((a.values - np.mean(a.values)) * basis)
-    zb = np.sum((b.values - np.mean(b.values)) * basis)
     if abs(za) == 0.0 or abs(zb) == 0.0:
-        raise DomainError(f"no component at {freq_hz} Hz")
+        raise DomainError("no component at the phase frequency")
     lag = math.degrees(np.angle(zb) - np.angle(za))
     wrapped = (lag + 180.0) % 360.0 - 180.0
     return 180.0 if wrapped == -180.0 else wrapped

@@ -82,7 +82,7 @@ def _write_rates_csv(path: str, ev) -> None:
     header = ["t_s"]
     header += [f"{d.value}_hz" for d in DIRECTION_ORDER]
     header += [f"{d.value}_ideal_hz" for d in DIRECTION_ORDER]
-    columns = [ev.grid.times()]
+    columns = [ev.grid.times]
     columns += [ev.measured[d].values for d in DIRECTION_ORDER]
     columns += [ev.ideal[d].values for d in DIRECTION_ORDER]
     write_csv(path, header, columns)

@@ -230,9 +230,6 @@ class RateSeries:
             raise ConfigError("values must be one-dimensional")
         object.__setattr__(self, "values", vals)
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.values))
-
     def __len__(self) -> int:
         return len(self.values)
 

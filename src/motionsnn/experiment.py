@@ -22,19 +22,10 @@ from .analysis import (
     ideal_rates,
     phase_lag_deg,
     pool_group,
-    slice_series,
-    spectral_bin_hz,
     transient_s,
 )
 from .config import RunConfig, build_layout, build_network, build_stimulus, build_trajectory
-from .core import (
-    DIRECTION_ORDER,
-    Direction,
-    DomainError,
-    MotionSnnError,
-    RateSeries,
-    merge_trains,
-)
+from .core import DIRECTION_ORDER, Direction, DomainError, MotionSnnError, RateSeries
 from .engine import SimulationOutput, simulate
 from .stimulus import EventStream, Trajectory
 from .topology import NetworkGraph
@@ -60,16 +51,21 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class RunEvaluation:
-    """Full-grid rate curves plus the score taken over the settled window."""
+    """Full-grid rate curves plus the score taken over the settled window,
+    which is samples window_index onwards of the grid."""
 
     fp: FilterParams
     grid: RateGrid
-    window_start_s: float
+    window_index: int
     f_max_hz: float
     measured: dict[Direction, RateSeries]
     ideal: dict[Direction, RateSeries]
     score: AccuracyScore
     pooled_counts: dict[Direction, int]
+
+    @property
+    def window_start_s(self) -> float:
+        return float(self.grid.times[self.window_index])
 
 
 def evaluate(result: ExperimentResult) -> RunEvaluation:
@@ -86,16 +82,23 @@ def evaluate(result: ExperimentResult) -> RunEvaluation:
         raise DomainError(
             f"run too short to score: needs > {t_w:.3f}s, has {traj.t_end:.3f}s"
         )
-    measured_w = {d: slice_series(measured[d], t_w) for d in DIRECTION_ORDER}
+    k0 = int(np.searchsorted(grid.times, t_w, side="left"))
+    if k0 >= n:
+        raise DomainError("empty analysis window")
+    t0 = float(grid.times[k0])
+
+    def window(series: dict[Direction, RateSeries]) -> dict[Direction, RateSeries]:
+        return {d: RateSeries(t0, grid.dt, series[d].values[k0:]) for d in DIRECTION_ORDER}
+
+    measured_w = window(measured)
     f_max = calibrate_f_max(measured_w)
     ideal_full = ideal_rates(traj, f_max, grid)
-    ideal_w = {d: slice_series(ideal_full[d], t_w) for d in DIRECTION_ORDER}
-    score = accuracy(ideal_w, measured_w)
+    score = accuracy(window(ideal_full), measured_w)
     counts = {d: len(trains[d]) for d in DIRECTION_ORDER}
     return RunEvaluation(
         fp=fp,
         grid=grid,
-        window_start_s=float(measured_w[Direction.UP].t0),
+        window_index=k0,
         f_max_hz=f_max,
         measured=measured,
         ideal=ideal_full,
@@ -113,33 +116,39 @@ def _maybe(fn, *args):
 
 def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
     """Dominant frequencies per channel and pooled-pair, plus the phase lags
-    around the direction sequence, all over the settled window."""
-    record, net = result.sim.record, result.network
-    t_w = ev.window_start_s
-    window = {d: slice_series(ev.measured[d], t_w) for d in DIRECTION_ORDER}
+    around the direction sequence, all over the settled window.
 
-    dom = {d.value: _maybe(dominant_frequency, window[d]) for d in DIRECTION_ORDER}
-
-    pooled: dict[str, RateSeries] = {}
-    for label, pair in (("lr", (Direction.LEFT, Direction.RIGHT)),
-                        ("ud", (Direction.UP, Direction.DOWN))):
-        train = merge_trains(pool_group(record, d, net.n_per_dir) for d in pair)
-        pooled[label] = slice_series(firing_rate(train, ev.fp, ev.grid), t_w)
-    lr_hz = _maybe(dominant_frequency, pooled["lr"])
-    ud_hz = _maybe(dominant_frequency, pooled["ud"])
+    Each channel's mean-removed window is transformed and projected once. The
+    rate filter is linear, so a pooled pair's spectrum is the sum of its two
+    channel spectra; only the argmax bin of that sum is reported.
+    """
+    m = ev.grid.n - ev.window_index
+    span_s = m * ev.grid.dt
+    period = result.trajectory.period_s
+    if period:
+        window = RateGrid(ev.window_start_s, ev.grid.dt, m)
+        basis = np.exp(-2j * math.pi * (1.0 / period) * window.times)
+    spectra, z = {}, {}
+    for d in DIRECTION_ORDER:
+        w = ev.measured[d].values[ev.window_index :]
+        x = w - np.mean(w)
+        spectra[d] = np.fft.rfft(x)
+        if period:
+            z[d] = np.sum(x * basis)
+    dom = {d.value: _maybe(dominant_frequency, spectra[d], span_s) for d in DIRECTION_ORDER}
+    lr_hz = _maybe(dominant_frequency, spectra[Direction.LEFT] + spectra[Direction.RIGHT], span_s)
+    ud_hz = _maybe(dominant_frequency, spectra[Direction.UP] + spectra[Direction.DOWN], span_s)
     ratio = lr_hz / ud_hz if lr_hz and ud_hz else None
 
     lags = None
-    period = result.trajectory.period_s
     if period:
-        f0 = 1.0 / period
         seq = (Direction.RIGHT, Direction.DOWN, Direction.LEFT, Direction.UP)
         lags = {
-            f"{a.value}_to_{b.value}": _maybe(phase_lag_deg, window[a], window[b], f0)
+            f"{a.value}_to_{b.value}": _maybe(phase_lag_deg, z[a], z[b])
             for a, b in zip(seq, seq[1:])
         }
     return {
-        "bin_hz": spectral_bin_hz(pooled["lr"]),
+        "bin_hz": 1.0 / span_s,
         "dominant_hz": dom,
         "pooled": {"lr_hz": lr_hz, "ud_hz": ud_hz, "lr_over_ud": ratio},
         "phase_lags_deg": lags,

@@ -331,8 +331,8 @@ def generate_events(
     mode = EmitMode(mode)
     if oversample < 1:
         raise ConfigError("oversample must be >= 1")
-    if samples_per_pixel <= 0.0:
-        raise ConfigError("samples_per_pixel must be positive")
+    if not (samples_per_pixel > 0.0 and math.isfinite(samples_per_pixel)):
+        raise ConfigError("samples_per_pixel must be positive and finite")
 
     vx_max, vy_max = traj.speed_bound()
     vmax = max(vx_max, vy_max)

@@ -285,7 +285,7 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
 
 def brute_force_rate(train, fp, grid) -> np.ndarray:
     """Direct superposition of the biphasic kernel, O(spikes * samples)."""
-    times = grid.times()
+    times = grid.times
     out = np.zeros(grid.n)
     for t_s in train:
         dt = times - t_s

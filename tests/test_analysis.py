@@ -28,7 +28,7 @@ from motionsnn import (
     pool_group,
 )
 import motionsnn
-from motionsnn.analysis import decay_accumulate, slice_series, spectral_bin_hz, transient_s
+from motionsnn.analysis import decay_accumulate, transient_s
 from motionsnn.core import merge_trains
 
 from oracles import brute_force_rate, rel_err
@@ -73,9 +73,9 @@ def test_firing_rate_matches_brute_force_superposition():
 def test_firing_rate_of_single_spike_is_the_kernel():
     grid = RateGrid(0.0, 1e-3, 1500)
     series = firing_rate((0.0,), FP, grid)
-    expect = FP.kernel(grid.times())
+    expect = FP.kernel(grid.times)
     assert rel_err(series.values, expect) < 1e-9
-    peak_at = grid.times()[int(np.argmax(series.values))]
+    peak_at = grid.times[int(np.argmax(series.values))]
     assert peak_at == pytest.approx(FP.peak_time_s, abs=grid.dt)
 
 
@@ -111,7 +111,7 @@ def _lfilter_rate(train, fp, grid):
     """firing_rate as a dense scipy.signal.lfilter recursion, the reference
     the sparse segment form must reproduce bit for bit."""
     lfilter = pytest.importorskip("scipy.signal").lfilter
-    times = grid.times()
+    times = grid.times
     spikes = np.asarray(sorted(train), dtype=np.float64)
     spikes = spikes[spikes <= times[-1]]
     values = np.zeros(grid.n)
@@ -271,44 +271,59 @@ def test_accuracy_grid_and_domain_guards():
         accuracy(zero_ideal, ideal)
 
 
-def test_slice_series():
-    s = RateSeries(0.0, 0.5, [0.0, 1.0, 2.0, 3.0, 4.0])
-    cut = slice_series(s, 1.0)
-    assert cut.t0 == 1.0 and list(cut.values) == [2.0, 3.0, 4.0]
-    with pytest.raises(DomainError):
-        slice_series(s, 99.0)
-
-
 def test_transient_covers_filter_and_stimulus():
     assert transient_s(FP, None) == pytest.approx(0.2)
     assert transient_s(FP, 3.0) == 3.0
 
 
+def spectrum(values):
+    return np.fft.rfft(values - np.mean(values))
+
+
 def test_dominant_frequency_and_bin():
     dt, n = 1e-3, 4000
     ts = dt * np.arange(n)
-    s = RateSeries(0.0, dt, 2.0 + np.sin(2 * np.pi * 1.0 * ts))
-    assert spectral_bin_hz(s) == pytest.approx(0.25)
-    assert dominant_frequency(s) == pytest.approx(1.0, abs=0.25)
-    two_tone = RateSeries(
-        0.0, dt, 3.0 * np.sin(2 * np.pi * 1.0 * ts) + np.sin(2 * np.pi * 2.0 * ts)
-    )
-    assert dominant_frequency(two_tone) == pytest.approx(1.0, abs=0.25)
+    span_s = n * dt  # 0.25 Hz bins
+    s = 2.0 + np.sin(2 * np.pi * 1.0 * ts)
+    assert dominant_frequency(spectrum(s), span_s) == pytest.approx(1.0, abs=0.25)
+    two_tone = 3.0 * np.sin(2 * np.pi * 1.0 * ts) + np.sin(2 * np.pi * 2.0 * ts)
+    assert dominant_frequency(spectrum(two_tone), span_s) == pytest.approx(1.0, abs=0.25)
+    assert dominant_frequency(np.array([0j, 1, 3, 2]), 2.0) == 1.0
     with pytest.raises(DomainError):
-        dominant_frequency(RateSeries(0.0, dt, np.full(100, 7.0)))
+        dominant_frequency(spectrum(np.full(100, 7.0)), 100 * dt)
+    with pytest.raises(DomainError):
+        dominant_frequency(spectrum(np.ones(1)), dt)
 
 
 def test_phase_lag_sign_and_wrap():
     dt, n, f0 = 1e-3, 4000, 1.0
     ts = dt * np.arange(n)
-    ref = RateSeries(0.0, dt, np.sin(2 * np.pi * f0 * ts))
-    assert phase_lag_deg(ref, ref, f0) == pytest.approx(0.0, abs=1e-9)
-    lag90 = RateSeries(0.0, dt, np.sin(2 * np.pi * f0 * ts - np.pi / 2.0))
-    assert phase_lag_deg(ref, lag90, f0) == pytest.approx(-90.0, abs=1e-6)
-    lead90 = RateSeries(0.0, dt, np.cos(2 * np.pi * f0 * ts))
-    assert phase_lag_deg(ref, lead90, f0) == pytest.approx(90.0, abs=1e-6)
-    anti = RateSeries(0.0, dt, -np.sin(2 * np.pi * f0 * ts))
-    assert phase_lag_deg(ref, anti, f0) == pytest.approx(180.0, abs=1e-6)
+    basis = np.exp(-2j * np.pi * f0 * ts)
+
+    def z(values):
+        return np.sum((values - np.mean(values)) * basis)
+
+    ref = z(np.sin(2 * np.pi * f0 * ts))
+    assert phase_lag_deg(ref, ref) == pytest.approx(0.0, abs=1e-9)
+    lag90 = z(np.sin(2 * np.pi * f0 * ts - np.pi / 2.0))
+    assert phase_lag_deg(ref, lag90) == pytest.approx(-90.0, abs=1e-6)
+    lead90 = z(np.cos(2 * np.pi * f0 * ts))
+    assert phase_lag_deg(ref, lead90) == pytest.approx(90.0, abs=1e-6)
+    anti = z(-np.sin(2 * np.pi * f0 * ts))
+    assert phase_lag_deg(ref, anti) == pytest.approx(180.0, abs=1e-6)
+    with pytest.raises(DomainError):
+        phase_lag_deg(ref, z(np.full(n, 2.0)))
+
+
+def test_rate_grid_holds_one_read_only_time_axis():
+    grid = RateGrid(1.0, 0.5, 3)
+    assert list(grid.times) == [1.0, 1.5, 2.0]
+    assert not grid.times.flags.writeable
+    assert grid == RateGrid(1.0, 0.5, 3) and grid != RateGrid(1.0, 0.5, 4)
+    with pytest.raises(ConfigError):
+        RateGrid(0.0, 0.0, 3)
+    with pytest.raises(ConfigError):
+        RateGrid(0.0, 1e-3, 0)
 
 
 def test_pool_group_follows_the_output_id_convention():

@@ -129,7 +129,7 @@ def _reference_rates_csv(path, ev):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, t in enumerate(ev.grid.times()):
+        for i, t in enumerate(ev.grid.times):
             row = [fmt_float(float(t))]
             row += [fmt_float(float(ev.measured[d].values[i])) for d in DIRECTION_ORDER]
             row += [fmt_float(float(ev.ideal[d].values[i])) for d in DIRECTION_ORDER]
@@ -251,6 +251,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 SWEEP_HEADER = "freq_hz,variant,s_acc,s_acc_norm,status\r\n"
+OUT_FLAG = {"run": "-d", "events": "--out", "sweep": "-o"}
 
 
 @pytest.mark.parametrize("args, resume_csv", [
@@ -259,21 +260,24 @@ SWEEP_HEADER = "freq_hz,variant,s_acc,s_acc_norm,status\r\n"
     (["run", "--set", 'field_width="x"'], None),
     (["run", "--set", 'output_taus_s=["a"]'], None),
     (["run", "--set", 'lateral_inhibition="false"'], None),
+    (["run", "--set", "samples_per_pixel=NaN"], None),
+    (["run", "--set", "samples_per_pixel=Infinity"], None),
+    (["events", "--set", "samples_per_pixel=NaN"], None),
+    (["events", "--set", "samples_per_pixel=Infinity"], None),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "abc,n1,,,ok\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1,,,ok\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1,nan,,ok\r\n"),
 ], ids=["network-value", "trajectory-value", "field-width", "output-tau",
-        "lateral-string", "short-sweep-row", "sweep-freq", "ok-row-without-score",
+        "lateral-string", "run-nan-samples", "run-inf-samples", "events-nan-samples",
+        "events-inf-samples", "short-sweep-row", "sweep-freq", "ok-row-without-score",
         "ok-row-nan-score"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv):
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     out = tmp_path / "out"
-    if resume_csv is None:
-        args = args + ["-d", str(out)]
-    else:
+    if resume_csv is not None:
         out.write_bytes((SWEEP_HEADER + resume_csv).encode())
-        args = args + ["-o", str(out)]
+    args = args + [OUT_FLAG[args[0]], str(out)]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")

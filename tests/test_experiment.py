@@ -1,7 +1,25 @@
-"""The run path works on the array forms of the network and the stimulus."""
+"""The run path works on the array forms of the network and the stimulus,
+and scores and spectra keep their recorded values."""
 
-from motionsnn import RunConfig, Trajectory, evaluate, run_experiment
-from motionsnn import experiment, stimulus
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from motionsnn import (
+    DIRECTION_ORDER,
+    Direction,
+    DomainError,
+    RateGrid,
+    RateSeries,
+    RunConfig,
+    Trajectory,
+    evaluate,
+    run_experiment,
+    spectral_summary,
+)
+from motionsnn import analysis, cli, experiment, stimulus
+from motionsnn.analysis import transient_s
 
 
 def test_run_path_builds_no_views_and_no_scalar_positions(monkeypatch):
@@ -54,3 +72,157 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
     rows = experiment.frequency_sweep(base, (0.8, 1.7), n1, jobs=8)
     assert sizes == [2]
     assert [r.status for r in rows] == ["ok", "ok"]
+
+
+EIGHT = {"kind": "eight", "freq_hz": 0.18, "ax": 2.3, "ay": 4.2}
+
+# Spectra and scores recorded before the scoring windows became views and the
+# pooled spectra came from the channel spectra. Values read off a spectral
+# bin are exact; lags and s_acc go through numpy's exp/sin, whose SIMD
+# implementations may differ in the last bits between hosts.
+PINNED_RUNS = {
+    "default": (
+        {},
+        {
+            "bin_hz": 0.05,
+            "dominant_hz": {"up": 0.3, "down": 0.3, "left": 0.15, "right": 0.15},
+            "pooled": {"lr_hz": 0.15, "ud_hz": 0.45, "lr_over_ud": 0.3333333333333333},
+        },
+        {
+            "right_to_down": -51.93975439430153,
+            "down_to_left": -108.05083540519257,
+            "left_to_up": -49.99579288959555,
+        },
+        0.3529853893846798,
+    ),
+    "eight": (
+        {"trajectory": EIGHT},
+        {
+            "bin_hz": 0.059998800023999516,
+            "dominant_hz": {
+                "up": 0.17999640007199855,
+                "down": 0.17999640007199855,
+                "left": 0.17999640007199855,
+                "right": 0.3599928001439971,
+            },
+            "pooled": {
+                "lr_hz": 0.3599928001439971,
+                "ud_hz": 0.17999640007199855,
+                "lr_over_ud": 2.0,
+            },
+        },
+        {
+            "right_to_down": 23.282635803006002,
+            "down_to_left": -159.8139932160179,
+            "left_to_up": -6.546475724654272,
+        },
+        0.8121972957996295,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_spectra_and_score_keep_their_recorded_values(name):
+    overrides, exact, lags, s_acc = PINNED_RUNS[name]
+    result = run_experiment(RunConfig(**overrides))
+    ev = evaluate(result)
+    spectra = spectral_summary(result, ev)
+    assert {k: spectra[k] for k in exact} == exact
+    assert spectra["phase_lags_deg"] == pytest.approx(lags, rel=0.0, abs=1e-9)
+    assert ev.score.clamped == pytest.approx(s_acc, rel=0.0, abs=1e-9)
+
+
+def test_sweep_scores_keep_their_recorded_values():
+    rows = experiment.frequency_sweep(RunConfig(), (0.3, 1.0))
+    got = {(r.variant, r.freq_hz): r.s_acc for r in rows}
+    assert got == pytest.approx(
+        {
+            ("n1", 0.3): 0.59377830828646361,
+            ("n1", 1.0): 0.41590819467939677,
+            ("n5", 0.3): 0.40349726000140562,
+            ("n5", 1.0): 0.38799206239331219,
+        },
+        rel=0.0,
+        abs=1e-9,
+    )
+
+
+def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path):
+    result = run_experiment(RunConfig())
+
+    def counted(record, fn):
+        def wrapper(*args, **kwargs):
+            record.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    lengths, searches, scored, rate_calls, ffts = [], [], [], [], []
+    arange = np.arange
+
+    def counted_arange(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "arange", counted_arange)
+    monkeypatch.setattr(np, "searchsorted", counted(searches, np.searchsorted))
+    monkeypatch.setattr(experiment, "accuracy", counted(scored, experiment.accuracy))
+    ev = evaluate(result)
+
+    # the scoring windows are views of the full-grid series
+    ((ideal_w, measured_w),) = scored
+    for d in DIRECTION_ORDER:
+        assert np.shares_memory(measured_w[d].values, ev.measured[d].values)
+        assert np.shares_memory(ideal_w[d].values, ev.ideal[d].values)
+    # one scalar search finds the window start
+    assert sum(np.ndim(args[1]) == 0 for args in searches) == 1
+
+    monkeypatch.setattr(experiment, "firing_rate", counted(rate_calls, experiment.firing_rate))
+    monkeypatch.setattr(analysis, "firing_rate", counted(rate_calls, analysis.firing_rate))
+    monkeypatch.setattr(np.fft, "rfft", counted(ffts, np.fft.rfft))
+    spectral_summary(result, ev)
+    cli._write_rates_csv(str(tmp_path / "rates.csv"), ev)
+    assert rate_calls == []
+    assert len(ffts) <= 4
+    # one grid time axis serves evaluate, the spectra and the t_s column;
+    # the phase basis is built once over the window's own axis
+    assert lengths.count(ev.grid.n) == 1
+    assert lengths.count(ev.grid.n - ev.window_index) == 1
+
+
+def test_scoring_window_starts_at_the_first_sample_after_the_transient():
+    result = run_experiment(RunConfig())
+    ev = evaluate(result)
+    k0, times = ev.window_index, ev.grid.times
+    assert times[k0 - 1] < transient_s(ev.fp, result.trajectory.period_s) <= times[k0]
+    # the transient (2 s) ends before t_end (2.05 s) but after the last
+    # sample of a 0.7 s grid (1.4 s), which leaves nothing to score
+    short = RunConfig(
+        trajectory={"kind": "circle", "freq_hz": 1.0, "radius": 3.0},
+        t_end_s=2.05,
+        grid_dt_s=0.7,
+    )
+    with pytest.raises(DomainError, match="empty analysis window"):
+        evaluate(run_experiment(short))
+
+
+def test_pooled_pair_reads_the_spectrum_of_the_summed_channels():
+    # Each channel alone peaks at 1 Hz, but the two channels of a pair are in
+    # antiphase there, so their sum keeps only the common 0.5 Hz tone.
+    dt, n, k0 = 0.01, 1100, 100  # a 10 s window: 0.1 Hz bins
+    t = dt * np.arange(n)
+    fast, slow = np.sin(2 * np.pi * 1.0 * t), 0.5 * np.sin(2 * np.pi * 0.5 * t)
+    plus, minus = RateSeries(0.0, dt, 2.0 + fast + slow), RateSeries(0.0, dt, 2.0 - fast + slow)
+    ev = SimpleNamespace(
+        grid=RateGrid(0.0, dt, n),
+        window_index=k0,
+        measured={Direction.UP: plus, Direction.DOWN: minus,
+                  Direction.LEFT: plus, Direction.RIGHT: minus},
+    )
+    result = SimpleNamespace(trajectory=SimpleNamespace(period_s=None))
+    spectra = spectral_summary(result, ev)
+    assert spectra["bin_hz"] == 0.1
+    assert spectra["dominant_hz"] == {"up": 1.0, "down": 1.0, "left": 1.0, "right": 1.0}
+    assert spectra["pooled"] == {"lr_hz": 0.5, "ud_hz": 0.5, "lr_over_ud": 1.0}
+    assert spectra["phase_lags_deg"] is None
