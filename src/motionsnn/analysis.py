@@ -19,7 +19,6 @@ from .core import (
     DomainError,
     RateSeries,
     SpikeRecord,
-    merge_trains,
 )
 from .stimulus import Trajectory, channel_velocities
 
@@ -84,7 +83,8 @@ class RateGrid:
 
 
 def pool_group(record: SpikeRecord, direction: Direction, n_per_dir: int) -> tuple[float, ...]:
-    """Merge the spike trains of one direction's output group.
+    """The sorted spike times of one direction's output group; a time two
+    ranks share appears twice.
 
     Relies on the id convention: outputs are the last 4 * n_per_dir neurons,
     grouped by direction in DIRECTION_ORDER, ranks contiguous.
@@ -93,7 +93,8 @@ def pool_group(record: SpikeRecord, direction: Direction, n_per_dir: int) -> tup
         raise ConfigError("record too small for the requested output group")
     base = record.n_neurons - 4 * n_per_dir
     start = base + DIRECTION_ORDER.index(direction) * n_per_dir
-    return merge_trains(record.spike_times[start + k] for k in range(n_per_dir))
+    group = (record.neuron >= start) & (record.neuron < start + n_per_dir)
+    return tuple(record.t[group].tolist())
 
 
 def decay_accumulate(n: int, bins: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:

@@ -191,27 +191,61 @@ class Synapse:
         return self.weight if self.sign is Sign.EXCITATORY else -self.weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpikeRecord:
-    """Per-neuron spike times (s), each strictly increasing."""
+    """Every spike of a run on `n_neurons` neurons as two read-only arrays in
+    (t, neuron) order, the row order of spikes.csv: `neuron` id (int64) and
+    time `t` (float64, seconds). Each neuron's times are strictly increasing.
+    """
 
-    spike_times: tuple[tuple[float, ...], ...]
+    n_neurons: int
+    neuron: np.ndarray = field(repr=False)
+    t: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        for n, train in enumerate(self.spike_times):
-            for a, b in zip(train, train[1:]):
-                if b <= a:
-                    raise ConfigError(f"neuron {n}: spike times not strictly increasing")
+        for name, dtype in (("neuron", np.int64), ("t", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        neuron, t = self.neuron, self.t
+        if len(neuron) != len(t):
+            raise ConfigError("spike neuron and t must have the same length")
+        if ((neuron < 0) | (neuron >= self.n_neurons)).any():
+            raise ConfigError(f"spike neuron id outside 0..{self.n_neurons - 1}")
+        dt, dn = np.diff(t), np.diff(neuron)
+        if ((dt < 0) | ((dt == 0) & (dn < 0))).any():
+            raise ConfigError("spikes not sorted by (t, neuron)")
+        _require_increasing(neuron[1:], (dt == 0) & (dn == 0))
 
-    @property
-    def n_neurons(self) -> int:
-        return len(self.spike_times)
+    @classmethod
+    def from_trains(cls, trains: Sequence[Sequence[float]]) -> "SpikeRecord":
+        """The record of per-neuron trains; neuron k spikes at trains[k]."""
+        counts = [len(train) for train in trains]
+        t = np.fromiter(chain.from_iterable(trains), dtype=np.float64, count=sum(counts))
+        neuron = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        _require_increasing(neuron[1:], (neuron[1:] == neuron[:-1]) & (np.diff(t) <= 0))
+        order = np.lexsort((neuron, t))
+        return cls(len(counts), neuron[order], t[order])
+
+    @cached_property
+    def spike_times(self) -> tuple[tuple[float, ...], ...]:
+        """Per-neuron spike trains, built on first access."""
+        t = self.t[np.argsort(self.neuron, kind="stable")].tolist()
+        ends = np.cumsum(self.counts()).tolist()
+        return tuple(tuple(t[a:b]) for a, b in zip([0, *ends], ends))
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(t) for t in self.spike_times)
+        return tuple(np.bincount(self.neuron, minlength=self.n_neurons).tolist())
 
     def total(self) -> int:
-        return sum(len(t) for t in self.spike_times)
+        return len(self.t)
+
+
+def _require_increasing(neuron: np.ndarray, repeat: np.ndarray) -> None:
+    """Raise for the first neuron whose train fails to increase, flagged
+    in `repeat`."""
+    if repeat.any():
+        raise ConfigError(f"neuron {neuron[np.argmax(repeat)]}: spike times not strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -321,17 +355,4 @@ def write_events_csv(stream: EventStream, path: str) -> None:
 
 def write_spikes_csv(record: SpikeRecord, path: str) -> None:
     """All spikes as `neuron_id,t_s` rows ordered by (time, neuron id)."""
-    counts = [len(train) for train in record.spike_times]
-    t = np.fromiter(chain.from_iterable(record.spike_times), dtype=np.float64, count=sum(counts))
-    n = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    order = np.lexsort((n, t))
-    write_csv(path, ["neuron_id", "t_s"], [n[order], t[order]])
-
-
-def merge_trains(trains: Iterable[Sequence[float]]) -> tuple[float, ...]:
-    """Pool spike trains into one sorted train; duplicate times are kept."""
-    merged: list[float] = []
-    for train in trains:
-        merged.extend(train)
-    merged.sort()
-    return tuple(merged)
+    write_csv(path, ["neuron_id", "t_s"], [record.neuron, record.t])

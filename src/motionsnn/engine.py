@@ -8,8 +8,8 @@ also when downstream targets receive it.
 """
 from __future__ import annotations
 
-import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +70,16 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     v = [0.0] * n
     t_last = [0.0] * n
     ref_until = [-math.inf] * n
-    spikes: list[list[float]] = [[] for _ in range(n)]
+    # Every spike as (neuron, time) in the order it is emitted.
+    spike_n: list[int] = []
+    spike_t: list[float] = []
 
-    # Heap entries: (delivery time, presynaptic id), one per spike; a wave
-    # sums the popped neurons' out-edges in (pre, CSR row) order. The pair
-    # is unique: the input gate drops a second event on a pixel at the same
-    # instant, and t_ref > 0 keeps one neuron's spikes apart.
-    heap: list[tuple[float, int]] = []
-
+    # The delivery queue is a merge of two sorted sequences: the accepted
+    # input arrivals, and a FIFO of (delivery time, spiker) pairs. Every
+    # neuron shares d_out and waves run at non-decreasing instants, so the
+    # FIFO's times never decrease either.
+    in_t: list[float] = []
+    in_pre: list[int] = []
     dropped = int(np.count_nonzero(owners < 0))
     refractory_dropped = 0
     last_input_spike: dict[int, float] = {}
@@ -89,17 +91,32 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
             refractory_dropped += 1
             continue
         last_input_spike[owner] = t
-        spikes[owner].append(t)
-        heap.append((t, owner))
-    heapq.heapify(heap)
+        in_t.append(t)
+        in_pre.append(owner)
+    spike_n += in_pre
+    spike_t += in_t
+    fifo: deque[tuple[float, int]] = deque()
 
-    while heap:
-        t_now = heap[0][0]
-        # One wave: everything already queued for this exact instant. Spikes
+    i, n_in = 0, len(in_t)
+    in_t.append(math.inf)  # sentinel: the input queue never runs dry
+    while i < n_in or fifo:
+        t_now = in_t[i]
+        if fifo and fifo[0][0] < t_now:
+            t_now = fifo[0][0]
+        # One wave: everything already queued for this exact instant, its
+        # spikers' out-edges summed in (pre, CSR row) order. The pair is
+        # unique: the input gate drops a second event on a pixel at the same
+        # instant, and t_ref > 0 keeps one neuron's spikes apart. Spikes
         # triggered now deliver at t_now + d_out (a later wave when d_out = 0).
+        pres = []
+        while in_t[i] == t_now:
+            pres.append(in_pre[i])
+            i += 1
+        while fifo and fifo[0][0] == t_now:
+            pres.append(fifo.popleft()[1])
+        pres.sort()
         sums: dict[int, float] = {}
-        while heap and heap[0][0] == t_now:
-            pre = heapq.heappop(heap)[1]
+        for pre in pres:
             for k in range(indptr[pre], indptr[pre + 1]):
                 post = out_post[k]
                 sums[post] = sums.get(post, 0.0) + out_w[k]
@@ -114,15 +131,20 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
             t_last[post] = t_now
             if v_new >= v_th[post] and t_now >= ref_until[post]:
                 t_spike = t_now + d_out
-                spikes[post].append(t_spike)
+                spike_n.append(post)
+                spike_t.append(t_spike)
                 v[post] = v_reset
                 ref_until[post] = t_now + t_ref
                 if t_spike <= t_end:
-                    heapq.heappush(heap, (t_spike, post))
+                    fifo.append((t_spike, post))
 
-    record = SpikeRecord(tuple(tuple(train) for train in spikes))
+    neuron = np.array(spike_n, dtype=np.int64)
+    t_s = np.array(spike_t, dtype=np.float64)
+    order = np.lexsort((neuron, t_s))
+    record = SpikeRecord(n, neuron[order], t_s[order])
+    per_neuron = np.bincount(neuron, minlength=n)
     totals = {
-        layer.value: sum(map(len, spikes[ids.start : ids.stop]))
+        layer.value: int(per_neuron[ids.start : ids.stop].sum())
         for layer, ids in net.layer_ids().items()
     }
     return SimulationOutput(

@@ -270,7 +270,7 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
                         heapq.heappush(heap, (t_spike, post, seq, out_post[k], out_w[k]))
                         seq += 1
 
-    record = SpikeRecord(tuple(tuple(train) for train in spikes))
+    record = SpikeRecord.from_trains(spikes)
     totals = {
         layer.value: sum(map(len, spikes[ids.start : ids.stop]))
         for layer, ids in net.layer_ids().items()

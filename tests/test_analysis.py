@@ -29,7 +29,6 @@ from motionsnn import (
 )
 import motionsnn
 from motionsnn.analysis import decay_accumulate, transient_s
-from motionsnn.core import merge_trains
 
 from oracles import brute_force_rate, rel_err
 
@@ -84,7 +83,7 @@ def test_firing_rate_is_linear_in_the_train():
     a = tuple(np.sort(rng.uniform(0.0, 1.0, 25)))
     b = tuple(np.sort(rng.uniform(0.0, 1.0, 35)))
     grid = RateGrid(0.0, 2e-3, 800)
-    merged = firing_rate(merge_trains([a, b]), FP, grid)
+    merged = firing_rate(sorted(a + b), FP, grid)
     summed = firing_rate(a, FP, grid).values + firing_rate(b, FP, grid).values
     assert rel_err(merged.values, summed) < 1e-9
 
@@ -334,11 +333,14 @@ def test_pool_group_follows_the_output_id_convention():
         (0.15,),       # LEFT
         (0.25, 0.4),   # RIGHT
     )
-    rec = SpikeRecord(trains)
+    rec = SpikeRecord.from_trains(trains)
     assert pool_group(rec, Direction.UP, 1) == (0.1, 0.2)
     assert pool_group(rec, Direction.RIGHT, 1) == (0.25, 0.4)
-    rec2 = SpikeRecord(((0.1,), (0.2,), (0.3,), (0.4,), (0.5,), (0.6,), (0.7,), (0.8,)))
+    rec2 = SpikeRecord.from_trains(((0.1,), (0.2,), (0.3,), (0.4,), (0.5,), (0.6,), (0.7,), (0.8,)))
     assert pool_group(rec2, Direction.UP, 2) == (0.1, 0.2)
     assert pool_group(rec2, Direction.LEFT, 2) == (0.5, 0.6)
+    # two ranks spiking at one instant count twice, in time order
+    rec3 = SpikeRecord.from_trains(((0.3, 0.5), (0.1, 0.3), (), (), (), (), (), ()))
+    assert pool_group(rec3, Direction.UP, 2) == (0.1, 0.3, 0.3, 0.5)
     with pytest.raises(ConfigError):
         pool_group(rec, Direction.UP, 2)

@@ -170,6 +170,8 @@ UNCALLED_PUBLIC_API = {
     "FilterParams.peak_time_s": "the kernel's closed-form peak, checked against the kernel",
     "layout_from_centers": "builds test layouts from explicit cell centres",
     "SpikeRecord.total": "spike count the CSV export tests size their tables by",
+    "SpikeRecord.from_trains": "builds a record from per-neuron trains in tests and oracles",
+    "SpikeRecord.spike_times": "per-neuron trains; the oracles, the tests and the benchmark tracer read them",
     "Trajectory.position": "the scalar path; the benchmark tracer counts its calls",
     "NetworkGraph.input_id_by_pixel": "the pixel lookup the oracles and engine tests read",
 }

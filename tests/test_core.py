@@ -27,7 +27,6 @@ from motionsnn import core
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
     fmt_float,
-    merge_trains,
     role_of,
     write_events_csv,
     write_spikes_csv,
@@ -128,17 +127,43 @@ def test_synapse_signed_weight():
 
 
 def test_spike_record_counts():
-    r = SpikeRecord(((0.1, 0.2), (), (0.05,)))
+    r = SpikeRecord.from_trains(((0.1, 0.2), (), (0.05,)))
     assert r.n_neurons == 3
     assert r.counts() == (2, 0, 1)
     assert r.total() == 3
 
 
+def test_spike_record_holds_read_only_arrays_in_time_then_neuron_order():
+    r = SpikeRecord.from_trains(((0.1, 0.2), (), (0.05, 0.1)))
+    assert r.neuron.tolist() == [2, 0, 2, 0]
+    assert r.t.tolist() == [0.05, 0.1, 0.1, 0.2]
+    assert r.neuron.dtype == np.int64 and r.t.dtype == np.float64
+    with pytest.raises(ValueError):
+        r.t[0] = 1.0
+    assert r.spike_times == ((0.1, 0.2), (), (0.05, 0.1))
+    direct = SpikeRecord(3, [2, 0, 2, 0], [0.05, 0.1, 0.1, 0.2])
+    assert direct.spike_times == r.spike_times
+    assert SpikeRecord(2, [], []).spike_times == ((), ())
+
+
 def test_spike_record_requires_strictly_increasing_trains():
-    with pytest.raises(ConfigError):
-        SpikeRecord(((0.2, 0.2),))
-    with pytest.raises(ConfigError):
-        SpikeRecord(((0.2, 0.1),))
+    with pytest.raises(ConfigError, match="neuron 0: spike times not strictly increasing"):
+        SpikeRecord.from_trains(((0.2, 0.2),))
+    with pytest.raises(ConfigError, match="neuron 1: spike times not strictly increasing"):
+        SpikeRecord.from_trains(((0.1,), (0.2, 0.1)))
+    with pytest.raises(ConfigError, match="neuron 1: spike times not strictly increasing"):
+        SpikeRecord(2, [0, 1, 1], [0.1, 0.2, 0.2])
+
+
+def test_spike_record_validation():
+    with pytest.raises(ConfigError, match=r"not sorted by \(t, neuron\)"):
+        SpikeRecord(2, [0, 1], [0.2, 0.1])
+    with pytest.raises(ConfigError, match=r"not sorted by \(t, neuron\)"):
+        SpikeRecord(2, [1, 0], [0.1, 0.1])
+    with pytest.raises(ConfigError, match=r"outside 0\.\.1"):
+        SpikeRecord(2, [2], [0.1])
+    with pytest.raises(ConfigError, match="same length"):
+        SpikeRecord(2, [0, 1], [0.1])
 
 
 def test_rate_series_grid():
@@ -169,7 +194,7 @@ def test_events_csv_round_trip(tmp_path):
 
 
 def test_spikes_csv_round_trip(tmp_path):
-    rec = SpikeRecord(((1e-4, 0.25), (), (0.1,)))
+    rec = SpikeRecord.from_trains(((1e-4, 0.25), (), (0.1,)))
     path = tmp_path / "spikes.csv"
     write_spikes_csv(rec, str(path))
     lines = path.read_text().splitlines()
@@ -184,7 +209,7 @@ def _tied_spike_record(rng):
     trains = tuple(
         tuple(sorted(set(rng.choice(pool, 45).tolist()))) for _ in range(CSV_BLOCK_ROWS // 40)
     )
-    return SpikeRecord(((0.0,),) + trains)
+    return SpikeRecord.from_trains(((0.0,),) + trains)
 
 
 def _reference_spikes_csv(rec, path):
@@ -261,12 +286,12 @@ def test_pool_worker_error_propagates(tmp_path, monkeypatch, pooled_csv):
     assert len(pooled_csv) == 1
 
 
-sorted_train = st.lists(
-    st.floats(0.0, 10.0, allow_nan=False), max_size=8
-).map(sorted)
+sorted_train = st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=8, unique=True).map(sorted)
 
 
 @given(st.lists(sorted_train, max_size=5))
-def test_merge_trains_is_sorted_multiset(trains):
-    merged = merge_trains(tuple(t) for t in trains)
-    assert list(merged) == sorted(x for t in trains for x in t)
+def test_spike_record_round_trips_its_trains(trains):
+    rec = SpikeRecord.from_trains(trains)
+    assert rec.spike_times == tuple(map(tuple, trains))
+    rows = sorted((t, n) for n, train in enumerate(trains) for t in train)
+    assert list(zip(rec.t.tolist(), rec.neuron.tolist())) == rows

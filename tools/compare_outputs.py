@@ -1,0 +1,116 @@
+"""Compare the output files of the working tree with those of a git revision.
+
+    python3 tools/compare_outputs.py REV
+
+Runs the seed-0 configs of `perfbench/workloads.py` through the
+`motionsnn` command line twice: once with the working tree's `src/`, once
+with the `src/` of REV, extracted with `git archive` into a temporary
+directory (the repository's own state is not touched). Then it compares
+15 files byte for byte:
+
+- `spikes.csv`, `rates.csv` and `summary.json` of `default-run`,
+  `long-window` and `large-field`
+- `events.csv` of `default-run` and `large-field`
+- `sweep.csv` of the default sweep
+- `topo` of `default-run`, `large-field` and the default run with the
+  sweep's five-rank `n5` outputs
+
+Every file is listed as `same` or `DIFFERS`. Exit 0 when all 15 are
+identical, 1 when any differs or a command fails, 2 on a bad REV.
+"""
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads as wl  # noqa: E402
+
+RUNS = ("default-run", "long-window", "large-field")
+EVENTS = ("default-run", "large-field")
+
+
+def _commands() -> list[tuple[str, dict, list[str]]]:
+    """(output name, config, CLI arguments with {cfg} and {out} to fill in)."""
+    cfg = {name: wl.make_config(wl.WORKLOADS[name], 0) for name in wl.WORKLOADS}
+    n5 = dict(cfg["default-run"], n_per_dir=5, output_taus_s=list(wl.SWEEP_VARIANTS[1][1]))
+    sweep = wl.WORKLOADS["sweep"]
+    out = [(f"{name}/", cfg[name], ["run", "-c", "{cfg}", "-d", "{out}"]) for name in RUNS]
+    out += [(f"{name}/events.csv", cfg[name], ["events", "-c", "{cfg}", "-o", "{out}"]) for name in EVENTS]
+    out.append(("sweep/", cfg["sweep"], wl.cli_args(sweep, "{cfg}", "{out}")))
+    for name, c in (("default-run", cfg["default-run"]), ("large-field", cfg["large-field"]), ("n5", n5)):
+        out.append((f"{name}/topo.json", c, ["topo", "-c", "{cfg}", "-o", "{out}"]))
+    return out
+
+
+def _files(out: str) -> list[str]:
+    if out.startswith("sweep/"):
+        return [out + "sweep.csv"]
+    if out.endswith("/"):
+        return [out + f for f in ("spikes.csv", "rates.csv", "summary.json")]
+    return [out]
+
+
+def run_all(src: Path, dest: Path) -> list[str]:
+    """Every command against the package in `src`; returns the failures."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    failures = []
+    for i, (out, cfg, args) in enumerate(_commands()):
+        cfg_path = dest / f"config{i}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        target = dest / out
+        (target if out.endswith("/") else target.parent).mkdir(parents=True, exist_ok=True)
+        filled = [a.format(cfg=cfg_path, out=target) for a in args]
+        proc = subprocess.run(
+            [sys.executable, "-m", "motionsnn", *filled],
+            env=env, cwd=dest, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            failures.append(f"{src}: {' '.join(filled)} exited {proc.returncode}: {proc.stderr.strip()}")
+    return failures
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    rev = argv[0]
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp_path = Path(tmp)
+        base = tmp_path / "rev"
+        base.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+            capture_output=True,
+        )
+        if archive.returncode != 0:
+            print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        sides = {"tree": (ROOT / "src", tmp_path / "tree"), rev: (base / "src", tmp_path / "rev-out")}
+        failures = []
+        for src, dest in sides.values():
+            dest.mkdir()
+            failures += run_all(src, dest)
+        names = [f for out, _, _ in _commands() for f in _files(out)]
+        differ = 0
+        for name in names:
+            a, b = (dest / name for _, dest in sides.values())
+            same = a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
+            differ += not same
+            print(f"{'same' if same else 'DIFFERS':8} {name}")
+    for line in failures:
+        print(line, file=sys.stderr)
+    print(f"{len(names) - differ} of {len(names)} files identical against {rev}")
+    return 1 if differ or failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
