@@ -158,12 +158,14 @@ class LifParams:
             object.__setattr__(self, "v_floor", -2.0 * self.v_th)
         if not (self.tau_m > 0.0 and math.isfinite(self.tau_m)):
             raise ConfigError("tau_m must be positive and finite")
-        if not (self.t_pw > 0.0):
-            raise ConfigError("t_pw must be positive")
-        if self.t_ref < self.t_pw:
-            raise ConfigError("t_ref must be >= t_pw")
-        if self.d_out < 0.0:
-            raise ConfigError("d_out must be >= 0")
+        # The engine counts time in 1 ns ticks, so a pulse (and with it the
+        # refractory period) must last at least one tick.
+        if not (self.t_pw >= 1e-9):
+            raise ConfigError("t_pw must be at least 1e-9 s")
+        if not (self.t_pw <= self.t_ref < math.inf):
+            raise ConfigError("t_ref must be finite and >= t_pw")
+        if not (0.0 <= self.d_out < math.inf):
+            raise ConfigError("d_out must be finite and >= 0")
         if not (self.v_th > self.v_reset >= self.v_floor):
             raise ConfigError("require v_th > v_reset >= v_floor")
 

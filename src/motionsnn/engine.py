@@ -5,6 +5,10 @@ share an exact timestamp are summed per target before a single threshold
 check, so simultaneous excitation acts as a coincidence. A neuron whose
 potential crosses threshold at time t emits its spike at t + d_out, which is
 also when downstream targets receive it.
+
+Inside `simulate` every time is an integer count of nanosecond ticks (the
+stimulus's time grid), so instants compare exactly; spike times are turned
+back into seconds once, at the end.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from .core import (
     NumericFault,
     SpikeRecord,
 )
+from .stimulus import TIME_QUANTUM
 from .topology import NetworkGraph
 
 
@@ -40,6 +45,8 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     """
     if t_end < 0.0 or not math.isfinite(t_end):
         raise DomainError("t_end must be finite and >= 0")
+    if (t_end + net.params.d_out_s) / TIME_QUANTUM >= 2.0**62:
+        raise DomainError("t_end + d_out overflows the engine's 1 ns clock")
     if (
         stim.field_width != net.layout.field_width
         or stim.field_height != net.layout.field_height
@@ -53,10 +60,14 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     tau = net.tau_m.tolist()
     v_th = net.v_th.tolist()
     v_floor = net.v_floor.tolist()
-    # LIF constants every neuron shares
+    # LIF constants every neuron shares; times in ticks from here on
     v_reset = net.params.v_reset
-    t_ref = net.params.t_ref_s
-    d_out = net.params.d_out_s
+    t_ref = round(net.params.t_ref_s / TIME_QUANTUM)
+    d_out = round(net.params.d_out_s / TIME_QUANTUM)
+    end = round(t_end / TIME_QUANTUM)
+    # Event times as ticks, converted only up to a second past t_end
+    head = stim.t[: np.searchsorted(stim.t, t_end + 1.0, side="right")]
+    ticks = np.rint(head / TIME_QUANTUM).astype(np.int64)
 
     # Input neuron id at pixel (x, y), stored at y * width + x; -1 where no
     # cell covers the pixel. Only events at or before t_end are looked up.
@@ -64,26 +75,26 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     id_at = np.full(width * net.layout.field_height, -1, dtype=np.int64)
     px, py = net.input_pixels.T
     id_at[py * width + px] = np.arange(net.n_inputs)
-    n_ev = int(np.searchsorted(stim.t, t_end, side="right"))
+    n_ev = int(np.searchsorted(ticks, end, side="right"))
     owners = id_at[stim.y[:n_ev] * width + stim.x[:n_ev]]
 
     v = [0.0] * n
-    t_last = [0.0] * n
-    ref_until = [-math.inf] * n
+    t_last = [0] * n
+    ref_until = [0] * n
     # Every spike as (neuron, time) in the order it is emitted.
     spike_n: list[int] = []
-    spike_t: list[float] = []
+    spike_t: list[int] = []
 
     # The delivery queue is a merge of two sorted sequences: the accepted
     # input arrivals, and a FIFO of (delivery time, spiker) pairs. Every
     # neuron shares d_out and waves run at non-decreasing instants, so the
     # FIFO's times never decrease either.
-    in_t: list[float] = []
+    in_t: list[int] = []
     in_pre: list[int] = []
     dropped = int(np.count_nonzero(owners < 0))
     refractory_dropped = 0
-    last_input_spike: dict[int, float] = {}
-    for t, owner in zip(stim.t[:n_ev].tolist(), owners.tolist()):
+    last_input_spike: dict[int, int] = {}
+    for t, owner in zip(ticks[:n_ev].tolist(), owners.tolist()):
         if owner < 0:
             continue
         prev = last_input_spike.get(owner)
@@ -95,10 +106,10 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
         in_pre.append(owner)
     spike_n += in_pre
     spike_t += in_t
-    fifo: deque[tuple[float, int]] = deque()
+    fifo: deque[tuple[int, int]] = deque()
 
     i, n_in = 0, len(in_t)
-    in_t.append(math.inf)  # sentinel: the input queue never runs dry
+    in_t.append(end + 1)  # sentinel: later than anything queued
     while i < n_in or fifo:
         t_now = in_t[i]
         if fifo and fifo[0][0] < t_now:
@@ -121,7 +132,7 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
                 post = out_post[k]
                 sums[post] = sums.get(post, 0.0) + out_w[k]
         for post in sorted(sums):
-            dt = t_now - t_last[post]
+            dt = (t_now - t_last[post]) * TIME_QUANTUM
             v_new = v[post] * math.exp(-dt / tau[post]) + sums[post]
             if v_new < v_floor[post]:
                 v_new = v_floor[post]
@@ -135,13 +146,13 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
                 spike_t.append(t_spike)
                 v[post] = v_reset
                 ref_until[post] = t_now + t_ref
-                if t_spike <= t_end:
+                if t_spike <= end:
                     fifo.append((t_spike, post))
 
     neuron = np.array(spike_n, dtype=np.int64)
-    t_s = np.array(spike_t, dtype=np.float64)
-    order = np.lexsort((neuron, t_s))
-    record = SpikeRecord(n, neuron[order], t_s[order])
+    t_ticks = np.array(spike_t, dtype=np.int64)
+    order = np.lexsort((neuron, t_ticks))
+    record = SpikeRecord(n, neuron[order], t_ticks[order] * TIME_QUANTUM)
     per_neuron = np.bincount(neuron, minlength=n)
     totals = {
         layer.value: int(per_neuron[ids.start : ids.stop].sum())

@@ -183,7 +183,8 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
     """The event-driven engine with one heap entry per delivered edge, keyed
     (t, pre, seq, post, w). That key fixes the order in which same-instant
     deliveries are summed; `simulate`'s queue of one (t, pre) pair per spike
-    has to reproduce it bit for bit.
+    has to reproduce it bit for bit. Times are integer nanosecond ticks, with
+    the engine's tick arithmetic, so only the queue differs.
     """
     if t_end < 0.0 or not math.isfinite(t_end):
         raise DomainError("t_end must be finite and >= 0")
@@ -200,10 +201,11 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
     tau = net.tau_m.tolist()
     v_th = net.v_th.tolist()
     v_floor = net.v_floor.tolist()
-    # LIF constants every neuron shares
+    # LIF constants every neuron shares; times in ticks from here on
     v_reset = net.params.v_reset
-    t_ref = net.params.t_ref_s
-    d_out = net.params.d_out_s
+    t_ref = round(net.params.t_ref_s / TIME_QUANTUM)
+    d_out = round(net.params.d_out_s / TIME_QUANTUM)
+    end = round(t_end / TIME_QUANTUM)
 
     # Input neuron id at pixel (x, y), stored at y * width + x; -1 where no
     # cell covers the pixel.
@@ -214,32 +216,33 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
     id_at = id_at.tolist()
 
     v = [0.0] * n
-    t_last = [0.0] * n
-    ref_until = [-math.inf] * n
-    spikes: list[list[float]] = [[] for _ in range(n)]
+    t_last = [0] * n
+    ref_until = [0] * n
+    spikes: list[list[int]] = [[] for _ in range(n)]
 
     # Heap entries: (delivery time, presynaptic id, sequence, target, signed weight).
-    heap: list[tuple[float, int, int, int, float]] = []
+    heap: list[tuple[int, int, int, int, float]] = []
     seq = 0
 
     dropped = 0
     refractory_dropped = 0
-    last_input_spike: dict[int, float] = {}
+    last_input_spike: dict[int, int] = {}
     for ev in stim.events:
-        if ev.t > t_end:
+        t = int(np.rint(ev.t / TIME_QUANTUM))
+        if t > end:
             break
         owner = id_at[ev.y * width + ev.x]
         if owner < 0:
             dropped += 1
             continue
         prev = last_input_spike.get(owner)
-        if prev is not None and ev.t - prev < t_ref:
+        if prev is not None and t - prev < t_ref:
             refractory_dropped += 1
             continue
-        last_input_spike[owner] = ev.t
-        spikes[owner].append(ev.t)
+        last_input_spike[owner] = t
+        spikes[owner].append(t)
         for k in range(indptr[owner], indptr[owner + 1]):
-            heap.append((ev.t, owner, seq, out_post[k], out_w[k]))
+            heap.append((t, owner, seq, out_post[k], out_w[k]))
             seq += 1
     heapq.heapify(heap)
 
@@ -252,7 +255,7 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
             _, _, _, post, w = heapq.heappop(heap)
             sums[post] = sums.get(post, 0.0) + w
         for post in sorted(sums):
-            dt = t_now - t_last[post]
+            dt = (t_now - t_last[post]) * TIME_QUANTUM
             v_new = v[post] * math.exp(-dt / tau[post]) + sums[post]
             if v_new < v_floor[post]:
                 v_new = v_floor[post]
@@ -265,12 +268,12 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
                 spikes[post].append(t_spike)
                 v[post] = v_reset
                 ref_until[post] = t_now + t_ref
-                if t_spike <= t_end:
+                if t_spike <= end:
                     for k in range(indptr[post], indptr[post + 1]):
                         heapq.heappush(heap, (t_spike, post, seq, out_post[k], out_w[k]))
                         seq += 1
 
-    record = SpikeRecord.from_trains(spikes)
+    record = SpikeRecord.from_trains([[t * TIME_QUANTUM for t in train] for train in spikes])
     totals = {
         layer.value: sum(map(len, spikes[ids.start : ids.stop]))
         for layer, ids in net.layer_ids().items()

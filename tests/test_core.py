@@ -107,6 +107,9 @@ def test_lif_defaults():
         dict(tau_m=-0.1, v_th=1.0),
         dict(tau_m=0.02, v_th=0.0),  # threshold not above reset
         dict(tau_m=0.02, v_th=1.0, t_pw=0.0),
+        dict(tau_m=0.02, v_th=1.0, t_pw=1e-10, t_ref=1e-10),  # under one 1 ns tick
+        dict(tau_m=0.02, v_th=1.0, t_ref=math.inf),
+        dict(tau_m=0.02, v_th=1.0, d_out=math.inf),
         dict(tau_m=0.02, v_th=1.0, t_ref=1e-5),  # shorter than the pulse
         dict(tau_m=0.02, v_th=1.0, d_out=-1e-5),
         dict(tau_m=0.02, v_th=1.0, v_floor=0.5),  # floor above reset

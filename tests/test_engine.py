@@ -61,6 +61,9 @@ def test_simulate_validation():
         simulate(net, EventStream(3, 3, [], [], []), t_end=-1.0)
     with pytest.raises(DomainError):
         simulate(net, EventStream(4, 4, [], [], []), t_end=1.0)
+    # the engine's clock counts 1 ns ticks in an int64
+    with pytest.raises(DomainError, match="1 ns clock"):
+        simulate(net, EventStream(3, 3, [], [], []), t_end=1e10)
     # zero-length runs are legal and empty
     assert simulate(net, EventStream(3, 3, [], [], []), t_end=0.0).record.total() == 0
 
@@ -163,6 +166,16 @@ def test_input_refractory_gate():
     assert sim2.refractory_dropped == 0
 
 
+def test_input_gate_compares_exact_ticks():
+    # in float seconds 1.4e-3 - 1.2e-3 < 2e-4, which used to drop the
+    # second event; on the nanosecond tick grid the gap is exactly t_ref
+    net = one_cell()
+    sim = simulate(net, stream((CENTER, 1.2e-3), (CENTER, 1.4e-3)), t_end=0.01)
+    assert sim.refractory_dropped == 0
+    # spike times are the ticks in seconds: 1200000 * 1e-9 is not 1.2e-3
+    assert sim.record.spike_times[net.input_id_by_pixel[CENTER]] == (1200000 * 1e-9, 1400000 * 1e-9)
+
+
 def test_events_off_the_tiling_are_dropped():
     layout_net = one_cell()
     sim = simulate(layout_net, stream(((0, 0), 0.0), (CENTER, 0.0)), t_end=0.01)
@@ -252,6 +265,14 @@ def test_per_spike_queue_sums_ties_like_the_per_edge_heap():
         output_spikes += sim.spike_totals["output"]
     # the streams really exercise the gate and reach the outputs
     assert refractory_dropped > 0 and output_spikes > 0
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_engine_matches_fixed_step_oracle_on_tie_heavy_streams(seed):
+    # simultaneous arrivals and events exactly t_ref apart, on the 100 us grid
+    net, stim, t_end = tie_heavy_single_cell(seed)
+    sim = simulate(net, stim, t_end)
+    assert engine_spike_steps(sim.record) == fixed_step_spikes(net, stim, t_end)
 
 
 def test_per_spike_queue_matches_the_per_edge_heap_on_five_ranks():
