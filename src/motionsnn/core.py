@@ -6,9 +6,7 @@ upward, membrane potentials are dimensionless (rest = 0).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -16,6 +14,12 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+
+
+# The most samples a trajectory scan or a rate grid may hold. A config
+# that asks for more is refused as a config error before anything is
+# allocated.
+MAX_SAMPLES = 10**9
 
 
 class MotionSnnError(Exception):
@@ -337,8 +341,15 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
     n = len(columns[0])
     starts = range(0, n, CSV_BLOCK_ROWS)
-    pooled = n >= CSV_PARALLEL_ROWS and "fork" in multiprocessing.get_all_start_methods()
-    workers = min(_usable_cpus(), len(starts)) if pooled else 1
+    workers = 1
+    if n >= CSV_PARALLEL_ROWS:
+        # Imported here: the pool modules take 15-19 ms to import, and most
+        # runs write no table large enough to pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            workers = min(_usable_cpus(), len(starts))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         if workers > 1:

@@ -62,7 +62,8 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     v_floor = net.v_floor.tolist()
     # LIF constants every neuron shares; times in ticks from here on
     v_reset = net.params.v_reset
-    t_ref = round(net.params.t_ref_s / TIME_QUANTUM)
+    # (a refractory period past the clock's range never ends within a run)
+    t_ref = round(min(net.params.t_ref_s / TIME_QUANTUM, 2.0**62))
     d_out = round(net.params.d_out_s / TIME_QUANTUM)
     end = round(t_end / TIME_QUANTUM)
     # Event times as ticks, converted only up to a second past t_end

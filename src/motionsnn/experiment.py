@@ -6,7 +6,6 @@ provides the frequency sweep used to map the responsive band.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +24,15 @@ from .analysis import (
     transient_s,
 )
 from .config import RunConfig, build_layout, build_network, build_stimulus, build_trajectory
-from .core import DIRECTION_ORDER, Direction, DomainError, MotionSnnError, RateSeries
+from .core import (
+    DIRECTION_ORDER,
+    MAX_SAMPLES,
+    ConfigError,
+    Direction,
+    DomainError,
+    MotionSnnError,
+    RateSeries,
+)
 from .engine import SimulationOutput, simulate
 from .stimulus import EventStream, Trajectory
 from .topology import NetworkGraph
@@ -71,7 +78,13 @@ class RunEvaluation:
 def evaluate(result: ExperimentResult) -> RunEvaluation:
     cfg, net, traj = result.config, result.network, result.trajectory
     fp = FilterParams.from_output_taus(net.output_taus_s)
-    n = int(math.floor(traj.t_end / cfg.grid_dt_s)) + 1
+    steps = traj.t_end / cfg.grid_dt_s
+    if not steps < MAX_SAMPLES:
+        raise ConfigError(
+            f"the rate grid needs {steps:.3g} samples, over the limit of "
+            f"{MAX_SAMPLES:.0e}: raise grid_dt_s or lower t_end_s"
+        )
+    n = int(math.floor(steps)) + 1
     grid = RateGrid(0.0, cfg.grid_dt_s, n)
 
     trains = {d: pool_group(result.sim.record, d, net.n_per_dir) for d in DIRECTION_ORDER}
@@ -220,6 +233,9 @@ def frequency_sweep(
         if (f, v.label) not in done
     ]
     if jobs > 1 and len(tasks) > 1:
+        # imported only for a pooled sweep, to keep it out of every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         # under fork every worker starts up front, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_worker, tasks))

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ConfigError, Direction, DomainError, EventStream
+from .core import MAX_SAMPLES, ConfigError, Direction, DomainError, EventStream
 
 # Change instants are located to TIME_TOL and stamped on a 1 ns grid, which
 # makes the emitted stream independent of the scan density.
@@ -336,7 +336,13 @@ def generate_events(
 
     vx_max, vy_max = traj.speed_bound()
     vmax = max(vx_max, vy_max)
-    n = max(16, int(math.ceil(traj.t_end * vmax * samples_per_pixel)))
+    scan = traj.t_end * vmax * samples_per_pixel
+    if not scan * oversample <= MAX_SAMPLES:
+        raise ConfigError(
+            f"the trajectory scan needs {scan * oversample:.3g} samples, over the "
+            f"limit of {MAX_SAMPLES:.0e}: lower samples_per_pixel, t_end_s or the speed"
+        )
+    n = max(16, int(math.ceil(scan)))
     n += n % 2  # even count keeps shared midpoints across scan densities
     n *= oversample
 

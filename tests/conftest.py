@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import pytest
@@ -33,7 +34,7 @@ def pooled_csv(monkeypatch):
     pool, whatever this host has; the list collects each pool made."""
     made = []
 
-    class CountedPool(core.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, mp_context=None, **kwargs):
             made.append(self)
             self.start_method = mp_context and mp_context.get_start_method()
@@ -41,7 +42,8 @@ def pooled_csv(monkeypatch):
 
     monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", core.CSV_BLOCK_ROWS)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(core, "ProcessPoolExecutor", CountedPool)
+    # write_csv imports the executor from concurrent.futures when it pools
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     return made
 
 
@@ -52,4 +54,4 @@ def no_csv_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a CSV format pool was started")
 
-    monkeypatch.setattr(core, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)

@@ -3,11 +3,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import motionsnn
 from motionsnn.analysis import RateGrid
 from motionsnn.cli import _write_rates_csv, main
 from motionsnn.core import (
@@ -264,13 +269,22 @@ OUT_FLAG = {"run": "-d", "events": "--out", "sweep": "-o"}
     (["run", "--set", "samples_per_pixel=Infinity"], None),
     (["events", "--set", "samples_per_pixel=NaN"], None),
     (["events", "--set", "samples_per_pixel=Infinity"], None),
+    (["run", "--set", "samples_per_pixel=1e300"], None),
+    (["run", "--set", "t_end_s=1e300"], None),
+    (["run", "--set", "trajectory.freq_hz=1e300"], None),
+    (["run", "--set", "grid_dt_s=1e-300"], None),
+    (["events", "--set", "samples_per_pixel=1e300"], None),
+    (["events", "--set", "t_end_s=1e300"], None),
+    (["events", "--set", "trajectory.freq_hz=1e300"], None),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "abc,n1,,,ok\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1,,,ok\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1,nan,,ok\r\n"),
 ], ids=["network-value", "trajectory-value", "field-width", "output-tau",
         "lateral-string", "run-nan-samples", "run-inf-samples", "events-nan-samples",
-        "events-inf-samples", "short-sweep-row", "sweep-freq", "ok-row-without-score",
+        "events-inf-samples", "run-huge-samples", "run-huge-t-end", "run-huge-freq",
+        "run-huge-grid", "events-huge-samples", "events-huge-t-end", "events-huge-freq",
+        "short-sweep-row", "sweep-freq", "ok-row-without-score",
         "ok-row-nan-score"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv):
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
@@ -283,6 +297,21 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv
     assert err.startswith("config error:")
     if resume_csv is not None:
         assert err.startswith("config error: malformed row 2 in ")
+
+
+def test_importing_the_cli_loads_no_process_pool_module():
+    # multiprocessing and concurrent.futures are imported only when a CSV
+    # table or a sweep is pooled
+    code = (
+        "import sys, motionsnn.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    src = str(Path(motionsnn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_domain_error_exits_3(tmp_path, capsys):

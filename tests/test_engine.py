@@ -1,5 +1,6 @@
 """Event-driven LIF engine semantics, checked against a fixed-step oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,34 @@ def test_same_instant_deliveries_are_summed_in_presynaptic_id_order():
     assert [w for _, w in relays] == [1.2, 1.2, -0.3]
     sim = simulate(net, stream((CENTER, 0.0), (LEFT_PX, 0.0), (RIGHT_PX, 0.0)), t_end=0.01)
     assert out_train(net, sim, Direction.RIGHT) == (pytest.approx(2e-4),)
+
+
+def test_same_instant_input_arrivals_are_summed_in_presynaptic_id_order():
+    # Built networks give every relay one input, so this graph adds two
+    # input edges to the CENTER relay. Its three same-instant deliveries
+    # must be summed in input-id order, (1.2 + 1.2) - 0.3 = 2.1, although
+    # the stream lists the pixels in (y, x) order, DOWN, LEFT, CENTER.
+    net = one_cell(NetworkParams(w_input_hidden=1.2, hidden_v_th=2.1))
+    ids = net.input_id_by_pixel
+    center, down, left = ids[CENTER], ids[DOWN_PX], ids[LEFT_PX]
+    assert center < down < left
+    relay = int(net.post[net.indptr[center]])
+    rows = [list(zip(net.post[a:b].tolist(), net.signed_w[a:b].tolist()))
+            for a, b in zip(net.indptr[:-1], net.indptr[1:])]
+    rows[down].append((relay, 1.2))
+    rows[left].append((relay, -0.3))
+    edges = [e for row in rows for e in row]
+    wired = dataclasses.replace(
+        net,
+        indptr=np.cumsum([0] + [len(row) for row in rows]),
+        post=np.array([p for p, _ in edges]),
+        signed_w=np.array([w for _, w in edges]),
+        edge_index=np.arange(len(edges)),
+    )
+    stim = stream((CENTER, 0.0), (DOWN_PX, 0.0), (LEFT_PX, 0.0))
+    sim = simulate(wired, stim, t_end=0.01)
+    assert sim.record.spike_times[relay] == (1e-4,)
+    assert_same_simulation(sim, per_edge_heap_simulate(wired, stim, 0.01))
 
 
 def test_inhibition_shortly_before_the_pair_vetoes_it():

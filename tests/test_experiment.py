@@ -1,6 +1,7 @@
 """The run path works on the array forms of the network and the stimulus,
 and scores and spectra keep their recorded values."""
 
+import concurrent.futures
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,7 +67,7 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     base = RunConfig(trajectory={"kind": "circle", "freq_hz": 1.0, "radius": 3.0})
     n1 = experiment.default_sweep_variants()[:1]
     rows = experiment.frequency_sweep(base, (0.8, 1.7), n1, jobs=8)
