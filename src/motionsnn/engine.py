@@ -66,9 +66,6 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     t_ref = round(min(net.params.t_ref_s / TIME_QUANTUM, 2.0**62))
     d_out = round(net.params.d_out_s / TIME_QUANTUM)
     end = round(t_end / TIME_QUANTUM)
-    # Event times as ticks, converted only up to a second past t_end
-    head = stim.t[: np.searchsorted(stim.t, t_end + 1.0, side="right")]
-    ticks = np.rint(head / TIME_QUANTUM).astype(np.int64)
 
     # Input neuron id at pixel (x, y), stored at y * width + x; -1 where no
     # cell covers the pixel. Only events at or before t_end are looked up.
@@ -76,7 +73,8 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     id_at = np.full(width * net.layout.field_height, -1, dtype=np.int64)
     px, py = net.input_pixels.T
     id_at[py * width + px] = np.arange(net.n_inputs)
-    n_ev = int(np.searchsorted(ticks, end, side="right"))
+    n_ev = int(np.searchsorted(stim.t, t_end, side="right"))
+    ticks = np.rint(stim.t[:n_ev] / TIME_QUANTUM).astype(np.int64)
     owners = id_at[stim.y[:n_ev] * width + stim.x[:n_ev]]
 
     v = [0.0] * n
@@ -95,7 +93,7 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     dropped = int(np.count_nonzero(owners < 0))
     refractory_dropped = 0
     last_input_spike: dict[int, int] = {}
-    for t, owner in zip(ticks[:n_ev].tolist(), owners.tolist()):
+    for t, owner in zip(ticks.tolist(), owners.tolist()):
         if owner < 0:
             continue
         prev = last_input_spike.get(owner)

@@ -228,9 +228,9 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
     refractory_dropped = 0
     last_input_spike: dict[int, int] = {}
     for ev in stim.events:
-        t = int(np.rint(ev.t / TIME_QUANTUM))
-        if t > end:
+        if ev.t > t_end:
             break
+        t = int(np.rint(ev.t / TIME_QUANTUM))
         owner = id_at[ev.y * width + ev.x]
         if owner < 0:
             dropped += 1
