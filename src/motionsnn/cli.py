@@ -151,7 +151,7 @@ def _parse_freqs(args: argparse.Namespace) -> tuple[float, ...]:
         )
     if not freqs or any(not (f > 0.0 and math.isfinite(f)) for f in freqs):
         raise ConfigError("sweep frequencies must be positive")
-    return freqs
+    return tuple(dict.fromkeys(freqs))  # each repeated frequency runs once
 
 
 def _read_sweep_csv(path: str) -> dict[tuple[float, str], SweepRow]:
@@ -200,7 +200,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--jobs must be >= 1")
     by_label = {v.label: v for v in default_sweep_variants()}
     try:
-        variants = tuple(by_label[name] for name in args.variants.split(","))
+        variants = tuple(by_label[name] for name in dict.fromkeys(args.variants.split(",")))
     except KeyError as exc:
         raise ConfigError(
             f"unknown variant {exc.args[0]!r}, choose from {sorted(by_label)}"

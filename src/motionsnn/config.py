@@ -33,12 +33,13 @@ from .topology import (
 
 SCHEMA_VERSION = 1
 
-_TRAJECTORY_KINDS = {
-    "circle": ("cx", "cy", "radius", "freq_hz"),
-    "eight": ("cx", "cy", "ax", "ay", "freq_hz"),
-    "linear": ("x0", "y0", "vx", "vy"),
-    "waypoints": ("points",),
+_TRAJECTORY_KINDS: dict[str, type[Trajectory]] = {
+    "circle": CircleTrajectory,
+    "eight": EightTrajectory,
+    "linear": LinearTrajectory,
+    "waypoints": WaypointTrajectory,
 }
+_BASE_FIELDS = {f.name for f in dataclasses.fields(Trajectory)}
 
 _NETWORK_KEYS = tuple(f.name for f in dataclasses.fields(NetworkParams))
 
@@ -79,7 +80,8 @@ class RunConfig:
         kind = self.trajectory.get("kind")
         if not isinstance(kind, str) or kind not in _TRAJECTORY_KINDS:
             raise ConfigError(f"unknown trajectory kind {kind!r}")
-        extra = set(self.trajectory) - {"kind", *_TRAJECTORY_KINDS[kind]}
+        fields = dataclasses.fields(_TRAJECTORY_KINDS[kind])
+        extra = set(self.trajectory) - {"kind"} - ({f.name for f in fields} - _BASE_FIELDS)
         if extra:
             raise ConfigError(f"unknown trajectory keys: {sorted(extra)}")
         numbers = [(k, v) for k, v in self.trajectory.items() if k != "kind"]
@@ -167,18 +169,12 @@ def resolve_t_end(cfg: RunConfig) -> float:
 
 
 def build_trajectory(cfg: RunConfig) -> Trajectory:
-    kind = cfg.trajectory["kind"]
-    params = {k: v for k, v in cfg.trajectory.items() if k != "kind"}
     t_end = resolve_t_end(cfg)
-    common = dict(field_width=cfg.field_width, field_height=cfg.field_height, t_end=t_end)
-    if kind == "circle":
-        return CircleTrajectory(**common, **{k: float(v) for k, v in params.items()})
-    if kind == "eight":
-        return EightTrajectory(**common, **{k: float(v) for k, v in params.items()})
-    if kind == "linear":
-        return LinearTrajectory(**common, **{k: float(v) for k, v in params.items()})
-    points = tuple(tuple(float(v) for v in p) for p in params["points"])
-    return WaypointTrajectory(**common, points=points)
+    params = {k: float(v) for k, v in cfg.trajectory.items() if k not in ("kind", "points")}
+    if "points" in cfg.trajectory:
+        params["points"] = tuple(tuple(float(v) for v in p) for p in cfg.trajectory["points"])
+    cls = _TRAJECTORY_KINDS[cfg.trajectory["kind"]]
+    return cls(field_width=cfg.field_width, field_height=cfg.field_height, t_end=t_end, **params)
 
 
 def build_layout(cfg: RunConfig) -> CellLayout:

@@ -1,4 +1,4 @@
-"""Shared domain types: stimulus events, spike trains, neuron and synapse parameters.
+"""Shared domain types: stimulus events, spike trains, synapses and rate series.
 
 Times are seconds, positions are integer pixel coordinates with y increasing
 upward, membrane potentials are dimensionless (rest = 0).
@@ -137,41 +137,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-@dataclass(frozen=True)
-class LifParams:
-    """Leaky integrate-and-fire constants.
-
-    tau_m: membrane time constant (s); v_th: firing threshold; v_reset:
-    post-spike potential; v_floor: lower clamp on the potential; t_pw:
-    output pulse width (s); t_ref: refractory period (s), >= t_pw;
-    d_out: delay from threshold crossing to the emitted spike (s).
-    """
-
-    tau_m: float
-    v_th: float
-    v_reset: float = 0.0
-    v_floor: float | None = None
-    t_pw: float = 1e-4
-    t_ref: float = 2e-4
-    d_out: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if self.v_floor is None:
-            object.__setattr__(self, "v_floor", -2.0 * self.v_th)
-        if not (self.tau_m > 0.0 and math.isfinite(self.tau_m)):
-            raise ConfigError("tau_m must be positive and finite")
-        # The engine counts time in 1 ns ticks, so a pulse (and with it the
-        # refractory period) must last at least one tick.
-        if not (self.t_pw >= 1e-9):
-            raise ConfigError("t_pw must be at least 1e-9 s")
-        if not (self.t_pw <= self.t_ref < math.inf):
-            raise ConfigError("t_ref must be finite and >= t_pw")
-        if not (0.0 <= self.d_out < math.inf):
-            raise ConfigError("d_out must be finite and >= 0")
-        if not (self.v_th > self.v_reset >= self.v_floor):
-            raise ConfigError("require v_th > v_reset >= v_floor")
 
 
 class Sign(Enum):

@@ -24,6 +24,7 @@ from .analysis import (
     transient_s,
 )
 from .config import RunConfig, build_layout, build_network, build_stimulus, build_trajectory
+from .config import resolve_t_end
 from .core import (
     DIRECTION_ORDER,
     MAX_SAMPLES,
@@ -47,7 +48,20 @@ class ExperimentResult:
     sim: SimulationOutput
 
 
+def _grid_samples(t_end: float, dt: float) -> int:
+    """Samples of the rate grid over [0, t_end] at step dt, at most MAX_SAMPLES."""
+    steps = t_end / dt
+    if not steps < MAX_SAMPLES:
+        raise ConfigError(
+            f"the rate grid needs {steps:.3g} samples, over the limit of "
+            f"{MAX_SAMPLES:.0e}: raise grid_dt_s or lower t_end_s"
+        )
+    return int(math.floor(steps)) + 1
+
+
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
+    # refuse a rate grid `evaluate` could not hold before doing any work
+    _grid_samples(resolve_t_end(cfg), cfg.grid_dt_s)
     layout = build_layout(cfg)
     net = build_network(cfg, layout)
     traj = build_trajectory(cfg)
@@ -78,14 +92,7 @@ class RunEvaluation:
 def evaluate(result: ExperimentResult) -> RunEvaluation:
     cfg, net, traj = result.config, result.network, result.trajectory
     fp = FilterParams.from_output_taus(net.output_taus_s)
-    steps = traj.t_end / cfg.grid_dt_s
-    if not steps < MAX_SAMPLES:
-        raise ConfigError(
-            f"the rate grid needs {steps:.3g} samples, over the limit of "
-            f"{MAX_SAMPLES:.0e}: raise grid_dt_s or lower t_end_s"
-        )
-    n = int(math.floor(steps)) + 1
-    grid = RateGrid(0.0, cfg.grid_dt_s, n)
+    grid = RateGrid(0.0, cfg.grid_dt_s, _grid_samples(traj.t_end, cfg.grid_dt_s))
 
     trains = {d: pool_group(result.sim.record, d, net.n_per_dir) for d in DIRECTION_ORDER}
     measured = {d: firing_rate(trains[d], fp, grid) for d in DIRECTION_ORDER}
@@ -96,7 +103,7 @@ def evaluate(result: ExperimentResult) -> RunEvaluation:
             f"run too short to score: needs > {t_w:.3f}s, has {traj.t_end:.3f}s"
         )
     k0 = int(np.searchsorted(grid.times, t_w, side="left"))
-    if k0 >= n:
+    if k0 >= grid.n:
         raise DomainError("empty analysis window")
     t0 = float(grid.times[k0])
 

@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .core import (
     ConfigError,
     DIRECTION_ORDER,
     Direction,
-    LifParams,
     Role,
     ROLE_ORDER,
     Sign,
@@ -138,7 +137,8 @@ def tessellate(field_width: int, field_height: int) -> CellLayout:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Construction-time constants; potentials are dimensionless."""
+    """Construction-time constants, each checked once, on construction;
+    potentials are dimensionless."""
 
     hidden_v_th: float = 0.5
     tau_center_s: float = 2e-3
@@ -156,27 +156,38 @@ class NetworkParams:
     t_ref_s: float = 2e-4
     d_out_s: float = 1e-4
     v_reset: float = 0.0
-    # v_floor = -v_floor_factor * v_th, deep enough that inhibition saturates
-    # instead of accumulating without bound.
+    # Scales the lower clamp `v_floor` below each threshold, deep enough that
+    # inhibition saturates instead of accumulating without bound.
     v_floor_factor: float = 2.0
 
-    def lif(self, tau_m: float, v_th: float) -> LifParams:
-        return LifParams(
-            tau_m=tau_m,
-            v_th=v_th,
-            v_reset=self.v_reset,
-            v_floor=-self.v_floor_factor * v_th,
-            t_pw=self.t_pw_s,
-            t_ref=self.t_ref_s,
-            d_out=self.d_out_s,
-        )
+    def __post_init__(self) -> None:
+        for tau in (self.input_tau_s, self.tau_center_s, self.tau_directional_s):
+            if not (tau > 0.0 and math.isfinite(tau)):
+                raise ConfigError("tau_m must be positive and finite")
+        # The engine counts time in 1 ns ticks, so a pulse (and with it the
+        # refractory period) must last at least one tick.
+        if not (self.t_pw_s >= 1e-9):
+            raise ConfigError("t_pw must be at least 1e-9 s")
+        if not (self.t_pw_s <= self.t_ref_s < math.inf):
+            raise ConfigError("t_ref must be finite and >= t_pw")
+        if not (0.0 <= self.d_out_s < math.inf):
+            raise ConfigError("d_out must be finite and >= 0")
+        for v_th in (self.hidden_v_th, self.output_v_th):
+            if not (v_th > self.v_reset >= self.v_floor(v_th)):
+                raise ConfigError("require v_th > v_reset >= v_floor")
+        for w in (self.w_input_hidden, self.w_hidden_output, self.w_hidden_output_inh, self.w_lateral):
+            if not (w >= 0.0 and math.isfinite(w)):
+                raise ConfigError("synapse weight must be finite and >= 0")
+
+    def v_floor(self, v_th: float) -> float:
+        """The lower clamp on the potential of a neuron with threshold v_th."""
+        return -self.v_floor_factor * v_th
 
 
 @dataclass(frozen=True)
 class NeuronInfo:
     id: int
     layer: Layer
-    params: LifParams
     cell: int | None = None
     role: Role | None = None  # input pixels
     kind: HiddenKind | None = None  # hidden relays
@@ -249,21 +260,18 @@ class NetworkGraph:
 
     @cached_property
     def neurons(self) -> tuple[NeuronInfo, ...]:
-        lif = cache(self.params.lif)
-        params = [lif(tau, v_th) for tau, v_th in zip(self.tau_m.tolist(), self.v_th.tolist())]
         layers = self.layer_ids()
         out: list[NeuronInfo] = []
         for nid, (x, y) in zip(layers[Layer.INPUT], self.input_pixels.tolist()):
             cell, r = divmod(nid, INPUTS_PER_CELL)
-            role = ROLE_ORDER[r]
-            out.append(NeuronInfo(nid, Layer.INPUT, params[nid], cell=cell, role=role, pixel=(x, y)))
+            out.append(NeuronInfo(nid, Layer.INPUT, cell=cell, role=ROLE_ORDER[r], pixel=(x, y)))
         for nid in layers[Layer.HIDDEN]:
             cell, slot = divmod(nid - self.n_inputs, HIDDEN_PER_CELL)
             kind, d = HIDDEN_SLOTS[slot]
-            out.append(NeuronInfo(nid, Layer.HIDDEN, params[nid], cell=cell, kind=kind, direction=d))
+            out.append(NeuronInfo(nid, Layer.HIDDEN, cell=cell, kind=kind, direction=d))
         for d, ids in self.output_ids.items():
             for rank, nid in enumerate(ids):
-                out.append(NeuronInfo(nid, Layer.OUTPUT, params[nid], direction=d, rank=rank))
+                out.append(NeuronInfo(nid, Layer.OUTPUT, direction=d, rank=rank))
         return tuple(out)
 
     @cached_property
@@ -290,13 +298,13 @@ class NetworkGraph:
 
     def to_json_dict(self) -> dict:
         neurons = []
-        for n in self.neurons:
+        for n, tau_m, v_th in zip(self.neurons, self.tau_m.tolist(), self.v_th.tolist()):
             entry: dict = {
                 "id": n.id,
                 "layer": n.layer.value,
                 "cell": n.cell,
-                "tau_m_s": n.params.tau_m,
-                "v_th": n.params.v_th,
+                "tau_m_s": tau_m,
+                "v_th": v_th,
             }
             if n.pixel is not None:
                 entry["pixel"] = list(n.pixel)
@@ -376,17 +384,10 @@ def assemble_network(
         cx, cy = centers[~inside.all(axis=1)][0].tolist()
         raise ConfigError(f"cell center ({cx}, {cy}) needs all four neighbors in-field")
 
-    # Per-neuron constants; one LifParams per distinct (tau, v_th) pair
-    # checks them, in id order.
     hidden_taus = [
         params.tau_center_s if kind is HiddenKind.CENTER_RELAY else params.tau_directional_s
         for kind, _ in HIDDEN_SLOTS
     ]
-    pairs = [(params.input_tau_s, params.hidden_v_th)]
-    pairs += [(tau, params.hidden_v_th) for tau in hidden_taus] if n_cells else []
-    pairs += [(tau, params.output_v_th) for tau in output_taus_s]
-    for pair in dict.fromkeys(pairs):
-        params.lif(*pair)
     tau_m = np.concatenate(
         [
             np.full(INPUTS_PER_CELL * n_cells, params.input_tau_s, dtype=np.float64),
@@ -398,18 +399,12 @@ def assemble_network(
     output_base = hidden_base + HIDDEN_PER_CELL * n_cells
     v_th = np.full(len(tau_m), params.hidden_v_th, dtype=np.float64)
     v_th[output_base:] = params.output_v_th
-    v_floor = np.full(len(tau_m), -params.v_floor_factor * params.hidden_v_th)
-    v_floor[output_base:] = -params.v_floor_factor * params.output_v_th
+    # Python scalars: a huge factor gives -inf here, where numpy would warn.
+    v_floor = np.full(len(tau_m), params.v_floor(params.hidden_v_th))
+    v_floor[output_base:] = params.v_floor(params.output_v_th)
 
     out_grid = output_base + np.arange(4 * n_per_dir).reshape(4, n_per_dir)
     output_ids = {d: tuple(out_grid[i].tolist()) for i, d in enumerate(DIRECTION_ORDER)}
-
-    # The weights of the edges that exist must be finite and >= 0.
-    used = [params.w_input_hidden, params.w_hidden_output, params.w_hidden_output_inh]
-    used = (used if n_cells else []) + ([params.w_lateral] if lateral_inhibition else [])
-    for w in used:
-        if not (w >= 0.0 and math.isfinite(w)):
-            raise ConfigError("synapse weight must be finite and >= 0")
 
     cell = np.arange(n_cells)[:, None]
     relay = hidden_base + HIDDEN_PER_CELL * cell  # first hidden id of each cell

@@ -39,13 +39,13 @@ def fixed_step_spikes(
     time, so the only thing shared with the event-driven engine is the
     network description itself.
     """
-    n = len(net.neurons)
-    v_th = np.array([info.params.v_th for info in net.neurons])
-    v_reset = np.array([info.params.v_reset for info in net.neurons])
-    v_floor = np.array([info.params.v_floor for info in net.neurons])
-    factor = np.exp(-step_s / np.array([info.params.tau_m for info in net.neurons]))
-    d_out = [int(round(info.params.d_out / step_s)) for info in net.neurons]
-    t_ref = [int(round(info.params.t_ref / step_s)) for info in net.neurons]
+    n = net.n_neurons
+    v_th, v_floor = net.v_th, net.v_floor
+    factor = np.exp(-step_s / net.tau_m)
+    # constants every neuron shares
+    v_reset = net.params.v_reset
+    d_out = int(round(net.params.d_out_s / step_s))
+    t_ref = int(round(net.params.t_ref_s / step_s))
 
     outgoing: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for syn in net.synapses:
@@ -63,7 +63,7 @@ def fixed_step_spikes(
             continue
         s = int(round(ev.t / step_s))
         prev = prev_input.get(nid)
-        if prev is not None and s - prev < t_ref[nid]:
+        if prev is not None and s - prev < t_ref:
             continue
         prev_input[nid] = s
         trains[nid].append(s)
@@ -83,10 +83,10 @@ def fixed_step_spikes(
         for post in sorted(bucket):
             v[post] = max(v[post] + bucket[post], v_floor[post])
             if v[post] >= v_th[post] and s >= ref_until[post]:
-                spike = s + d_out[post]
+                spike = s + d_out
                 trains[post].append(spike)
-                v[post] = v_reset[post]
-                ref_until[post] = s + t_ref[post]
+                v[post] = v_reset
+                ref_until[post] = s + t_ref
                 if spike * step_s <= t_end:
                     late = pending.setdefault(spike, {})
                     for q, w in outgoing[post]:

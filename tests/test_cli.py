@@ -256,7 +256,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 SWEEP_HEADER = "freq_hz,variant,s_acc,s_acc_norm,status\r\n"
-OUT_FLAG = {"run": "-d", "events": "--out", "sweep": "-o"}
+OUT_FLAG = {"run": "-d", "events": "--out", "sweep": "-o", "topo": "--out"}
 
 
 @pytest.mark.parametrize("args, resume_csv", [
@@ -280,12 +280,16 @@ OUT_FLAG = {"run": "-d", "events": "--out", "sweep": "-o"}
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "abc,n1,,,ok\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1,,,ok\r\n"),
     (["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"], "0.8,n1,nan,,ok\r\n"),
+    # NetworkParams checks every field, also those the built network does not use
+    (["topo", "--set", "network.w_lateral=-1", "--set", "lateral_inhibition=false"], None),
+    (["topo", "--set", "network.tau_center_s=0", "--set", "field_width=2",
+      "--set", "field_height=2"], None),
 ], ids=["network-value", "trajectory-value", "field-width", "output-tau",
         "lateral-string", "run-nan-samples", "run-inf-samples", "events-nan-samples",
         "events-inf-samples", "run-huge-samples", "run-huge-t-end", "run-huge-freq",
         "run-huge-grid", "events-huge-samples", "events-huge-t-end", "events-huge-freq",
         "short-sweep-row", "sweep-freq", "ok-row-without-score",
-        "ok-row-nan-score"])
+        "ok-row-nan-score", "unused-lateral-weight", "tau-of-no-cell"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv):
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     out = tmp_path / "out"

@@ -217,7 +217,7 @@ def test_network_param_overrides_are_applied():
     net = build_network(cfg)
     for ids in net.output_ids.values():
         for nid in ids:
-            assert net.neurons[nid].params.v_th == 1.8
+            assert net.v_th[nid] == 1.8
 
 
 def test_build_stimulus_respects_encoding(tmp_path):

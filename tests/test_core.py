@@ -16,12 +16,14 @@ from motionsnn import (
     DIRECTION_ORDER,
     Event,
     EventStream,
-    LifParams,
+    NetworkParams,
     RateSeries,
     Role,
     Sign,
     SpikeRecord,
     Synapse,
+    assemble_network,
+    tessellate,
 )
 from motionsnn import core
 from motionsnn.core import (
@@ -94,30 +96,37 @@ def test_event_stream_holds_read_only_arrays_in_order():
 
 
 def test_lif_defaults():
-    p = LifParams(tau_m=0.02, v_th=1.5)
-    assert p.v_floor == -3.0
+    # the floor sits v_floor_factor = 2 thresholds below rest in every layer
+    net = assemble_network(tessellate(10, 11))
+    output_base = net.n_inputs + net.n_hidden
+    assert net.v_floor[:output_base].tolist() == [-1.0] * output_base
+    assert net.v_floor[output_base:].tolist() == [-3.0] * net.n_outputs
+    p = net.params
     assert p.v_reset == 0.0
-    assert p.t_ref == 2e-4 and p.t_pw == 1e-4 and p.d_out == 1e-4
+    assert p.t_ref_s == 2e-4 and p.t_pw_s == 1e-4 and p.d_out_s == 1e-4
+
+
+LIF_CASES = [
+    (dict(tau_center_s=0.0), "tau_m must be positive and finite"),
+    (dict(tau_directional_s=-0.1), "tau_m must be positive and finite"),
+    (dict(hidden_v_th=0.0), "require v_th > v_reset"),  # threshold not above reset
+    (dict(t_pw_s=0.0), "t_pw must be at least 1e-9 s"),
+    (dict(t_pw_s=1e-10, t_ref_s=1e-10), "t_pw must be at least"),  # under one 1 ns tick
+    (dict(t_ref_s=math.inf), "t_ref must be finite and >= t_pw"),
+    (dict(d_out_s=math.inf), "d_out must be finite and >= 0"),
+    (dict(t_ref_s=1e-5), "t_ref must be finite and >= t_pw"),  # shorter than the pulse
+    (dict(d_out_s=-1e-5), "d_out must be finite and >= 0"),
+    (dict(v_floor_factor=-0.5), "require v_th > v_reset >= v_floor"),  # floor above reset
+    (dict(w_lateral=math.nan), "synapse weight must be finite and >= 0"),
+]
 
 
 @pytest.mark.parametrize(
-    "kw",
-    [
-        dict(tau_m=0.0, v_th=1.0),
-        dict(tau_m=-0.1, v_th=1.0),
-        dict(tau_m=0.02, v_th=0.0),  # threshold not above reset
-        dict(tau_m=0.02, v_th=1.0, t_pw=0.0),
-        dict(tau_m=0.02, v_th=1.0, t_pw=1e-10, t_ref=1e-10),  # under one 1 ns tick
-        dict(tau_m=0.02, v_th=1.0, t_ref=math.inf),
-        dict(tau_m=0.02, v_th=1.0, d_out=math.inf),
-        dict(tau_m=0.02, v_th=1.0, t_ref=1e-5),  # shorter than the pulse
-        dict(tau_m=0.02, v_th=1.0, d_out=-1e-5),
-        dict(tau_m=0.02, v_th=1.0, v_floor=0.5),  # floor above reset
-    ],
+    "kw, message", LIF_CASES, ids=[f"kw{i}" for i in range(len(LIF_CASES))]
 )
-def test_lif_validation(kw):
-    with pytest.raises(ConfigError):
-        LifParams(**kw)
+def test_lif_validation(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        NetworkParams(**kw)
 
 
 def test_synapse_signed_weight():

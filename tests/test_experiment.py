@@ -75,6 +75,38 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
     assert [r.status for r in rows] == ["ok", "ok"]
 
 
+def test_an_oversized_rate_grid_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    calls = []
+    for name in ("build_network", "build_stimulus", "simulate"):
+        monkeypatch.setattr(experiment, name, lambda *args, name=name: calls.append(name))
+    assert cli.main(["run", "--set", "grid_dt_s=1e-300", "-d", str(tmp_path / "out")]) == 2
+    assert "config error: the rate grid needs" in capsys.readouterr().err
+    assert calls == []
+    # a sweep point reports the refusal as its row's status
+    base = RunConfig(trajectory={"kind": "circle", "freq_hz": 1.0, "radius": 3.0}, grid_dt_s=1e-300)
+    rows = experiment.frequency_sweep(base, (0.8,), experiment.default_sweep_variants()[:1])
+    assert rows[0].status.startswith("error: the rate grid needs")
+    assert calls == []
+
+
+def test_sweep_runs_each_repeated_point_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    calls = []
+    run = experiment.run_experiment
+    monkeypatch.setattr(experiment, "run_experiment", lambda cfg: calls.append(cfg) or run(cfg))
+    sweeps = {}
+    for freqs, variants in (("0.8", "n1"), ("0.8,0.8", "n1,n1")):
+        out = tmp_path / f"{freqs}-{variants}.csv"
+        argv = ["sweep", "--freqs", freqs, "--variants", variants, "-o", str(out)]
+        assert cli.main(argv) == 0
+        assert "(1 computed, 0 reused)" in capsys.readouterr().out
+        sweeps[freqs] = (len(calls), out.read_bytes())
+        calls.clear()
+    assert sweeps["0.8,0.8"] == sweeps["0.8"]
+    assert sweeps["0.8"][0] == 1
+
+
 EIGHT = {"kind": "eight", "freq_hz": 0.18, "ax": 2.3, "ay": 4.2}
 
 # Spectra and scores recorded before the scoring windows became views and the

@@ -156,22 +156,22 @@ def test_id_layout_and_parameters(default_net):
     for nid in range(75):
         info = net.neurons[nid]
         assert info.layer is Layer.INPUT
-        assert info.params.tau_m == 0.02 and info.params.v_th == 0.5
+        assert net.tau_m[nid] == 0.02 and net.v_th[nid] == 0.5
         assert info.pixel is not None
     for nid in range(75, 210):
         info = net.neurons[nid]
         assert info.layer is Layer.HIDDEN
-        assert info.params.v_th == 0.5
+        assert net.v_th[nid] == 0.5
         if info.kind is HiddenKind.CENTER_RELAY:
-            assert info.params.tau_m == 0.002
+            assert net.tau_m[nid] == 0.002
         else:
-            assert info.params.tau_m == 0.02
+            assert net.tau_m[nid] == 0.02
     outs = [net.neurons[nid] for nid in range(210, 214)]
     assert [o.direction for o in outs] == list(DIRECTION_ORDER)
     for o in outs:
         assert o.layer is Layer.OUTPUT
-        assert o.params.tau_m == 0.5 and o.params.v_th == 1.5
-        assert o.params.v_floor == -3.0
+        assert net.tau_m[o.id] == 0.5 and net.v_th[o.id] == 1.5
+        assert net.v_floor[o.id] == -3.0
     assert net.output_ids == {
         Direction.UP: (210,),
         Direction.DOWN: (211,),
@@ -246,7 +246,7 @@ def test_lateral_inhibition_pairs_ranks(default_layout):
         assert net.neurons[s.pre].rank == net.neurons[s.post].rank
     # each rank keeps its own membrane time constant
     for (d, k), nid in out_id.items():
-        assert net.neurons[nid].params.tau_m == taus[k]
+        assert net.tau_m[nid] == taus[k]
 
 
 def test_lateral_inhibition_can_be_ablated(default_layout):
@@ -265,8 +265,8 @@ def test_network_params_overrides(default_layout):
     assert inh and set(inh) == {1.3}
     for ids in net.output_ids.values():
         for nid in ids:
-            assert net.neurons[nid].params.v_th == 1.8
-            assert net.neurons[nid].params.v_floor == pytest.approx(-3.6)
+            assert net.v_th[nid] == 1.8
+            assert net.v_floor[nid] == pytest.approx(-3.6)
 
 
 def test_assemble_validation(default_layout):
