@@ -151,7 +151,7 @@ def _parse_freqs(args: argparse.Namespace) -> tuple[float, ...]:
         )
     if not freqs or any(not (f > 0.0 and math.isfinite(f)) for f in freqs):
         raise ConfigError("sweep frequencies must be positive")
-    return tuple(dict.fromkeys(freqs))  # each repeated frequency runs once
+    return freqs
 
 
 def _read_sweep_csv(path: str) -> dict[tuple[float, str], SweepRow]:
@@ -200,7 +200,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--jobs must be >= 1")
     by_label = {v.label: v for v in default_sweep_variants()}
     try:
-        variants = tuple(by_label[name] for name in dict.fromkeys(args.variants.split(",")))
+        variants = tuple(by_label[name] for name in args.variants.split(","))
     except KeyError as exc:
         raise ConfigError(
             f"unknown variant {exc.args[0]!r}, choose from {sorted(by_label)}"
@@ -211,13 +211,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         precomputed = {
             key: row for key, row in _read_sweep_csv(args.out).items() if row.status == "ok"
         }
-    wanted = {(f, v.label) for f in freqs for v in variants}
-    precomputed = {k: v for k, v in precomputed.items() if k in wanted}
 
     rows = frequency_sweep(cfg, freqs, variants, jobs=args.jobs, precomputed=precomputed)
     _write_sweep_csv(args.out, rows)
-    fresh = len(wanted) - len(precomputed)
-    print(f"sweep: {len(rows)} rows ({fresh} computed, {len(precomputed)} reused) -> {args.out}")
+    reused = sum((r.freq_hz, r.variant) in precomputed for r in rows)
+    print(f"sweep: {len(rows)} rows ({len(rows) - reused} computed, {reused} reused) -> {args.out}")
     return 0
 
 

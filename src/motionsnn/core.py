@@ -21,6 +21,9 @@ import numpy as np
 # allocated.
 MAX_SAMPLES = 10**9
 
+# The engine's clock tick and the grid every stimulus event is stamped on.
+TIME_QUANTUM = 1e-9
+
 
 class MotionSnnError(Exception):
     """Base for every error this package raises on purpose."""

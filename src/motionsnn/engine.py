@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    TIME_QUANTUM,
     DomainError,
     EventStream,
     NumericFault,
     SpikeRecord,
 )
-from .stimulus import TIME_QUANTUM
 from .topology import NetworkGraph
 
 

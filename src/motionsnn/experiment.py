@@ -228,17 +228,16 @@ def frequency_sweep(
     jobs: int = 1,
     precomputed: dict[tuple[float, str], SweepRow] | None = None,
 ) -> list[SweepRow]:
-    """One scored run per (frequency, variant); rows already present in
-    `precomputed` are reused. Rows come back sorted by (variant, freq)."""
-    variants = variants if variants is not None else default_sweep_variants()
-    by_label = {v.label: v for v in variants}
-    done = dict(precomputed or {})
-    tasks = [
-        (sweep_config(base, f, v), f, v.label)
-        for v in variants
-        for f in freqs
-        if (f, v.label) not in done
-    ]
+    """One scored row per requested (variant, frequency) point, sorted by
+    variant order and then frequency. A repeated frequency or variant label
+    is one point (the first variant with a label wins); a point found in
+    `precomputed` is reused instead of run."""
+    by_label: dict[str, SweepVariant] = {}
+    for v in variants if variants is not None else default_sweep_variants():
+        by_label.setdefault(v.label, v)
+    points = [(f, v) for v in by_label.values() for f in sorted(set(freqs))]
+    done = precomputed or {}
+    tasks = [(sweep_config(base, f, v), f, v.label) for f, v in points if (f, v.label) not in done]
     if jobs > 1 and len(tasks) > 1:
         # imported only for a pooled sweep, to keep it out of every start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -248,12 +247,8 @@ def frequency_sweep(
             rows = list(pool.map(_sweep_worker, tasks))
     else:
         rows = [_sweep_worker(t) for t in tasks]
-    for row in rows:
-        done[(row.freq_hz, row.variant)] = row
-    order = {v.label: i for i, v in enumerate(variants)}
-    keep = [r for r in done.values() if r.variant in by_label]
-    keep.sort(key=lambda r: (order[r.variant], r.freq_hz))
-    return keep
+    fresh = iter(rows)
+    return [done[(f, v.label)] if (f, v.label) in done else next(fresh) for f, v in points]
 
 
 def normalize_rows(rows: list[SweepRow]) -> dict[tuple[float, str], float]:

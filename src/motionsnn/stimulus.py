@@ -4,6 +4,8 @@ The object is a 3x3 pixel block centered on the rounded (half-up) continuous
 position. A vision-sensor-style encoder emits one event per pixel that becomes
 covered when the rounded position changes ("onset" mode) or re-emits the whole
 footprint at every change ("footprint" mode). The y axis points upward.
+Event times are whole 1 ns ticks: each change is stamped with the first tick
+at which the rounded position differs.
 """
 from __future__ import annotations
 
@@ -14,20 +16,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import MAX_SAMPLES, ConfigError, Direction, DomainError, EventStream
-
-# Change instants are located to TIME_TOL and stamped on a 1 ns grid, which
-# makes the emitted stream independent of the scan density.
-TIME_TOL = 1e-10
-TIME_QUANTUM = 1e-9
+from .core import MAX_SAMPLES, TIME_QUANTUM, ConfigError, Direction, DomainError, EventStream
 
 
 def round_half_up(v: np.ndarray | float) -> np.ndarray | float:
     return np.floor(v + 0.5)
-
-
-def snap_time(t: float) -> float:
-    return round(t / TIME_QUANTUM) * TIME_QUANTUM
 
 
 class EmitMode(Enum):
@@ -267,46 +260,35 @@ def _rounded_positions(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
 
 
 def _locate_changes(
-    traj: Trajectory, t0: np.ndarray, t1: np.ndarray, p0: np.ndarray, p1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bisect every bracket (t0, t1] over which the rounded position goes
-    from p0 to p1 until each change instant is isolated to TIME_TOL, keeping
-    the position on either side. All brackets of one depth share a single
-    positions() call; the result is in time order.
+    traj: Trajectory, lo: np.ndarray, hi: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect every tick bracket (lo, hi] over which the rounded position goes
+    from p_lo to p_hi until each change sits in a one-tick bracket. All
+    brackets of one depth share a single positions() call.
+
+    Returns the first tick at or after each change and the position it
+    enters, ordered by (tick, bracket): adjacent brackets share an end tick,
+    so two changes can land on the same tick.
     """
+    bracket = np.arange(len(lo))
     done = []
     while True:
-        fin = t1 - t0 <= TIME_TOL
-        done.append((t0[fin], t1[fin], p0[fin], p1[fin]))
+        fin = hi - lo <= 1
+        done.append((bracket[fin], hi[fin], p_hi[fin]))
         live = ~fin
         if not live.any():
             break
-        t0, t1, p0, p1 = t0[live], t1[live], p0[live], p1[live]
-        tm = 0.5 * (t0 + t1)
-        pm = _rounded_positions(traj, tm)
-        left = (pm != p0).any(axis=1)  # a change in (t0, tm]
-        right = (p1 != pm).any(axis=1)  # a change in (tm, t1]
-        t0 = np.concatenate([t0[left], tm[right]])
-        t1 = np.concatenate([tm[left], t1[right]])
-        p0, p1 = np.concatenate([p0[left], pm[right]]), np.concatenate([pm[left], p1[right]])
-    t0, t1, p0, p1 = (np.concatenate(parts) for parts in zip(*done))
-    order = np.lexsort((t1, t0))
-    return t0[order], t1[order], p0[order], p1[order]
-
-
-def _pin_to_grid(traj: Trajectory, t0: np.ndarray, t1: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    # First nanosecond tick at or after each change bracketed by (t0, t1]:
-    # a function of the trajectory alone, so scan density cannot move it.
-    lo = np.floor(t0 / TIME_QUANTUM).astype(np.int64)
-    hi = np.ceil(t1 / TIME_QUANTUM).astype(np.int64)
-    while True:
-        live = np.nonzero(hi - lo > 1)[0]
-        if len(live) == 0:
-            return hi * TIME_QUANTUM
-        mid = (lo[live] + hi[live]) // 2
-        before = (_rounded_positions(traj, mid * TIME_QUANTUM) == p0[live]).all(axis=1)
-        lo[live[before]] = mid[before]
-        hi[live[~before]] = mid[~before]
+        bracket, lo, hi, p_lo, p_hi = bracket[live], lo[live], hi[live], p_lo[live], p_hi[live]
+        mid = (lo + hi) // 2
+        pm = _rounded_positions(traj, mid * TIME_QUANTUM)
+        left = (pm != p_lo).any(axis=1)  # a change in (lo, mid]
+        right = (p_hi != pm).any(axis=1)  # a change in (mid, hi]
+        bracket = np.concatenate([bracket[left], bracket[right]])
+        lo, hi = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], hi[right]])
+        p_lo, p_hi = np.concatenate([p_lo[left], pm[right]]), np.concatenate([pm[left], p_hi[right]])
+    bracket, ticks, after = (np.concatenate(parts) for parts in zip(*done))
+    order = np.lexsort((bracket, ticks))
+    return ticks[order], after[order]
 
 
 # Offsets of the footprint's pixels from its center, in (y, x) order.
@@ -322,11 +304,12 @@ def generate_events(
     """Encode a trajectory as stimulus events.
 
     The path is scanned densely enough that the rounded center moves well
-    under one pixel per sample; every position change is then located by
-    bisection and stamped on a nanosecond grid, so oversampling (any integer
-    factor) leaves the stream unchanged. At t = 0 and, in footprint mode, at
-    every change, all 9 covered pixels emit; in onset mode only pixels that
-    just became covered emit.
+    under one pixel per sample. Every scan step over which it moves is
+    bisected in whole ticks down to the first tick of each change, so a
+    denser scan moves no event. It can still add one: a touch of a rounding
+    boundary shorter than a scan step is seen only by scans that sample it.
+    At t = 0 and, in footprint mode, at every change, all 9 covered pixels
+    emit; in onset mode only pixels that just became covered emit.
     """
     mode = EmitMode(mode)
     if oversample < 1:
@@ -349,10 +332,16 @@ def generate_events(
     ts = (np.arange(n + 1, dtype=np.float64) * traj.t_end) / n if traj.t_end > 0 else np.zeros(1)
     ps = _rounded_positions(traj, ts)
     moved = np.nonzero((ps[1:] != ps[:-1]).any(axis=1))[0]
-    t_lo, t_hi, before, after = _locate_changes(
-        traj, ts[moved], ts[moved + 1], ps[moved], ps[moved + 1]
+    if len(moved) and not traj.t_end / TIME_QUANTUM < 2.0**62:
+        raise DomainError("t_end overflows the encoder's 1 ns clock")
+    # each scan step that moves becomes the tick bracket (floor, ceil] around it
+    ticks, after = _locate_changes(
+        traj,
+        np.floor(ts[moved] / TIME_QUANTUM).astype(np.int64),
+        np.ceil(ts[moved + 1] / TIME_QUANTUM).astype(np.int64),
+        ps[moved],
+        ps[moved + 1],
     )
-    t_snap = _pin_to_grid(traj, t_lo, t_hi, before)
 
     # Row 0 is the footprint at t = 0, row j the one entered at change j.
     centers = np.concatenate([ps[:1], after])
@@ -363,7 +352,7 @@ def generate_events(
         # a pixel is fresh when it lies outside the previous 3x3 block
         prev = centers[:-1]
         emit[1:] = (np.abs(xs[1:] - prev[:, :1]) > 1) | (np.abs(ys[1:] - prev[:, 1:]) > 1)
-    ts_ev = np.broadcast_to(np.concatenate([[0.0], t_snap])[:, None], xs.shape)
+    ts_ev = np.broadcast_to(np.concatenate([[0.0], ticks * TIME_QUANTUM])[:, None], xs.shape)
     xs, ys, ts_ev = xs[emit], ys[emit], ts_ev[emit]
     order = np.lexsort((xs, ys, ts_ev))
     return EventStream(traj.field_width, traj.field_height, xs[order], ys[order], ts_ev[order])

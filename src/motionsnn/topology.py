@@ -22,6 +22,7 @@ from .core import (
     ROLE_ORDER,
     Sign,
     Synapse,
+    TIME_QUANTUM,
     role_of,
 )
 
@@ -166,7 +167,7 @@ class NetworkParams:
                 raise ConfigError("tau_m must be positive and finite")
         # The engine counts time in 1 ns ticks, so a pulse (and with it the
         # refractory period) must last at least one tick.
-        if not (self.t_pw_s >= 1e-9):
+        if not (self.t_pw_s >= TIME_QUANTUM):
             raise ConfigError("t_pw must be at least 1e-9 s")
         if not (self.t_pw_s <= self.t_ref_s < math.inf):
             raise ConfigError("t_ref must be finite and >= t_pw")

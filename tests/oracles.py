@@ -25,7 +25,8 @@ from motionsnn import (
     assemble_network,
     layout_from_centers,
 )
-from motionsnn.stimulus import TIME_QUANTUM, TIME_TOL, footprint, round_half_up
+from motionsnn.core import TIME_QUANTUM
+from motionsnn.stimulus import footprint, round_half_up
 
 STEP_S = 1e-6
 
@@ -307,39 +308,28 @@ def _rounded_position(traj, t: float) -> tuple[int, int]:
     return int(round_half_up(x)), int(round_half_up(y))
 
 
-def _pin_to_grid(traj, t0: float, t1: float, p0: tuple[int, int]) -> float:
-    # First nanosecond tick at or after the change bracketed by (t0, t1].
-    lo = int(math.floor(t0 / TIME_QUANTUM))
-    hi = int(math.ceil(t1 / TIME_QUANTUM))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _rounded_position(traj, mid * TIME_QUANTUM) == p0:
-            lo = mid
-        else:
-            hi = mid
-    return hi * TIME_QUANTUM
-
-
-def _locate_changes(traj, t0, t1, p0, p1, out) -> None:
-    # Bisect until each change instant is isolated to TIME_TOL, keeping the
-    # position on either side of the bracket.
-    if t1 - t0 <= TIME_TOL:
-        out.append((t0, t1, p0, p1))
+def _locate_changes(traj, lo: int, hi: int, p_lo, p_hi, out) -> None:
+    # Bisect the tick bracket (lo, hi] until each change sits in a one-tick
+    # bracket, whose upper tick is the change's stamp.
+    if hi - lo <= 1:
+        out.append((hi, p_hi))
         return
-    tm = 0.5 * (t0 + t1)
-    pm = _rounded_position(traj, tm)
-    if pm != p0:
-        _locate_changes(traj, t0, tm, p0, pm, out)
-    if p1 != pm:
-        _locate_changes(traj, tm, t1, pm, p1, out)
+    mid = (lo + hi) // 2
+    pm = _rounded_position(traj, mid * TIME_QUANTUM)
+    if pm != p_lo:
+        _locate_changes(traj, lo, mid, p_lo, pm, out)
+    if p_hi != pm:
+        _locate_changes(traj, mid, hi, pm, p_hi, out)
 
 
 def reference_events(
     traj, mode=EmitMode.ONSET, samples_per_pixel: float = 8.0, oversample: int = 1
 ) -> tuple[Event, ...]:
     """The event encoder one change at a time: the same dense scan, then a
-    recursive bisection and a nanosecond pin per change, each probe one
-    scalar `Trajectory.position` call."""
+    recursive bisection of each moved scan step in nanosecond ticks, each
+    probe one scalar `Trajectory.position` call. Scan steps are taken in
+    order and each one's changes in time order, which is the encoder's
+    (tick, scan step) order."""
     mode = EmitMode(mode)
     vmax = max(traj.speed_bound())
     n = max(16, int(math.ceil(traj.t_end * vmax * samples_per_pixel)))
@@ -355,8 +345,8 @@ def reference_events(
     for i in moved:
         _locate_changes(
             traj,
-            float(ts[i]),
-            float(ts[i + 1]),
+            math.floor(ts[i] / TIME_QUANTUM),
+            math.ceil(ts[i + 1] / TIME_QUANTUM),
             (int(pxs[i]), int(pys[i])),
             (int(pxs[i + 1]), int(pys[i + 1])),
             changes,
@@ -364,8 +354,8 @@ def reference_events(
 
     covered = set(footprint(int(pxs[0]), int(pys[0])))
     events = [Event(x, y, 0.0) for x, y in sorted(covered, key=lambda p: (p[1], p[0]))]
-    for t_lo, t_hi, before, pos in changes:
-        t_snap = _pin_to_grid(traj, t_lo, t_hi, before)
+    for tick, pos in changes:
+        t_snap = tick * TIME_QUANTUM
         new_cover = set(footprint(*pos))
         fresh = new_cover if mode is EmitMode.FOOTPRINT else new_cover - covered
         for x, y in sorted(fresh, key=lambda p: (p[1], p[0])):

@@ -165,7 +165,6 @@ def test_package_modules_use_every_name_they_import():
 UNCALLED_PUBLIC_API = {
     "EventStream.from_events": "builds a stream from Event records in tests",
     "Synapse.signed_weight": "the sign convention of the synapse view, checked in tests",
-    "snap_time": "the scalar form of the encoder's nanosecond grid, checked in tests",
     "FilterParams.kernel": "the closed-form kernel the rate filter is checked against",
     "FilterParams.peak_time_s": "the kernel's closed-form peak, checked against the kernel",
     "layout_from_centers": "builds test layouts from explicit cell centres",

@@ -107,6 +107,34 @@ def test_sweep_runs_each_repeated_point_once(tmp_path, capsys, monkeypatch):
     assert sweeps["0.8"][0] == 1
 
 
+def test_sweep_returns_one_row_per_requested_point(monkeypatch):
+    tasks = []
+
+    def worker(task):
+        tasks.append(task)
+        return experiment.SweepRow(task[1], task[2], 0.5, "ok")
+
+    monkeypatch.setattr(experiment, "_sweep_worker", worker)
+    base = RunConfig(trajectory={"kind": "circle", "freq_hz": 1.0, "radius": 3.0})
+    n1, n5 = experiment.default_sweep_variants()
+    # a repeated frequency and a repeated label are one point; the first
+    # variant with a label is the one that runs
+    twin = experiment.SweepVariant("n1", n5.n_per_dir, n5.output_taus_s)
+    rows = experiment.frequency_sweep(base, (0.8, 0.8), (n1, twin))
+    assert [(r.freq_hz, r.variant) for r in rows] == [(0.8, "n1")]
+    assert [(f, label, cfg.n_per_dir) for cfg, f, label in tasks] == [(0.8, "n1", 1)]
+
+    # only requested points are reused, and an unrequested one is not returned
+    tasks.clear()
+    old = {(0.3, "n1"): experiment.SweepRow(0.3, "n1", 0.7, "ok"),
+           (0.8, "n5"): experiment.SweepRow(0.8, "n5", 0.9, "ok")}
+    rows = experiment.frequency_sweep(base, (1.7, 0.8), (n5, n1), precomputed=old)
+    assert rows == [old[(0.8, "n5")], experiment.SweepRow(1.7, "n5", 0.5, "ok"),
+                    experiment.SweepRow(0.8, "n1", 0.5, "ok"),
+                    experiment.SweepRow(1.7, "n1", 0.5, "ok")]
+    assert [(f, label) for _, f, label in tasks] == [(1.7, "n5"), (0.8, "n1"), (1.7, "n1")]
+
+
 EIGHT = {"kind": "eight", "freq_hz": 0.18, "ax": 2.3, "ay": 4.2}
 
 # Spectra and scores recorded before the scoring windows became views and the

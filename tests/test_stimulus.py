@@ -18,12 +18,11 @@ from motionsnn import (
     WaypointTrajectory,
     generate_events,
 )
-from motionsnn.core import ConfigError
+from motionsnn.core import TIME_QUANTUM, ConfigError
 from motionsnn.stimulus import (
     channel_velocities,
     footprint,
     round_half_up,
-    snap_time,
 )
 
 from oracles import reference_events
@@ -44,12 +43,6 @@ def test_round_half_up():
     assert round_half_up(2.5) == 3
     assert round_half_up(-0.4) == 0
     assert list(round_half_up(np.array([0.49, 0.5, 1.5]))) == [0, 1, 2]
-
-
-def test_snap_time_lands_on_nanoseconds():
-    t = snap_time(0.1234567894)
-    assert t == pytest.approx(0.123456789, abs=1e-12)
-    assert t == snap_time(t)
 
 
 def test_circle_quarter_period_positions():
@@ -219,7 +212,34 @@ def test_all_event_times_sit_on_the_nanosecond_grid():
     stream = generate_events(TRAJECTORIES[0])
     assert len(stream) > 20
     for ev in stream.events:
-        assert ev.t == snap_time(ev.t)
+        assert ev.t == round(ev.t / TIME_QUANTUM) * TIME_QUANTUM
+
+
+def test_a_change_is_stamped_with_its_first_tick():
+    # The circle crosses x = 4.5 leftwards at t = 7.5 s. The centre is in
+    # column 5 at tick 7_499_999_999 and in column 4 at tick 7_500_000_000
+    # (7.500000000000001 s), so that tick, not the next one, is the stamp.
+    traj = CircleTrajectory(field_width=10, field_height=11, t_end=40.0, freq_hz=0.1)
+    for tick, column in ((7_499_999_999, 5), (7_500_000_000, 4)):
+        assert round_half_up(traj.position(tick * TIME_QUANTUM)[0]) == column
+    times = set(generate_events(traj).t.tolist())
+    assert 7_500_000_000 * TIME_QUANTUM in times
+    assert 7_500_000_001 * TIME_QUANTUM not in times
+
+
+def test_changes_sharing_a_tick_keep_their_scan_order():
+    # A diagonal path whose x change ends one scan step and whose y change
+    # starts the next, both inside the tick that ends at t = 0.5 s. Both get
+    # that stamp, and x must come first: (2, 5) -> (3, 5) -> (3, 4).
+    t_end = 0.9999999997  # 16 scan steps; step 8 ends at 0.49999999985 s
+    tx, ty = t_end / 2 - 5e-11, t_end / 2 + 5e-11
+    traj = LinearTrajectory(field_width=10, field_height=11, t_end=t_end,
+                            x0=2.5 - tx, y0=4.5 + ty, vx=1.0, vy=-1.0)
+    stream = generate_events(traj)
+    at_half = {(ev.x, ev.y) for ev in stream.events if ev.t == 0.5}
+    assert at_half == {(4, 4), (4, 5), (4, 6), (2, 3), (3, 3), (4, 3)}
+    assert len(stream) == 9 + 6
+    assert stream.events == reference_events(traj)
 
 
 @settings(max_examples=6, deadline=None)
@@ -246,6 +266,11 @@ def test_generate_events_validation():
         generate_events(TRAJECTORIES[0], samples_per_pixel=0.0)
     with pytest.raises(ValueError):
         generate_events(TRAJECTORIES[0], mode="both")
+    # 1e10 s is more 1 ns ticks than an int64 holds; a still object needs none
+    slow = dict(field_width=10, field_height=11, t_end=1e10, x0=1.5, y0=5.0, vy=0.0)
+    with pytest.raises(DomainError, match="1 ns clock"):
+        generate_events(LinearTrajectory(**slow, vx=5e-10))
+    assert len(generate_events(LinearTrajectory(**slow, vx=0.0))) == 9
 
 
 # Paths on the 10 x 11 field: x must stay in [0.5, 8.5) and y in [0.5, 9.5).

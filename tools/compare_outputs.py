@@ -15,12 +15,15 @@ directory (the repository's own state is not touched). Then it compares
 - `topo` of `default-run`, `large-field` and the default run with the
   sweep's five-rank `n5` outputs
 
-Every file is listed as `same` or `DIFFERS`. Exit 0 when all 15 are
-identical, 1 when any differs or a command fails, 2 on a bad REV.
+Every file is listed as `same` or `DIFFERS`; under each CSV that differs
+come the number of rows that differ and the first differing pair. Exit 0
+when all 15 are identical, 1 when any differs or a command fails, 2 on a
+bad REV.
 """
 from __future__ import annotations
 
 import filecmp
+import itertools
 import json
 import os
 import subprocess
@@ -77,6 +80,21 @@ def run_all(src: Path, dest: Path) -> list[str]:
     return failures
 
 
+def csv_diff(a: Path, b: Path, names: tuple[str, str]) -> list[str]:
+    """How many rows of two CSV files differ, and the first differing pair,
+    as report lines; a row one file lacks counts as differing."""
+    pairs = list(itertools.zip_longest(a.read_text().splitlines(), b.read_text().splitlines()))
+    differ = [(i, x, y) for i, (x, y) in enumerate(pairs, 1) if x != y]
+    if not differ:
+        return []
+    i, x, y = differ[0]
+    width = max(map(len, names))
+    lines = [f"{len(differ)} of {len(pairs)} rows differ, first at line {i}:"]
+    for name, row in zip(names, (x, y)):
+        lines.append(f"  {name:{width}} {'(no row)' if row is None else row}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -106,6 +124,9 @@ def main(argv: list[str]) -> int:
             same = a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
             differ += not same
             print(f"{'same' if same else 'DIFFERS':8} {name}")
+            if not same and name.endswith(".csv") and a.is_file() and b.is_file():
+                for line in csv_diff(a, b, tuple(sides)):
+                    print(f"{'':8} {line}")
     for line in failures:
         print(line, file=sys.stderr)
     print(f"{len(names) - differ} of {len(names)} files identical against {rev}")
