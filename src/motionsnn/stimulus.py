@@ -260,16 +260,24 @@ def _rounded_positions(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
 
 
 def _locate_changes(
-    traj: Trajectory, lo: np.ndarray, hi: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray
+    traj: Trajectory, t0: np.ndarray, t1: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect every tick bracket (lo, hi] over which the rounded position goes
-    from p_lo to p_hi until each change sits in a one-tick bracket. All
-    brackets of one depth share a single positions() call.
+    """Bisect every scan step (t0, t1] over which the rounded position goes
+    from p_lo to p_hi, in whole ticks, until each change sits in a one-tick
+    bracket. All brackets of one depth share a single positions() call.
 
     Returns the first tick at or after each change and the position it
     enters, ordered by (tick, bracket): adjacent brackets share an end tick,
     so two changes can land on the same tick.
     """
+    # The bracket (lo, hi] runs from the last tick whose time is at most t0 to
+    # the first at least t1; tick * TIME_QUANTUM can round past either end.
+    lo = np.floor(t0 / TIME_QUANTUM).astype(np.int64)
+    hi = np.ceil(t1 / TIME_QUANTUM).astype(np.int64)
+    while (late := lo * TIME_QUANTUM > t0).any():
+        lo -= late
+    while (early := hi * TIME_QUANTUM < t1).any():
+        hi += early
     bracket = np.arange(len(lo))
     done = []
     while True:
@@ -334,14 +342,7 @@ def generate_events(
     moved = np.nonzero((ps[1:] != ps[:-1]).any(axis=1))[0]
     if len(moved) and not traj.t_end / TIME_QUANTUM < 2.0**62:
         raise DomainError("t_end overflows the encoder's 1 ns clock")
-    # each scan step that moves becomes the tick bracket (floor, ceil] around it
-    ticks, after = _locate_changes(
-        traj,
-        np.floor(ts[moved] / TIME_QUANTUM).astype(np.int64),
-        np.ceil(ts[moved + 1] / TIME_QUANTUM).astype(np.int64),
-        ps[moved],
-        ps[moved + 1],
-    )
+    ticks, after = _locate_changes(traj, ts[moved], ts[moved + 1], ps[moved], ps[moved + 1])
 
     # Row 0 is the footprint at t = 0, row j the one entered at change j.
     centers = np.concatenate([ps[:1], after])

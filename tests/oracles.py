@@ -343,10 +343,16 @@ def reference_events(
     changes: list = []
     moved = np.nonzero((pxs[1:] != pxs[:-1]) | (pys[1:] != pys[:-1]))[0]
     for i in moved:
+        # from the last tick whose time is at most ts[i] to the first at least ts[i + 1]
+        lo, hi = math.floor(ts[i] / TIME_QUANTUM), math.ceil(ts[i + 1] / TIME_QUANTUM)
+        while lo * TIME_QUANTUM > ts[i]:
+            lo -= 1
+        while hi * TIME_QUANTUM < ts[i + 1]:
+            hi += 1
         _locate_changes(
             traj,
-            math.floor(ts[i] / TIME_QUANTUM),
-            math.ceil(ts[i + 1] / TIME_QUANTUM),
+            lo,
+            hi,
             (int(pxs[i]), int(pys[i])),
             (int(pxs[i + 1]), int(pys[i + 1])),
             changes,

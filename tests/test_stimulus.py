@@ -219,12 +219,30 @@ def test_a_change_is_stamped_with_its_first_tick():
     # The circle crosses x = 4.5 leftwards at t = 7.5 s. The centre is in
     # column 5 at tick 7_499_999_999 and in column 4 at tick 7_500_000_000
     # (7.500000000000001 s), so that tick, not the next one, is the stamp.
+    # The default scan has no sample at 7.5 s; the other two sample it exactly,
+    # after the time of tick 7_500_000_000.
     traj = CircleTrajectory(field_width=10, field_height=11, t_end=40.0, freq_hz=0.1)
     for tick, column in ((7_499_999_999, 5), (7_500_000_000, 4)):
         assert round_half_up(traj.position(tick * TIME_QUANTUM)[0]) == column
-    times = set(generate_events(traj).t.tolist())
-    assert 7_500_000_000 * TIME_QUANTUM in times
-    assert 7_500_000_001 * TIME_QUANTUM not in times
+    for scan in ({}, {"oversample": 4}, {"samples_per_pixel": 8.48}):
+        times = set(generate_events(traj, **scan).t.tolist())
+        assert 7_500_000_000 * TIME_QUANTUM in times
+        assert 7_500_000_001 * TIME_QUANTUM not in times
+
+
+def test_a_change_is_not_stamped_before_its_first_tick():
+    # Scan sample 7 of 16 is t = 0.004606875000000001 s, after the time of
+    # tick 4_606_875 (0.004606875 s). The path crosses x = 4.5 between the two,
+    # so that tick still shows column 4 and the stamp is the next one.
+    t_end = 0.010530000000000001
+    traj = LinearTrajectory(field_width=10, field_height=11, t_end=t_end,
+                            x0=math.nextafter(3.625, 0.0), y0=5.0, vx=2.0 / t_end, vy=0.0)
+    for tick, column in ((4_606_875, 4), (4_606_876, 5)):
+        assert round_half_up(traj.position(tick * TIME_QUANTUM)[0]) == column
+    stream = generate_events(traj)
+    assert 4_606_876 * TIME_QUANTUM in stream.t.tolist()
+    assert 4_606_875 * TIME_QUANTUM not in stream.t.tolist()
+    assert stream.events == reference_events(traj)
 
 
 def test_changes_sharing_a_tick_keep_their_scan_order():
