@@ -9,6 +9,15 @@ also when downstream targets receive it.
 Inside `simulate` every time is an integer count of nanosecond ticks (the
 stimulus's time grid), so instants compare exactly; spike times are turned
 back into seconds once, at the end.
+
+The engine relies on one layering rule, which `assemble_network` guarantees
+and `simulate` checks: inputs feed only hidden neurons, and hidden and output
+neurons feed only outputs. So the input gate and the relay layer depend on
+the stimulus alone and are evaluated as arrays, the k-th event of every
+pixel and then the k-th arrival of every relay at a time. Only the output
+layer, recurrent through lateral inhibition, runs as a loop of waves. Every
+stage applies the same IEEE operations in the same order as an event-by-event
+run, so the layered evaluation changes no bit of the result.
 """
 from __future__ import annotations
 
@@ -36,12 +45,51 @@ class SimulationOutput:
     spike_totals: dict[str, int]
 
 
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal key tuples begins, in arrays sorted by them."""
+    start = np.ones(len(keys[0]), dtype=bool)
+    start[1:] = False
+    for key in keys:
+        start[1:] |= key[1:] != key[:-1]
+    return start
+
+
+def _by_rank(group: np.ndarray) -> list[np.ndarray]:
+    """Positions of the sorted `group` split by rank within their group: the
+    k-th array holds the k-th member of every group that has one."""
+    head = np.flatnonzero(_run_starts(group))
+    rank = np.arange(len(group)) - np.repeat(head, np.diff(np.r_[head, len(group)]))
+    return np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+
+
+def _summed_arrivals(
+    net: NetworkGraph, pre: np.ndarray, ticks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The out-edges of the spikes (pre[i] at ticks[i], sorted by pre) summed
+    per (target, tick), as (target, tick, sum) arrays in that order. Each sum
+    is 0.0 plus the edges in (pre, CSR row) order: the spikes list them in
+    that order and the sort is stable. `np.add.at` adds them one at a time."""
+    start = net.indptr[pre]
+    count = net.indptr[pre + 1] - start
+    spike = np.repeat(np.arange(len(pre)), count)
+    edge = start[spike] + np.arange(len(spike)) - (np.cumsum(count) - count)[spike]
+    t, target = ticks[spike], net.post[edge]
+    order = np.lexsort((t, target))
+    t, target, w = t[order], target[order], net.signed_w[edge[order]]
+    new = _run_starts(target, t)
+    sums = np.zeros(np.count_nonzero(new))
+    with np.errstate(over="ignore", invalid="ignore"):  # a fault, reported later
+        np.add.at(sums, np.cumsum(new) - 1, w)
+    return target[new], t[new], sums
+
+
 def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOutput:
     """Run the network against a stimulus for t_end seconds.
 
     Stimulus events map to input neurons by pixel; events on uncovered pixels
     are dropped and counted. Input neurons are pass-through sources limited
-    only by their refractory period.
+    only by their refractory period. A graph that breaks the layering rule
+    (see the module docstring) is refused.
     """
     if t_end < 0.0 or not math.isfinite(t_end):
         raise DomainError("t_end must be finite and >= 0")
@@ -52,14 +100,18 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
         or stim.field_height != net.layout.field_height
     ):
         raise DomainError("stimulus field does not match the network layout")
+    output_base = net.n_inputs + net.n_hidden
+    split = net.indptr[net.n_inputs]  # the first out-edge of a hidden neuron
+    if (
+        ((net.post[:split] < net.n_inputs) | (net.post[:split] >= output_base)).any()
+        or (net.post[split:] < output_base).any()
+    ):
+        raise DomainError(
+            "the engine needs inputs to feed only hidden neurons, and hidden "
+            "and output neurons to feed only outputs"
+        )
 
     n = net.n_neurons
-    indptr = net.indptr.tolist()
-    out_post = net.post.tolist()
-    out_w = net.signed_w.tolist()
-    tau = net.tau_m.tolist()
-    v_th = net.v_th.tolist()
-    v_floor = net.v_floor.tolist()
     # LIF constants every neuron shares; times in ticks from here on
     v_reset = net.params.v_reset
     # (a refractory period past the clock's range never ends within a run)
@@ -76,56 +128,95 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     n_ev = int(np.searchsorted(stim.t, t_end, side="right"))
     ticks = np.rint(stim.t[:n_ev] / TIME_QUANTUM).astype(np.int64)
     owners = id_at[stim.y[:n_ev] * width + stim.x[:n_ev]]
+    covered = owners >= 0
+    dropped = n_ev - int(np.count_nonzero(covered))
 
-    v = [0.0] * n
-    t_last = [0] * n
-    ref_until = [0] * n
-    # Every spike as (neuron, time) in the order it is emitted.
+    # The input gate: each pixel's events in tick order, the k-th of every
+    # pixel at a time. An event passes at least t_ref after the last one
+    # that passed.
+    by_pixel = np.argsort(owners[covered], kind="stable")
+    in_pre, in_t = owners[covered][by_pixel], ticks[covered][by_pixel]
+    passed = np.ones(len(in_t), dtype=bool)
+    last = np.full(net.n_inputs, -t_ref, dtype=np.int64)
+    for k in _by_rank(in_pre):
+        ok = in_t[k] - last[in_pre[k]] >= t_ref
+        passed[k] = ok
+        last[in_pre[k][ok]] = in_t[k][ok]
+    refractory_dropped = len(in_t) - int(np.count_nonzero(passed))
+    in_pre, in_t = in_pre[passed], in_t[passed]
+
+    # The relay layer: each relay's summed arrivals in tick order, the k-th
+    # of every relay at a time, with the arithmetic of the wave loop below.
+    # math.exp, not np.exp, gives the decay: numpy's SIMD exp may differ
+    # from libm in the last bit.
+    relay, r_t, r_sum = _summed_arrivals(net, in_pre, in_t)
+    v_relay = np.zeros(n)
+    ref_relay = np.zeros(n, dtype=np.int64)
+    fired = np.zeros(len(r_t), dtype=bool)
+    bad = np.zeros(len(r_t), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # a fault, reported below
+        r_dt = (r_t - np.where(_run_starts(relay), 0, np.roll(r_t, 1))) * TIME_QUANTUM
+        x = (-r_dt / net.tau_m[relay]).tolist()
+        decay = np.fromiter(map(math.exp, x), np.float64, len(x))
+        for k in _by_rank(relay):
+            post, t_now = relay[k], r_t[k]
+            v_new = v_relay[post] * decay[k] + r_sum[k]
+            v_new = np.where(v_new < net.v_floor[post], net.v_floor[post], v_new)
+            bad[k] = ~np.isfinite(v_new)
+            spike = (v_new >= net.v_th[post]) & (t_now >= ref_relay[post])
+            fired[k] = spike
+            v_relay[post] = np.where(spike, v_reset, v_new)
+            ref_relay[post[spike]] = t_now[spike] + t_ref
+    hid_pre, hid_t = relay[fired], r_t[fired] + d_out
+    # The first relay fault in (tick, id) order ends the run at its tick: at
+    # one instant the relays update before any output does.
+    faults = np.lexsort((relay[bad], r_t[bad]))
+    stop = int(r_t[bad][faults[0]]) if len(faults) else end + 1
+
+    # The output layer, the only recurrent one. Its delivery queue is a merge
+    # of two sorted sequences: the relay spikes summed per (instant, output),
+    # and a FIFO of (delivery time, spiker) output spikes. Every neuron
+    # shares d_out and waves run at non-decreasing instants, so the FIFO's
+    # times never decrease either. Output ids count from output_base here.
+    on_time = hid_t <= end
+    arr_post, arr_t, arr_sum = _summed_arrivals(net, hid_pre[on_time], hid_t[on_time])
+    order = np.lexsort((arr_post, arr_t))
+    arr_t, arr_sum = arr_t[order].tolist(), arr_sum[order].tolist()
+    arr_post = (arr_post[order] - output_base).tolist()
+    e0 = net.indptr[output_base]
+    indptr = (net.indptr[output_base:] - e0).tolist()
+    out_post = (net.post[e0:] - output_base).tolist()
+    out_w = net.signed_w[e0:].tolist()
+    tau = net.tau_m[output_base:].tolist()
+    v_th = net.v_th[output_base:].tolist()
+    v_floor = net.v_floor[output_base:].tolist()
     spike_n: list[int] = []
     spike_t: list[int] = []
-
-    # The delivery queue is a merge of two sorted sequences: the accepted
-    # input arrivals, and a FIFO of (delivery time, spiker) pairs. Every
-    # neuron shares d_out and waves run at non-decreasing instants, so the
-    # FIFO's times never decrease either.
-    in_t: list[int] = []
-    in_pre: list[int] = []
-    dropped = int(np.count_nonzero(owners < 0))
-    refractory_dropped = 0
-    last_input_spike: dict[int, int] = {}
-    for t, owner in zip(ticks.tolist(), owners.tolist()):
-        if owner < 0:
-            continue
-        prev = last_input_spike.get(owner)
-        if prev is not None and t - prev < t_ref:
-            refractory_dropped += 1
-            continue
-        last_input_spike[owner] = t
-        in_t.append(t)
-        in_pre.append(owner)
-    spike_n += in_pre
-    spike_t += in_t
+    v = [0.0] * len(tau)
+    t_last = [0] * len(tau)
+    ref_until = [0] * len(tau)
     fifo: deque[tuple[int, int]] = deque()
 
-    i, n_in = 0, len(in_t)
-    in_t.append(end + 1)  # sentinel: later than anything queued
-    while i < n_in or fifo:
-        t_now = in_t[i]
+    i, n_arr = 0, len(arr_t)
+    arr_t.append(stop)  # sentinel: no wave runs at or after it
+    while i < n_arr or fifo:
+        t_now = arr_t[i]
         if fifo and fifo[0][0] < t_now:
             t_now = fifo[0][0]
-        # One wave: everything already queued for this exact instant, its
-        # spikers' out-edges summed in (pre, CSR row) order. The pair is
-        # unique: the input gate drops a second event on a pixel at the same
-        # instant, and t_ref > 0 keeps one neuron's spikes apart. Spikes
-        # triggered now deliver at t_now + d_out (a later wave when d_out = 0).
-        pres = []
-        while in_t[i] == t_now:
-            pres.append(in_pre[i])
+        if t_now >= stop:
+            break
+        # One wave: the relay sums for this exact instant, then the out-edges
+        # of the outputs whose spikes arrive now, in (pre, CSR row) order.
+        # t_ref > 0 keeps one neuron's spikes apart. Spikes triggered now
+        # deliver at t_now + d_out (a later wave when d_out = 0).
+        sums: dict[int, float] = {}
+        while arr_t[i] == t_now:
+            sums[arr_post[i]] = arr_sum[i]
             i += 1
+        pres = []
         while fifo and fifo[0][0] == t_now:
             pres.append(fifo.popleft()[1])
         pres.sort()
-        sums: dict[int, float] = {}
         for pre in pres:
             for k in range(indptr[pre], indptr[pre + 1]):
                 post = out_post[k]
@@ -136,7 +227,7 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
             if v_new < v_floor[post]:
                 v_new = v_floor[post]
             if not math.isfinite(v_new):
-                raise NumericFault(f"non-finite potential on neuron {post}")
+                raise NumericFault(f"non-finite potential on neuron {post + output_base}")
             v[post] = v_new
             t_last[post] = t_now
             if v_new >= v_th[post] and t_now >= ref_until[post]:
@@ -147,10 +238,13 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
                 ref_until[post] = t_now + t_ref
                 if t_spike <= end:
                     fifo.append((t_spike, post))
+    if len(faults):
+        raise NumericFault(f"non-finite potential on neuron {relay[bad][faults[0]]}")
 
-    neuron = np.array(spike_n, dtype=np.int64)
-    t_ticks = np.array(spike_t, dtype=np.int64)
-    order = np.lexsort((neuron, t_ticks))
+    neuron = np.concatenate([in_pre, hid_pre, np.array(spike_n, dtype=np.int64) + output_base])
+    t_ticks = np.concatenate([in_t, hid_t, np.array(spike_t, dtype=np.int64)])
+    # (t, neuron) order; the pairs are unique, so any sort of this key gives it
+    order = np.argsort(np.unique(t_ticks, return_inverse=True)[1] * n + neuron)
     record = SpikeRecord(n, neuron[order], t_ticks[order] * TIME_QUANTUM)
     per_neuron = np.bincount(neuron, minlength=n)
     totals = {

@@ -338,6 +338,7 @@ def generate_events(
     n *= oversample
 
     ts = (np.arange(n + 1, dtype=np.float64) * traj.t_end) / n if traj.t_end > 0 else np.zeros(1)
+    ts[-1] = traj.t_end  # n * t_end / n can round one ulp past the path's end
     ps = _rounded_positions(traj, ts)
     moved = np.nonzero((ps[1:] != ps[:-1]).any(axis=1))[0]
     if len(moved) and not traj.t_end / TIME_QUANTUM < 2.0**62:

@@ -335,3 +335,35 @@ def test_numeric_overflow_exits_4(tmp_path, capsys):
     })
     assert main(["run", "-c", cfg, "-d", str(tmp_path / "boom")]) == 4
     assert "numeric fault:" in capsys.readouterr().err
+
+
+def test_numeric_overflow_reports_the_first_faulty_relay_and_nothing_else(tmp_path):
+    # The config of test_numeric_overflow_exits_4, run as a process so that
+    # stderr holds everything it prints, numpy warnings included. The
+    # reported neuron is the first relay whose potential overflows in (tick,
+    # id) order, as the per-edge reference engine finds it.
+    from motionsnn.config import build_network, build_stimulus, resolve_t_end
+    from motionsnn.topology import Layer
+    from oracles import per_edge_heap_simulate
+
+    data = {
+        "trajectory": {"kind": "waypoints",
+                       "points": [[0.0, 4.5, 5.0], [1.0, 6.0, 5.0], [2.0, 4.5, 5.0]]},
+        "network": {"hidden_v_th": 1.5e308, "w_input_hidden": 1e308,
+                    "tau_directional_s": 20.0},
+    }
+    cfg = motionsnn.RunConfig.from_dict(data)
+    net = build_network(cfg)
+    with pytest.raises(motionsnn.NumericFault) as fault:
+        per_edge_heap_simulate(net, build_stimulus(cfg), resolve_t_end(cfg))
+    assert str(fault.value) == "non-finite potential on neuron 127"
+    assert 127 in net.layer_ids()[Layer.HIDDEN]
+
+    src = str(Path(motionsnn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "motionsnn", "run", "-c", write_cfg(tmp_path, data),
+         "-d", str(tmp_path / "boom")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == "numeric fault: non-finite potential on neuron 127\n"

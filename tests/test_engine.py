@@ -20,6 +20,7 @@ from motionsnn import (
 )
 
 from motionsnn.config import build_network, build_stimulus, resolve_t_end
+from motionsnn.topology import Layer
 
 from oracles import (
     engine_spike_steps,
@@ -311,3 +312,67 @@ def test_per_spike_queue_matches_the_per_edge_heap_on_five_ranks():
     sim = simulate(net, stim, t_end)
     assert sim.spike_totals["output"] > 0
     assert_same_simulation(sim, per_edge_heap_simulate(net, stim, t_end))
+
+
+def footprint_circle(n_per_dir, **kw):
+    """A 12 x 13 field of 22 cells under a footprint circle: every change
+    enters several pixels, so many relays of many cells receive each instant.
+    Five ranks get the sweep's n5 time constants."""
+    taus = np.logspace(np.log10(0.005), np.log10(0.5), n_per_dir) if n_per_dir > 1 else [0.5]
+    cfg = RunConfig(
+        field_width=12,
+        field_height=13,
+        encoding="footprint",
+        trajectory={"kind": "circle", "cx": 5.5, "cy": 6.0, "radius": 3.5, "freq_hz": 1.0},
+        n_per_dir=n_per_dir,
+        output_taus_s=tuple(float(t) for t in taus),
+        **kw,
+    )
+    return build_network(cfg), build_stimulus(cfg), resolve_t_end(cfg)
+
+
+@pytest.mark.parametrize("n_per_dir", [1, 5])
+@pytest.mark.parametrize("lateral", [True, False])
+def test_multi_cell_footprint_streams_match_the_per_edge_heap(n_per_dir, lateral):
+    net, stim, t_end = footprint_circle(n_per_dir, lateral_inhibition=lateral)
+    assert net.layout.n_cells > 1
+    sim = simulate(net, stim, t_end)
+    # the stream exercises the gate's drops and reaches the outputs
+    assert sim.dropped_events > 0 and sim.refractory_dropped > 0
+    assert sim.spike_totals["output"] > 0
+    assert_same_simulation(sim, per_edge_heap_simulate(net, stim, t_end))
+
+
+@pytest.mark.parametrize("n_per_dir", [1, 5])
+def test_zero_output_delay_matches_the_per_edge_heap(n_per_dir):
+    net, stim, t_end = footprint_circle(n_per_dir, network={"d_out_s": 0.0})
+    sim = simulate(net, stim, t_end)
+    layers = net.layer_ids()
+    spikes_at = {
+        name: set(sim.record.t[np.isin(sim.record.neuron, ids)].tolist())
+        for name, ids in (("input", layers[Layer.INPUT]), ("hidden", layers[Layer.HIDDEN]))
+    }
+    # relay spikes land on their input's instant, and outputs still fire
+    assert spikes_at["hidden"] and spikes_at["hidden"] <= spikes_at["input"]
+    assert sim.spike_totals["output"] > 0
+    assert_same_simulation(sim, per_edge_heap_simulate(net, stim, t_end))
+
+
+def test_a_graph_that_breaks_the_layering_rule_is_refused():
+    # the engine evaluates the input gate and the relay layer before the
+    # outputs, so a relay that feeds a relay is refused, not mis-simulated
+    net = one_cell()
+    relays = net.layer_ids()[Layer.HIDDEN]
+    rows = [list(zip(net.post[a:b].tolist(), net.signed_w[a:b].tolist()))
+            for a, b in zip(net.indptr[:-1], net.indptr[1:])]
+    rows[relays[0]].append((relays[1], 1.0))
+    edges = [e for row in rows for e in row]
+    wired = dataclasses.replace(
+        net,
+        indptr=np.cumsum([0] + [len(row) for row in rows]),
+        post=np.array([p for p, _ in edges]),
+        signed_w=np.array([w for _, w in edges]),
+        edge_index=np.arange(len(edges)),
+    )
+    with pytest.raises(DomainError, match="feed only"):
+        simulate(wired, stream((CENTER, 0.0)), t_end=0.01)

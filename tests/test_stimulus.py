@@ -18,6 +18,7 @@ from motionsnn import (
     WaypointTrajectory,
     generate_events,
 )
+from motionsnn.config import RunConfig, build_stimulus, resolve_t_end
 from motionsnn.core import TIME_QUANTUM, ConfigError
 from motionsnn.stimulus import (
     channel_velocities,
@@ -275,6 +276,19 @@ def test_scan_density_does_not_move_events():
     a = generate_events(traj, samples_per_pixel=8.0)
     b = generate_events(traj, samples_per_pixel=19.0)
     assert a.events == b.events
+
+
+@pytest.mark.parametrize("kind", ["circle", "eight"])
+@pytest.mark.parametrize("samples_per_pixel", [8.0, 9.0, 16.0, 33.0])
+def test_no_event_comes_after_t_end(kind, samples_per_pixel):
+    # n * t_end / n can round one ulp past t_end; the last scan sample used
+    # to sit there, and the default eight at 0.15 Hz with 33 samples per
+    # pixel emitted 3 events at 26.666666667 s, after t_end = 26.666666666666668 s
+    for freq in (0.01, 0.15, 0.3, 1.0):
+        cfg = RunConfig(trajectory={"kind": kind, "freq_hz": freq},
+                        samples_per_pixel=samples_per_pixel)
+        stream = build_stimulus(cfg)
+        assert stream.t[-1] <= resolve_t_end(cfg)
 
 
 def test_generate_events_validation():
