@@ -4,7 +4,8 @@ Subcommands: `topo` exports the wired network as JSON, `events` encodes the
 stimulus as CSV, `run` simulates and scores one experiment, `sweep` maps
 scoring accuracy over stimulus frequency.
 
-Exit codes: 0 success, 2 configuration error, 3 domain error, 4 numeric fault.
+Exit codes: 0 success, 2 configuration error or an output that cannot be
+written, 3 domain error, 4 numeric fault.
 """
 from __future__ import annotations
 
@@ -14,19 +15,22 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack
+from dataclasses import replace
 
 import numpy as np
 
 from .config import RunConfig, apply_overrides
 from .core import (
     ConfigError,
+    CsvWriter,
     DIRECTION_ORDER,
     DomainError,
     NumericFault,
     fmt_float,
-    write_csv,
     write_events_csv,
     write_spikes_csv,
+    writing,
 )
 from .experiment import (
     SweepRow,
@@ -55,7 +59,7 @@ def _write_text(path: str | None, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with writing(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -73,30 +77,37 @@ def cmd_events(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args)
     stream = build_stimulus(cfg)
-    write_events_csv(stream, args.out)
+    write_events_csv(stream, args.out).join()
     print(f"wrote {len(stream)} events to {args.out}")
     return 0
 
 
-def _write_rates_csv(path: str, ev) -> None:
+def _write_rates_csv(path: str, ev) -> CsvWriter:
     header = ["t_s"]
     header += [f"{d.value}_hz" for d in DIRECTION_ORDER]
     header += [f"{d.value}_ideal_hz" for d in DIRECTION_ORDER]
     columns = [ev.grid.times]
     columns += [ev.measured[d].values for d in DIRECTION_ORDER]
     columns += [ev.ideal[d].values for d in DIRECTION_ORDER]
-    write_csv(path, header, columns)
+    return CsvWriter(path, header, columns)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     result = run_experiment(cfg)
     ev = evaluate(result)
-    spectra = spectral_summary(result, ev)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_spikes_csv(result.sim.record, os.path.join(args.out_dir, "spikes.csv"))
-    _write_rates_csv(os.path.join(args.out_dir, "rates.csv"), ev)
+    with writing(args.out_dir):
+        os.makedirs(args.out_dir, exist_ok=True)
+    with ExitStack() as writers:
+        writers.enter_context(
+            write_spikes_csv(result.sim.record, os.path.join(args.out_dir, "spikes.csv"))
+        )
+        writers.enter_context(_write_rates_csv(os.path.join(args.out_dir, "rates.csv"), ev))
+        # The writers hold copies of the curves, so the ideal ones are
+        # freed here, before the spectra allocate theirs.
+        ev = replace(ev, ideal={})
+        spectra = spectral_summary(result, ev)
 
     summary = {
         "config": result.config.to_dict(),
@@ -122,7 +133,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "spectra": spectra,
         },
     }
-    with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    path = os.path.join(args.out_dir, "summary.json")
+    with writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
@@ -176,7 +188,7 @@ def _read_sweep_csv(path: str) -> dict[tuple[float, str], SweepRow]:
 
 def _write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
     norms = normalize_rows(rows)
-    with open(path, "w", newline="") as fh:
+    with writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["freq_hz", "variant", "s_acc", "s_acc_norm", "status"])
         for r in rows:

@@ -7,11 +7,14 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
+import signal
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -257,12 +260,20 @@ def fmt_float(v: float) -> str:
 
 
 CSV_BLOCK_ROWS = 4096
-# Tables of at least this many rows are formatted by a process pool. On two
-# CPUs the pool first beats the serial loop between 8k and 16k rows; the 4x
-# margin keeps tables where it would save a few ms serial. Only forked
-# workers save time: under spawn each imports the package afresh, and a
-# 400k-row table took longer than serial. Hosts without fork stay serial.
-CSV_PARALLEL_ROWS = 16 * CSV_BLOCK_ROWS
+
+# Exit status of a part writer that failed other than with an OSError; one
+# that failed with an OSError exits with its errno.
+_WRITER_FAILED = 255
+
+
+@contextmanager
+def writing(path: str) -> Iterator[None]:
+    """Report an OSError raised while `path` is written as a ConfigError
+    that names the path and the reason."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _format_block(row: str, columns: Sequence[np.ndarray], i: int) -> str:
@@ -272,18 +283,20 @@ def _format_block(row: str, columns: Sequence[np.ndarray], i: int) -> str:
     return (row * len(block)) % tuple(block.ravel().tolist())
 
 
-_worker_table: tuple[str, Sequence[np.ndarray]]  # assigned in pool workers only
-
-
-def _init_format_worker(row: str, columns: Sequence[np.ndarray]) -> None:
-    # Runs once in each forked pool worker, which inherits the table; only
-    # block offsets are sent per block.
-    global _worker_table
-    _worker_table = (row, columns)
-
-
-def _format_worker_block(i: int) -> str:
-    return _format_block(*_worker_table, i)
+def _write_part(fh: TextIO, row: str, columns: Sequence[np.ndarray], starts: range) -> NoReturn:
+    """Body of a forked part writer: write the blocks at `starts` to `fh`
+    and end the process, never returning into the caller's code. The exit
+    status is 0, the errno of a failed write, or _WRITER_FAILED."""
+    status = _WRITER_FAILED
+    try:
+        with fh:
+            fh.writelines(_format_block(row, columns, i) for i in starts)
+        status = 0
+    except OSError as exc:
+        if exc.errno and exc.errno < _WRITER_FAILED:
+            status = exc.errno
+    finally:
+        os._exit(status)
 
 
 def _usable_cpus() -> int:
@@ -293,47 +306,119 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length columns as CSV, byte for byte what `csv.writer`
-    makes of the rows with each float passed through `fmt_float`: integer
-    columns print as `%d`, float columns as `%.9g`, lines end in CRLF.
+class CsvWriter:
+    """Equal-length columns written to `path` as CSV, byte for byte what
+    `csv.writer` makes of the rows with each float passed through
+    `fmt_float`: integer columns print as `%d`, float columns as `%.9g`,
+    lines end in CRLF.
 
     The columns are stacked as float64, so integer values must stay below
     2**53 in magnitude (ids and pixel coordinates do). Each block of
     CSV_BLOCK_ROWS rows is one %-format of a repeated row template, so the
-    whole text is never held at once. A table of CSV_PARALLEL_ROWS rows or
-    more is formatted by a pool of forked processes, one per usable CPU,
-    where the platform can fork, and the blocks are written in order; both
-    paths share `_format_block`, so the bytes are the same.
+    whole text is never held at once.
+
+    Where the platform can fork and more than one CPU is usable, a table of
+    more than one block is cut into contiguous shares of blocks, one per
+    usable CPU. A forked child formats each share into its own hidden part
+    file beside `path`, and the constructor returns as soon as the children
+    run. Each child holds a copy-on-write copy of the columns, so the caller
+    may drop them and work on meanwhile; that is why the children are forked
+    rather than spawned. A child runs only `_format_block` and file writes,
+    and ends with `os._exit`. `join` waits for the children and joins the
+    parts, in order, into `path`. Otherwise the constructor writes the table
+    itself and `join` has nothing left to do. Both paths share
+    `_format_block`, so the bytes are the same.
+
+    Call `join` or use the writer as a context manager. The part files are
+    removed on every exit path; a writer left by an exception stops its
+    children and does not write `path`. A path that cannot be written, or a
+    failed child, raises ConfigError.
     """
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
-    n = len(columns[0])
-    starts = range(0, n, CSV_BLOCK_ROWS)
-    workers = 1
-    if n >= CSV_PARALLEL_ROWS:
-        # Imported here: the pool modules take 15-19 ms to import, and most
-        # runs write no table large enough to pool.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            workers = min(_usable_cpus(), len(starts))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        if workers > 1:
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                workers, fork, initializer=_init_format_worker, initargs=(row, columns)
-            ) as pool:
-                fh.writelines(pool.map(_format_worker_block, starts))
+    def __init__(self, path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+        self.path = path
+        self._pids: list[int] = []
+        self._parts: list[str] = []
+        head = ",".join(header) + "\r\n"
+        row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
+        starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
+        workers = min(_usable_cpus(), len(starts)) if hasattr(os, "fork") else 1
+        if workers < 2:
+            with writing(path), open(path, "w", newline="") as fh:
+                fh.write(head)
+                fh.writelines(_format_block(row, columns, i) for i in starts)
+            return
+        folder, name = os.path.split(path)
+        try:
+            for k in range(workers):
+                share = starts[k * len(starts) // workers : (k + 1) * len(starts) // workers]
+                part = os.path.join(folder, f".{name}.{os.getpid()}.{k}.part")
+                with writing(path):
+                    fh = open(part, "w", newline="")
+                self._parts.append(part)
+                with fh:  # the parent's copy; the child writes and closes its own
+                    if k == 0:
+                        fh.write(head)
+                        fh.flush()
+                    pid = os.fork()
+                    if pid == 0:
+                        _write_part(fh, row, columns, share)
+                    self._pids.append(pid)
+        except BaseException:
+            self._close()
+            raise
+
+    def join(self) -> None:
+        """Wait for the part writers and join their parts, in order, into
+        `path`; raise ConfigError for a child that failed."""
+        try:
+            failed = 0
+            while self._pids:
+                _, status = os.waitpid(self._pids[0], 0)
+                del self._pids[0]
+                failed = failed or os.waitstatus_to_exitcode(status)
+            if failed:
+                reason = (
+                    os.strerror(failed)
+                    if 0 < failed < _WRITER_FAILED
+                    else f"part writer exited with status {failed}"
+                )
+                raise ConfigError(f"cannot write {self.path}: {reason}")
+            if self._parts:
+                with writing(self.path), open(self.path, "wb") as out:
+                    for part in self._parts:
+                        with open(part, "rb") as src:
+                            shutil.copyfileobj(src, out, 1 << 20)
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        """Stop and reap every child not yet reaped and remove the parts."""
+        while self._pids:
+            os.kill(self._pids[0], signal.SIGKILL)
+            os.waitpid(self._pids[0], 0)
+            del self._pids[0]
+        while self._parts:
+            with suppress(FileNotFoundError):
+                os.remove(self._parts[-1])
+            del self._parts[-1]
+
+    def __enter__(self) -> "CsvWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.join()
         else:
-            fh.writelines(_format_block(row, columns, i) for i in starts)
+            self._close()
 
 
-def write_events_csv(stream: EventStream, path: str) -> None:
-    write_csv(path, ["x", "y", "t_s"], [stream.x, stream.y, stream.t])
+def write_events_csv(stream: EventStream, path: str) -> CsvWriter:
+    """All events as `x,y,t_s` rows in stream order; see CsvWriter."""
+    return CsvWriter(path, ["x", "y", "t_s"], [stream.x, stream.y, stream.t])
 
 
-def write_spikes_csv(record: SpikeRecord, path: str) -> None:
-    """All spikes as `neuron_id,t_s` rows ordered by (time, neuron id)."""
-    write_csv(path, ["neuron_id", "t_s"], [record.neuron, record.t])
+def write_spikes_csv(record: SpikeRecord, path: str) -> CsvWriter:
+    """All spikes as `neuron_id,t_s` rows ordered by (time, neuron id); see
+    CsvWriter."""
+    return CsvWriter(path, ["neuron_id", "t_s"], [record.neuron, record.t])

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 
 import pytest
@@ -29,29 +28,54 @@ def default_net(default_layout):
 
 
 @pytest.fixture
-def pooled_csv(monkeypatch):
-    """Send every CSV table of one block or more through a two-worker format
-    pool, whatever this host has; the list collects each pool made."""
+def usable_cpus(monkeypatch):
+    """Set how many CPUs the CSV writer sees as usable, whatever this host has."""
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return use
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Record the pid of every child that os.fork starts in this process."""
     made = []
+    real_fork = os.fork
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, mp_context=None, **kwargs):
-            made.append(self)
-            self.start_method = mp_context and mp_context.get_start_method()
-            super().__init__(max_workers, mp_context, **kwargs)
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
 
-    monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", core.CSV_BLOCK_ROWS)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # write_csv imports the executor from concurrent.futures when it pools
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "fork", fork)
     return made
 
 
 @pytest.fixture
-def no_csv_pool(monkeypatch):
-    """Fail any attempt to start a CSV format pool."""
+def no_fork(monkeypatch):
+    """Fail any attempt to fork a child."""
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a CSV format pool was started")
+    def refuse():
+        raise AssertionError("a child process was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+@pytest.fixture
+def failing_children(monkeypatch):
+    """Make the CSV block formatter raise the given error in every process
+    but this one, so only forked part writers fail."""
+
+    def fail(error):
+        parent, real = os.getpid(), core._format_block
+
+        def format_block(row, columns, i):
+            if os.getpid() != parent:
+                raise error
+            return real(row, columns, i)
+
+        monkeypatch.setattr(core, "_format_block", format_block)
+
+    return fail

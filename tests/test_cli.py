@@ -1,11 +1,13 @@
 """Command-line entry points, exit codes and output files."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,11 +15,11 @@ import numpy as np
 import pytest
 
 import motionsnn
+from motionsnn import cli
 from motionsnn.analysis import RateGrid
 from motionsnn.cli import _write_rates_csv, main
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
-    CSV_PARALLEL_ROWS,
     DIRECTION_ORDER,
     RateSeries,
     fmt_float,
@@ -166,27 +168,48 @@ def _random_rates(n):
 def test_rates_csv_matches_the_row_by_row_writer(tmp_path):
     n = 2 * CSV_BLOCK_ROWS + 37  # crosses block boundaries, ends mid-block
     ev = _random_rates(n)
-    _write_rates_csv(str(tmp_path / "new.csv"), ev)
+    _write_rates_csv(str(tmp_path / "new.csv"), ev).join()
     _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert b"-0," not in new and b",-0\r" not in new
 
 
-def test_pooled_rates_csv_matches_the_row_by_row_writer(tmp_path, pooled_csv):
-    ev = _random_rates(2 * CSV_BLOCK_ROWS + 37)
-    _write_rates_csv(str(tmp_path / "new.csv"), ev)
+def test_forked_rates_csv_matches_the_row_by_row_writer(tmp_path, usable_cpus, forks):
+    ev = _random_rates(4 * CSV_BLOCK_ROWS + 37)
     _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
-    assert len(pooled_csv) == 1
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    for parts in (2, 3, 4):
+        usable_cpus(parts)
+        del forks[:]
+        _write_rates_csv(str(tmp_path / "new.csv"), ev).join()
+        assert len(forks) == parts
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["new.csv", "ref.csv"]
 
 
-def test_default_run_starts_no_format_pool(tmp_path, monkeypatch, no_csv_pool):
+def test_run_frees_the_ideal_curves_before_the_spectra(tmp_path, monkeypatch):
+    # the rates.csv writers hold their own copies, so the run drops its
+    # ideal curves before the spectra allocate; holding them again raises
+    # the run's peak memory by four grid-sized arrays
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    ideal = []
+
+    def evaluate(result):
+        ev = cli_evaluate(result)
+        ideal.extend(weakref.ref(series.values) for series in ev.ideal.values())
+        return ev
+
+    def spectral_summary(result, ev):
+        assert len(ideal) == 4 and all(ref() is None for ref in ideal)
+        return cli_spectral_summary(result, ev)
+
+    cli_evaluate, cli_spectral_summary = cli.evaluate, cli.spectral_summary
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    monkeypatch.setattr(cli, "spectral_summary", spectral_summary)
     out = tmp_path / "out"
-    assert main(["run", "-d", str(out)]) == 0
-    rows = len((out / "rates.csv").read_bytes().splitlines()) - 1
-    assert CSV_BLOCK_ROWS < rows < CSV_PARALLEL_ROWS
+    assert main(["run", "--set", "trajectory.freq_hz=0.05", "-d", str(out)]) == 0
+    with open(out / "rates.csv", "rb") as fh:
+        assert sum(1 for _ in fh) - 1 >= 80_001
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -304,8 +327,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv
 
 
 def test_importing_the_cli_loads_no_process_pool_module():
-    # multiprocessing and concurrent.futures are imported only when a CSV
-    # table or a sweep is pooled
+    # multiprocessing and concurrent.futures are imported only when a sweep
+    # is pooled
     code = (
         "import sys, motionsnn.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
@@ -316,6 +339,56 @@ def test_importing_the_cli_loads_no_process_pool_module():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_run_and_events_load_no_process_pool_module(tmp_path):
+    # the CSV writers fork their part writers without either module
+    code = (
+        "import sys, motionsnn.cli\n"
+        "motionsnn.cli.main(['events', '-o', sys.argv[1] + '/ev.csv'])\n"
+        "motionsnn.cli.main(['run', '-d', sys.argv[1]])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    src = str(Path(motionsnn.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "MOTIONSNN_CONFIG"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=dict(env, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert sorted(os.listdir(tmp_path)) == ["ev.csv", "rates.csv", "spikes.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("command, target", [
+    (["run", "--out-dir", "{tmp}/out"], "{tmp}/out/rates.csv"),
+    (["events", "--out", "{tmp}/missing/ev.csv"], "{tmp}/missing/ev.csv"),
+    (["sweep", "--freqs", "1", "--variants", "n1", "--out", "{tmp}/missing/sweep.csv"],
+     "{tmp}/missing/sweep.csv"),
+    (["topo", "--out", "{tmp}/missing/net.json"], "{tmp}/missing/net.json"),
+], ids=["run-rates-is-a-directory", "events", "sweep", "topo"])
+def test_an_output_that_cannot_be_written_exits_2(
+    tmp_path, capsys, monkeypatch, usable_cpus, command, target
+):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    usable_cpus(2)  # rates.csv of the default run is forked in parts
+    (tmp_path / "out" / "rates.csv").mkdir(parents=True)
+    target = target.format(tmp=tmp_path)
+    reason = "Is a directory" if command[0] == "run" else "No such file or directory"
+    assert main([arg.format(tmp=tmp_path) for arg in command]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {target}: {reason}\n"
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
+
+
+def test_a_failed_writer_child_exits_2(tmp_path, capsys, monkeypatch, usable_cpus, failing_children):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    usable_cpus(2)
+    failing_children(OSError(errno.ENOSPC, "No space left on device"))
+    out = tmp_path / "out"
+    assert main(["run", "-d", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out / 'rates.csv'}: No space left on device\n"
+    )
+    assert sorted(os.listdir(out)) == ["spikes.csv"]
 
 
 def test_domain_error_exits_3(tmp_path, capsys):

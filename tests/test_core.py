@@ -1,9 +1,10 @@
 """Value types and CSV writers."""
 
 import csv
+import errno
 import math
-import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from motionsnn import (
     assemble_network,
     tessellate,
 )
-from motionsnn import core
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
     fmt_float,
@@ -200,7 +200,7 @@ def test_events_csv_round_trip(tmp_path):
     evs = [Event(1, 2, 0.0), Event(2, 2, 0.000123457), Event(4, 0, 0.5)]
     stream = EventStream.from_events(evs, 5, 5)
     path = tmp_path / "ev.csv"
-    write_events_csv(stream, str(path))
+    write_events_csv(stream, str(path)).join()
     text = path.read_text().splitlines()
     assert text == ["x,y,t_s", "1,2,0", "2,2,0.000123457", "4,0,0.5"]
 
@@ -208,7 +208,7 @@ def test_events_csv_round_trip(tmp_path):
 def test_spikes_csv_round_trip(tmp_path):
     rec = SpikeRecord.from_trains(((1e-4, 0.25), (), (0.1,)))
     path = tmp_path / "spikes.csv"
-    write_spikes_csv(rec, str(path))
+    write_spikes_csv(rec, str(path)).join()
     lines = path.read_text().splitlines()
     assert lines[0] == "neuron_id,t_s"
     # rows come out sorted by time, not by neuron
@@ -216,10 +216,10 @@ def test_spikes_csv_round_trip(tmp_path):
 
 
 def _tied_spike_record(rng):
-    """Spike trains over a bit more than one CSV block, with shared times."""
+    """Spike trains over four and a half CSV blocks, with shared times."""
     pool = np.round(rng.uniform(0.0, 5.0, 400), 4)
     trains = tuple(
-        tuple(sorted(set(rng.choice(pool, 45).tolist()))) for _ in range(CSV_BLOCK_ROWS // 40)
+        tuple(sorted(set(rng.choice(pool, 45).tolist()))) for _ in range(CSV_BLOCK_ROWS // 10)
     )
     return SpikeRecord.from_trains(((0.0,),) + trains)
 
@@ -234,68 +234,115 @@ def _reference_spikes_csv(rec, path):
             writer.writerow([n, fmt_float(t)])
 
 
-def test_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path):
-    rng = np.random.default_rng(4)
-    # crosses a block boundary; shared times exercise the neuron-id tie break
-    rec = _tied_spike_record(rng)
-    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
-    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
-    assert rec.total() > CSV_BLOCK_ROWS
-    assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
-
+def _random_stream(rng, n):
     events = [Event(int(x), int(y), float(t)) for x, y, t in zip(
-        rng.integers(0, 9, CSV_BLOCK_ROWS + 5), rng.integers(0, 9, CSV_BLOCK_ROWS + 5),
-        rng.uniform(0.0, 3.0, CSV_BLOCK_ROWS + 5))]
-    stream = EventStream.from_events(events + [Event(0, 0, 0.0)], 9, 9)
-    write_events_csv(stream, str(tmp_path / "ev.csv"))
-    with open(tmp_path / "ev_ref.csv", "w", newline="") as fh:
+        rng.integers(0, 9, n), rng.integers(0, 9, n), rng.uniform(0.0, 3.0, n))]
+    return EventStream.from_events(events + [Event(0, 0, 0.0)], 9, 9)
+
+
+def _reference_events_csv(stream, path):
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "t_s"])
         for ev in stream.events:
             writer.writerow([ev.x, ev.y, fmt_float(ev.t)])
+
+
+def test_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    # crosses block boundaries; shared times exercise the neuron-id tie break
+    rec = _tied_spike_record(rng)
+    write_spikes_csv(rec, str(tmp_path / "spikes.csv")).join()
+    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
+    assert rec.total() > CSV_BLOCK_ROWS
+    assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
+
+    stream = _random_stream(rng, CSV_BLOCK_ROWS + 5)
+    write_events_csv(stream, str(tmp_path / "ev.csv")).join()
+    _reference_events_csv(stream, tmp_path / "ev_ref.csv")
     assert (tmp_path / "ev.csv").read_bytes() == (tmp_path / "ev_ref.csv").read_bytes()
 
 
-def test_pooled_spikes_csv_matches_the_row_by_row_writer(tmp_path, pooled_csv):
-    rec = _tied_spike_record(np.random.default_rng(4))
-    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
+def test_forked_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path, usable_cpus, forks):
+    rng = np.random.default_rng(4)
+    rec = _tied_spike_record(rng)
+    stream = _random_stream(rng, 4 * CSV_BLOCK_ROWS + 5)
     _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
-    assert len(pooled_csv) == 1
-    # workers must inherit the package and the table, not import them afresh
-    assert pooled_csv[0].start_method == "fork"
+    _reference_events_csv(stream, tmp_path / "ev_ref.csv")
+    # both tables end mid-block, in the fifth block
+    assert 4 * CSV_BLOCK_ROWS < rec.total() < 5 * CSV_BLOCK_ROWS
+    for parts in (2, 3, 4):
+        usable_cpus(parts)
+        for write, table, name in ((write_spikes_csv, rec, "spikes"), (write_events_csv, stream, "ev")):
+            del forks[:]
+            write(table, str(tmp_path / f"{name}.csv")).join()
+            assert len(forks) == parts
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+            for pid in forks:  # every child was reaped
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+        assert sorted(os.listdir(tmp_path)) == ["ev.csv", "ev_ref.csv", "spikes.csv", "spikes_ref.csv"]
+
+
+def test_one_usable_cpu_formats_serially(tmp_path, usable_cpus, no_fork):
+    usable_cpus(1)
+    rec = _tied_spike_record(np.random.default_rng(4))
+    write_spikes_csv(rec, str(tmp_path / "spikes.csv")).join()
+    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
     assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
 
 
-def test_one_usable_cpu_formats_serially(tmp_path, monkeypatch, no_csv_pool):
-    monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", CSV_BLOCK_ROWS)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+def test_host_without_fork_formats_serially(tmp_path, monkeypatch, usable_cpus):
+    usable_cpus(2)
+    monkeypatch.delattr(os, "fork")
     rec = _tied_spike_record(np.random.default_rng(4))
-    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
+    write_spikes_csv(rec, str(tmp_path / "spikes.csv")).join()
     _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
     assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
 
 
-def test_host_without_fork_formats_serially(tmp_path, monkeypatch, no_csv_pool):
-    monkeypatch.setattr(core, "CSV_PARALLEL_ROWS", CSV_BLOCK_ROWS)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+def test_a_table_of_one_block_is_formatted_in_the_caller(tmp_path, usable_cpus, no_fork):
+    usable_cpus(4)
+    for n in (0, 1, CSV_BLOCK_ROWS):
+        ids = np.arange(n) % 7
+        rec = SpikeRecord(7, ids, np.arange(n) * 1e-3)
+        write_spikes_csv(rec, str(tmp_path / "spikes.csv")).join()
+        lines = (tmp_path / "spikes.csv").read_bytes().split(b"\r\n")
+        assert len(lines) == n + 2 and lines[0] == b"neuron_id,t_s" and lines[-1] == b""
+
+
+@pytest.mark.parametrize("error, reason", [
+    (OSError(errno.ENOSPC, "No space left on device"), "No space left on device"),
+    (RuntimeError("not an OSError"), "part writer exited with status 255"),
+], ids=["oserror", "other-error"])
+def test_a_failed_part_writer_raises_and_leaves_no_file(
+    tmp_path, usable_cpus, forks, failing_children, error, reason
+):
+    usable_cpus(3)
+    failing_children(error)
     rec = _tied_spike_record(np.random.default_rng(4))
-    write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
-    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
-    assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
+    path = str(tmp_path / "spikes.csv")
+    writer = write_spikes_csv(rec, path)
+    assert len(forks) == 3
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(path)}: {reason}$"):
+        writer.join()
+    assert os.listdir(tmp_path) == []
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
-def _fail_in_worker(i):
-    raise RuntimeError(f"block at row {i} failed in a pool worker")
-
-
-def test_pool_worker_error_propagates(tmp_path, monkeypatch, pooled_csv):
-    # only pool workers call this; a serial fallback would write the table
-    monkeypatch.setattr(core, "_format_worker_block", _fail_in_worker)
+def test_a_writer_left_by_an_exception_stops_its_children(tmp_path, usable_cpus, forks):
+    usable_cpus(2)
     rec = _tied_spike_record(np.random.default_rng(4))
-    with pytest.raises(RuntimeError, match="pool worker"):
-        write_spikes_csv(rec, str(tmp_path / "spikes.csv"))
-    assert len(pooled_csv) == 1
+    with pytest.raises(KeyboardInterrupt):
+        with write_spikes_csv(rec, str(tmp_path / "spikes.csv")):
+            raise KeyboardInterrupt
+    assert len(forks) == 2
+    assert os.listdir(tmp_path) == []
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 sorted_train = st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=8, unique=True).map(sorted)

@@ -243,7 +243,7 @@ def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path):
     monkeypatch.setattr(analysis, "firing_rate", counted(rate_calls, analysis.firing_rate))
     monkeypatch.setattr(np.fft, "rfft", counted(ffts, np.fft.rfft))
     spectral_summary(result, ev)
-    cli._write_rates_csv(str(tmp_path / "rates.csv"), ev)
+    cli._write_rates_csv(str(tmp_path / "rates.csv"), ev).join()
     assert rate_calls == []
     assert len(ffts) <= 4
     # one grid time axis serves evaluate, the spectra and the t_s column;
