@@ -167,22 +167,26 @@ def _parse_freqs(args: argparse.Namespace) -> tuple[float, ...]:
 
 
 def _read_sweep_csv(path: str) -> dict[tuple[float, str], SweepRow]:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     rows: dict[tuple[float, str], SweepRow] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["freq_hz", "variant", "s_acc", "s_acc_norm", "status"]:
-            raise ConfigError(f"unexpected sweep header in {path}: {header}")
-        for row in reader:
-            try:
-                freq_s, variant, s_acc_s, _norm, status = row
-                freq = float(freq_s)
-                s_acc = float(s_acc_s) if s_acc_s else None
-                if status == "ok" and (s_acc is None or not math.isfinite(s_acc)):
-                    raise ValueError("an ok row needs a finite s_acc")
-            except ValueError as exc:
-                raise ConfigError(f"malformed row {reader.line_num} in {path}: {row}") from exc
-            rows[(freq, variant)] = SweepRow(freq, variant, s_acc, status)
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != ["freq_hz", "variant", "s_acc", "s_acc_norm", "status"]:
+        raise ConfigError(f"unexpected sweep header in {path}: {header}")
+    for row in reader:
+        try:
+            freq_s, variant, s_acc_s, _norm, status = row
+            freq = float(freq_s)
+            s_acc = float(s_acc_s) if s_acc_s else None
+            if status == "ok" and (s_acc is None or not math.isfinite(s_acc)):
+                raise ValueError("an ok row needs a finite s_acc")
+        except ValueError as exc:
+            raise ConfigError(f"malformed row {reader.line_num} in {path}: {row}") from exc
+        rows[(freq, variant)] = SweepRow(freq, variant, s_acc, status)
     return rows
 
 

@@ -163,10 +163,6 @@ class Synapse:
         if self.weight < 0.0 or not math.isfinite(self.weight):
             raise ConfigError("synapse weight must be finite and >= 0")
 
-    @property
-    def signed_weight(self) -> float:
-        return self.weight if self.sign is Sign.EXCITATORY else -self.weight
-
 
 @dataclass(frozen=True, eq=False)
 class SpikeRecord:
@@ -213,9 +209,6 @@ class SpikeRecord:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.neuron, minlength=self.n_neurons).tolist())
-
-    def total(self) -> int:
-        return len(self.t)
 
 
 def _require_increasing(neuron: np.ndarray, repeat: np.ndarray) -> None:

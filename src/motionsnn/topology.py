@@ -97,24 +97,6 @@ class CellLayout:
         return len(self.centers)
 
 
-def layout_from_centers(
-    field_width: int, field_height: int, centers: list[tuple[int, int]], offset: int = -1
-) -> CellLayout:
-    """Build a layout from explicit cell centers (cells must fit the field and not overlap)."""
-    ordered = tuple(sorted(centers, key=lambda c: (c[1], c[0])))
-    for cx, cy in ordered:
-        if not (1 <= cx <= field_width - 2 and 1 <= cy <= field_height - 2):
-            raise ConfigError(f"cell center ({cx}, {cy}) touches the field boundary")
-    covered: set[tuple[int, int]] = set()
-    for cx, cy in ordered:
-        for dx, dy in ROLE_OFFSETS.values():
-            pixel = (cx + dx, cy + dy)
-            if pixel in covered:
-                raise ConfigError(f"cells overlap at pixel {pixel}")
-            covered.add(pixel)
-    return CellLayout(field_width, field_height, offset, ordered)
-
-
 def tessellate(field_width: int, field_height: int) -> CellLayout:
     """Place the maximal set of non-overlapping plus cells on the field.
 
@@ -185,18 +167,6 @@ class NetworkParams:
         return -self.v_floor_factor * v_th
 
 
-@dataclass(frozen=True)
-class NeuronInfo:
-    id: int
-    layer: Layer
-    cell: int | None = None
-    role: Role | None = None  # input pixels
-    kind: HiddenKind | None = None  # hidden relays
-    direction: Direction | None = None  # hidden relays and outputs
-    rank: int | None = None  # output position within its direction group
-    pixel: tuple[int, int] | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkGraph:
     """Complete feed-forward graph plus lateral inhibition between outputs.
@@ -208,8 +178,8 @@ class NetworkGraph:
     position in construction order, which is the order `synapses` and the
     JSON export list them in. tau_m, v_th and v_floor hold each neuron's own
     constants by id; the rest of the LIF constants are shared and come from
-    `params`. `neurons`, `synapses` and `input_id_by_pixel` are read-only
-    views derived from these arrays on first access.
+    `params`. `synapses` is a read-only view derived from these arrays on
+    first access.
     """
 
     layout: CellLayout
@@ -256,26 +226,6 @@ class NetworkGraph:
         }
 
     @cached_property
-    def input_id_by_pixel(self) -> dict[tuple[int, int], int]:
-        return {(x, y): nid for nid, (x, y) in enumerate(self.input_pixels.tolist())}
-
-    @cached_property
-    def neurons(self) -> tuple[NeuronInfo, ...]:
-        layers = self.layer_ids()
-        out: list[NeuronInfo] = []
-        for nid, (x, y) in zip(layers[Layer.INPUT], self.input_pixels.tolist()):
-            cell, r = divmod(nid, INPUTS_PER_CELL)
-            out.append(NeuronInfo(nid, Layer.INPUT, cell=cell, role=ROLE_ORDER[r], pixel=(x, y)))
-        for nid in layers[Layer.HIDDEN]:
-            cell, slot = divmod(nid - self.n_inputs, HIDDEN_PER_CELL)
-            kind, d = HIDDEN_SLOTS[slot]
-            out.append(NeuronInfo(nid, Layer.HIDDEN, cell=cell, kind=kind, direction=d))
-        for d, ids in self.output_ids.items():
-            for rank, nid in enumerate(ids):
-                out.append(NeuronInfo(nid, Layer.OUTPUT, direction=d, rank=rank))
-        return tuple(out)
-
-    @cached_property
     def synapses(self) -> tuple[Synapse, ...]:
         pre = np.empty_like(self.post)
         post = np.empty_like(self.post)
@@ -298,26 +248,28 @@ class NetworkGraph:
         }
 
     def to_json_dict(self) -> dict:
-        neurons = []
-        for n, tau_m, v_th in zip(self.neurons, self.tau_m.tolist(), self.v_th.tolist()):
-            entry: dict = {
-                "id": n.id,
-                "layer": n.layer.value,
-                "cell": n.cell,
-                "tau_m_s": tau_m,
-                "v_th": v_th,
-            }
-            if n.pixel is not None:
-                entry["pixel"] = list(n.pixel)
-            if n.role is not None:
-                entry["role"] = n.role.value
-            if n.kind is not None:
-                entry["kind"] = n.kind.value
-            if n.direction is not None:
-                entry["direction"] = n.direction.value
-            if n.rank is not None:
-                entry["rank"] = n.rank
-            neurons.append(entry)
+        """The network as JSON data. The neuron entries are built in id
+        order: each input's pixel and role, each relay's kind and direction
+        from HIDDEN_SLOTS, and each output's direction and rank."""
+        neurons: list[dict] = []
+        for nid, pixel in enumerate(self.input_pixels.tolist()):
+            cell, r = divmod(nid, INPUTS_PER_CELL)
+            role = ROLE_ORDER[r].value
+            neurons.append({"layer": Layer.INPUT.value, "cell": cell, "pixel": pixel, "role": role})
+        for cell in range(self.layout.n_cells):
+            for kind, d in HIDDEN_SLOTS:
+                entry = {"layer": Layer.HIDDEN.value, "cell": cell, "kind": kind.value}
+                if d is not None:
+                    entry["direction"] = d.value
+                neurons.append(entry)
+        for d, ids in self.output_ids.items():
+            neurons += [
+                {"layer": Layer.OUTPUT.value, "cell": None, "direction": d.value, "rank": rank}
+                for rank in range(len(ids))
+            ]
+        tau_m, v_th = self.tau_m.tolist(), self.v_th.tolist()
+        for nid, entry in enumerate(neurons):
+            entry.update(id=nid, tau_m_s=tau_m[nid], v_th=v_th[nid])
         synapses = [
             {
                 "pre": s.pre,

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from motionsnn import (
+    CellLayout,
     DomainError,
     EmitMode,
     Event,
@@ -23,7 +24,6 @@ from motionsnn import (
     SimulationOutput,
     SpikeRecord,
     assemble_network,
-    layout_from_centers,
 )
 from motionsnn.core import TIME_QUANTUM
 from motionsnn.stimulus import footprint, round_half_up
@@ -48,9 +48,12 @@ def fixed_step_spikes(
     d_out = int(round(net.params.d_out_s / step_s))
     t_ref = int(round(net.params.t_ref_s / step_s))
 
-    outgoing: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for syn in net.synapses:
-        outgoing[syn.pre].append((syn.post, syn.signed_weight))
+    # each neuron's out-edges as (post, signed weight), from its CSR row
+    outgoing = [
+        list(zip(net.post[a:b].tolist(), net.signed_w[a:b].tolist()))
+        for a, b in zip(net.indptr[:-1], net.indptr[1:])
+    ]
+    input_id = {(x, y): nid for nid, (x, y) in enumerate(net.input_pixels.tolist())}
 
     # Input layer: pass-through sources, gated only by their refractory time.
     pending: dict[int, dict[int, float]] = {}
@@ -59,7 +62,7 @@ def fixed_step_spikes(
     for ev in stream.events:
         if ev.t > t_end:
             break
-        nid = net.input_id_by_pixel.get((ev.x, ev.y))
+        nid = input_id.get((ev.x, ev.y))
         if nid is None:
             continue
         s = int(round(ev.t / step_s))
@@ -130,7 +133,7 @@ def random_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
     taus = tuple(
         float(t) for t in np.exp(rng.uniform(math.log(0.003), math.log(0.6), n_per))
     )
-    layout = layout_from_centers(5, 5, [(2, 2)])
+    layout = CellLayout(5, 5, -1, ((2, 2),))
     net = assemble_network(layout, n_per_dir=n_per, output_taus_s=taus, params=params)
 
     n_ev = int(rng.integers(18, 40))
@@ -164,7 +167,7 @@ def tie_heavy_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
         w_hidden_output_inh=float(rng.uniform(0.6, 1.6)),
         w_lateral=float(rng.uniform(0.5, 2.0)),
     )
-    layout = layout_from_centers(5, 5, [(2, 2)])
+    layout = CellLayout(5, 5, -1, ((2, 2),))
     taus = tuple(float(t) for t in rng.uniform(0.003, 0.6, int(rng.integers(1, 3))))
     net = assemble_network(layout, n_per_dir=len(taus), output_taus_s=taus, params=params)
     ref_ticks = int(round(params.t_ref_s / 1e-4))

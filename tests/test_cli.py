@@ -280,9 +280,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 SWEEP_HEADER = "freq_hz,variant,s_acc,s_acc_norm,status\r\n"
 OUT_FLAG = {"run": "-d", "events": "--out", "sweep": "-o", "topo": "--out"}
+DIRECTORY = object()  # the output path is an existing directory
+NOT_UTF8 = b"\xff"
+RESUME = ["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"]
 
 
-@pytest.mark.parametrize("args, resume_csv", [
+# out_file: rows after the sweep header (str), the whole file (bytes) or DIRECTORY
+@pytest.mark.parametrize("args, out_file", [
     (["run", "--set", "network.w_lateral=abc"], None),
     (["run", "--set", "trajectory.freq_hz=abc"], None),
     (["run", "--set", 'field_width="x"'], None),
@@ -307,23 +311,37 @@ OUT_FLAG = {"run": "-d", "events": "--out", "sweep": "-o", "topo": "--out"}
     (["topo", "--set", "network.w_lateral=-1", "--set", "lateral_inhibition=false"], None),
     (["topo", "--set", "network.tau_center_s=0", "--set", "field_width=2",
       "--set", "field_height=2"], None),
+    (RESUME, DIRECTORY),
+    (RESUME, NOT_UTF8),
+    (["topo", "-c", "{tmp}/not-utf8.json"], None),
 ], ids=["network-value", "trajectory-value", "field-width", "output-tau",
         "lateral-string", "run-nan-samples", "run-inf-samples", "events-nan-samples",
         "events-inf-samples", "run-huge-samples", "run-huge-t-end", "run-huge-freq",
         "run-huge-grid", "events-huge-samples", "events-huge-t-end", "events-huge-freq",
         "short-sweep-row", "sweep-freq", "ok-row-without-score",
-        "ok-row-nan-score", "unused-lateral-weight", "tau-of-no-cell"])
-def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, resume_csv):
+        "ok-row-nan-score", "unused-lateral-weight", "tau-of-no-cell",
+        "resume-from-a-directory", "resume-not-utf8", "config-not-utf8"])
+def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, out_file):
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     out = tmp_path / "out"
-    if resume_csv is not None:
-        out.write_bytes((SWEEP_HEADER + resume_csv).encode())
-    args = args + [OUT_FLAG[args[0]], str(out)]
+    if out_file is DIRECTORY:
+        out.mkdir()
+    elif isinstance(out_file, bytes):
+        out.write_bytes(out_file)
+    elif out_file is not None:
+        out.write_bytes((SWEEP_HEADER + out_file).encode())
+    (tmp_path / "not-utf8.json").write_bytes(NOT_UTF8)
+    args = [a.format(tmp=tmp_path) for a in args] + [OUT_FLAG[args[0]], str(out)]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    if resume_csv is not None:
+    if isinstance(out_file, str):
         assert err.startswith("config error: malformed row 2 in ")
+    elif out_file is not None:
+        assert err.startswith(f"config error: cannot read {out}: ") and err.count("\n") == 1
+    if "-c" in args:
+        cfg = tmp_path / "not-utf8.json"
+        assert err.startswith(f"config error: cannot read config {cfg}: ") and err.count("\n") == 1
 
 
 def test_importing_the_cli_loads_no_process_pool_module():
@@ -339,6 +357,30 @@ def test_importing_the_cli_loads_no_process_pool_module():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_benchmark_tracer_finds_its_hooks_and_counts_the_run(tmp_path):
+    # perfbench/spans.py wraps package functions and reads its views by
+    # name, and reports any it cannot find as absent
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    src = str(Path(motionsnn.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "MOTIONSNN_CONFIG"}
+    trace, out = tmp_path / "trace.json", tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(spans), str(trace), "--", "run", "-d", str(out)],
+        env=dict(env, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(trace.read_text())
+    assert traced["absent"] == []
+    summary = json.loads((out / "summary.json").read_text())
+    counts, counters = summary["network"]["counts"], traced["counters"]
+    neurons = counts["input_neurons"] + counts["hidden_neurons"] + counts["output_neurons"]
+    assert counters["topology.neurons"] == neurons
+    assert counters["topology.synapses"] == counts["total_synapses"]
+    assert counters["stimulus.events"] == summary["stimulus"]["n_events"]
+    for layer, n in summary["spikes"]["totals"].items():
+        assert counters[f"engine.spikes.{layer}"] == n
 
 
 def test_run_and_events_load_no_process_pool_module(tmp_path):

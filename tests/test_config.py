@@ -164,15 +164,11 @@ def test_package_modules_use_every_name_they_import():
 # kept for the reason given.
 UNCALLED_PUBLIC_API = {
     "EventStream.from_events": "builds a stream from Event records in tests",
-    "Synapse.signed_weight": "the sign convention of the synapse view, checked in tests",
     "FilterParams.kernel": "the closed-form kernel the rate filter is checked against",
     "FilterParams.peak_time_s": "the kernel's closed-form peak, checked against the kernel",
-    "layout_from_centers": "builds test layouts from explicit cell centres",
-    "SpikeRecord.total": "spike count the CSV export tests size their tables by",
     "SpikeRecord.from_trains": "builds a record from per-neuron trains in tests and oracles",
     "SpikeRecord.spike_times": "per-neuron trains; the oracles, the tests and the benchmark tracer read them",
     "Trajectory.position": "the scalar path; the benchmark tracer counts its calls",
-    "NetworkGraph.input_id_by_pixel": "the pixel lookup the oracles and engine tests read",
 }
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from motionsnn import (
+    CellLayout,
     Direction,
     RunConfig,
     DomainError,
@@ -14,7 +15,6 @@ from motionsnn import (
     EventStream,
     NetworkParams,
     assemble_network,
-    layout_from_centers,
     pool_group,
     simulate,
 )
@@ -37,8 +37,12 @@ LEFT_PX, RIGHT_PX = (0, 1), (2, 1)
 
 
 def one_cell(params=None, **kw):
-    layout = layout_from_centers(3, 3, [CENTER])
+    layout = CellLayout(3, 3, -1, (CENTER,))
     return assemble_network(layout, params=params or NetworkParams(), **kw)
+
+
+def input_id(net, pixel):
+    return net.input_pixels.tolist().index(list(pixel))
 
 
 def stream(*events):
@@ -53,7 +57,7 @@ def out_train(net, sim, direction):
 def test_empty_stimulus_is_silent():
     net = one_cell()
     sim = simulate(net, EventStream(3, 3, [], [], []), t_end=1.0)
-    assert sim.record.total() == 0
+    assert len(sim.record.t) == 0
     assert sim.dropped_events == 0 and sim.refractory_dropped == 0
 
 
@@ -67,17 +71,17 @@ def test_simulate_validation():
     with pytest.raises(DomainError, match="1 ns clock"):
         simulate(net, EventStream(3, 3, [], [], []), t_end=1e10)
     # zero-length runs are legal and empty
-    assert simulate(net, EventStream(3, 3, [], [], []), t_end=0.0).record.total() == 0
+    assert simulate(net, EventStream(3, 3, [], [], []), t_end=0.0).record.t.size == 0
 
 
 def test_inputs_pass_through_and_relays_lag_by_the_output_delay():
     net = one_cell()
     sim = simulate(net, stream((CENTER, 0.0)), t_end=0.1)
-    center_input = net.input_id_by_pixel[CENTER]
+    center_input = input_id(net, CENTER)
     assert sim.record.spike_times[center_input] == (0.0,)
     hidden = [
-        train for nid, train in enumerate(sim.record.spike_times)
-        if net.neurons[nid].layer.value == "hidden" and train
+        sim.record.spike_times[nid] for nid in net.layer_ids()[Layer.HIDDEN]
+        if sim.record.spike_times[nid]
     ]
     assert hidden == [(1e-4,)]  # only the center relay fires
     # a single excitatory delivery keeps every output below threshold
@@ -116,9 +120,10 @@ def test_same_instant_deliveries_are_summed_in_presynaptic_id_order():
     params = NetworkParams(w_hidden_output=1.2, w_hidden_output_inh=0.3, output_v_th=2.1)
     net = one_cell(params)
     right = net.output_ids[Direction.RIGHT][0]
-    relays = sorted((s.pre, s.signed_weight) for s in net.synapses
-                    if s.post == right and net.neurons[s.pre].layer.value == "hidden")
-    assert [w for _, w in relays] == [1.2, 1.2, -0.3]
+    # the relays' CSR rows, in relay id order
+    hidden = net.layer_ids()[Layer.HIDDEN]
+    lo, hi = net.indptr[hidden.start], net.indptr[hidden.stop]
+    assert net.signed_w[lo:hi][net.post[lo:hi] == right].tolist() == [1.2, 1.2, -0.3]
     sim = simulate(net, stream((CENTER, 0.0), (LEFT_PX, 0.0), (RIGHT_PX, 0.0)), t_end=0.01)
     assert out_train(net, sim, Direction.RIGHT) == (pytest.approx(2e-4),)
 
@@ -129,8 +134,7 @@ def test_same_instant_input_arrivals_are_summed_in_presynaptic_id_order():
     # must be summed in input-id order, (1.2 + 1.2) - 0.3 = 2.1, although
     # the stream lists the pixels in (y, x) order, DOWN, LEFT, CENTER.
     net = one_cell(NetworkParams(w_input_hidden=1.2, hidden_v_th=2.1))
-    ids = net.input_id_by_pixel
-    center, down, left = ids[CENTER], ids[DOWN_PX], ids[LEFT_PX]
+    center, down, left = (input_id(net, px) for px in (CENTER, DOWN_PX, LEFT_PX))
     assert center < down < left
     relay = int(net.post[net.indptr[center]])
     rows = [list(zip(net.post[a:b].tolist(), net.signed_w[a:b].tolist()))
@@ -187,7 +191,7 @@ def test_rightward_sequence_drives_right_only():
 def test_input_refractory_gate():
     net = one_cell()
     sim = simulate(net, stream((CENTER, 0.0), (CENTER, 1e-4)), t_end=0.01)
-    center_input = net.input_id_by_pixel[CENTER]
+    center_input = input_id(net, CENTER)
     assert sim.record.spike_times[center_input] == (0.0,)
     assert sim.refractory_dropped == 1
     # a gap of exactly t_ref is allowed again
@@ -203,14 +207,14 @@ def test_input_gate_compares_exact_ticks():
     sim = simulate(net, stream((CENTER, 1.2e-3), (CENTER, 1.4e-3)), t_end=0.01)
     assert sim.refractory_dropped == 0
     # spike times are the ticks in seconds: 1200000 * 1e-9 is not 1.2e-3
-    assert sim.record.spike_times[net.input_id_by_pixel[CENTER]] == (1200000 * 1e-9, 1400000 * 1e-9)
+    assert sim.record.spike_times[input_id(net, CENTER)] == (1200000 * 1e-9, 1400000 * 1e-9)
 
 
 def test_events_off_the_tiling_are_dropped():
     layout_net = one_cell()
     sim = simulate(layout_net, stream(((0, 0), 0.0), (CENTER, 0.0)), t_end=0.01)
     assert sim.dropped_events == 1
-    assert sim.record.spike_times[layout_net.input_id_by_pixel[CENTER]] == (0.0,)
+    assert sim.record.spike_times[input_id(layout_net, CENTER)] == (0.0,)
 
 
 def test_events_up_to_t_end_are_taken():
@@ -220,7 +224,7 @@ def test_events_up_to_t_end_are_taken():
         stream((CENTER, 0.0), ((0, 0), 0.01), (CENTER, 0.01), ((0, 0), 0.02), (CENTER, 0.02)),
         t_end=0.01,
     )
-    assert sim.record.spike_times[net.input_id_by_pixel[CENTER]] == (0.0, 0.01)
+    assert sim.record.spike_times[input_id(net, CENTER)] == (0.0, 0.01)
     assert sim.dropped_events == 1
 
 
@@ -246,9 +250,11 @@ def test_spike_totals_match_the_record():
     sim = simulate(
         net, stream((LEFT_PX, 0.0), (CENTER, 0.05), (RIGHT_PX, 0.1)), t_end=0.2
     )
+    # the engine sums by layer_ids; count by each neuron's exported label
+    neurons = net.to_json_dict()["neurons"]
     by_layer = {"input": 0, "hidden": 0, "output": 0}
     for nid, train in enumerate(sim.record.spike_times):
-        by_layer[net.neurons[nid].layer.value] += len(train)
+        by_layer[neurons[nid]["layer"]] += len(train)
     assert sim.spike_totals == by_layer
 
 

@@ -2,6 +2,7 @@
 and scores and spectra keep their recorded values."""
 
 import concurrent.futures
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,9 +47,9 @@ def test_run_path_builds_no_views_and_no_scalar_positions(monkeypatch):
     evaluate(result)
     assert calls_while_encoding == [0]
     assert len(result.stream) > 0
-    for view in ("synapses", "neurons", "input_id_by_pixel"):
-        assert view not in vars(result.network)
+    assert "synapses" not in vars(result.network)
     assert "events" not in vars(result.stream)
+    assert "spike_times" not in vars(result.sim.record)
 
 
 def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
@@ -287,3 +288,12 @@ def test_pooled_pair_reads_the_spectrum_of_the_summed_channels():
     assert spectra["dominant_hz"] == {"up": 1.0, "down": 1.0, "left": 1.0, "right": 1.0}
     assert spectra["pooled"] == {"lr_hz": 0.5, "ud_hz": 0.5, "lr_over_ud": 1.0}
     assert spectra["phase_lags_deg"] is None
+
+
+def test_the_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Python API", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    clamped = float(capsys.readouterr().out.split()[0])
+    assert clamped == pytest.approx(0.8289, abs=5e-5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionsnn import (
+    CellLayout,
     ConfigError,
     Direction,
     DIRECTION_ORDER,
@@ -16,7 +17,6 @@ from motionsnn import (
     Role,
     Sign,
     assemble_network,
-    layout_from_centers,
     tessellate,
 )
 from motionsnn.cli import main
@@ -68,8 +68,8 @@ def test_default_tiling_is_disjoint_and_in_field(default_layout, default_net):
             assert px not in seen, f"pixel {px} claimed twice"
             seen[px] = idx
             assert 0 <= px[0] < 10 and 0 <= px[1] < 11
-    by_pixel = default_net.input_id_by_pixel
-    assert seen == {px: nid // INPUTS_PER_CELL for px, nid in by_pixel.items()}
+    pixels = default_net.input_pixels.tolist()
+    assert seen == {tuple(px): nid // INPUTS_PER_CELL for nid, px in enumerate(pixels)}
 
 
 def test_default_tiling_is_locally_maximal(default_layout):
@@ -111,20 +111,11 @@ def test_tessellate_properties(w, h):
         assert layout.offset == min(c for c in range(5) if lattice_count(c) == best)
 
 
-def test_layout_from_centers_validation():
-    with pytest.raises(ConfigError, match=r"cells overlap at pixel \(3, 2\)"):
-        layout_from_centers(10, 11, [(2, 2), (3, 2)])  # pluses overlap
-    with pytest.raises(ConfigError, match="touches the field boundary"):
-        layout_from_centers(10, 11, [(0, 2)])
-    layout = layout_from_centers(10, 11, [(4, 2), (1, 3)])
-    assert layout.centers == ((4, 2), (1, 3))  # sorted by (y, x)
-
-
 @pytest.mark.parametrize("center", [(0, 5), (9, 5), (4, 0), (4, 10)])
 def test_build_unit_cell_rejects_border_centers(center):
-    # A cell whose plus would leave the field is refused when the layout is built.
-    with pytest.raises(ConfigError, match="touches the field boundary"):
-        layout_from_centers(10, 11, [center])
+    # A cell whose plus would leave the field is refused when the network is built.
+    with pytest.raises(ConfigError, match="needs all four neighbors in-field"):
+        assemble_network(CellLayout(10, 11, -1, (center,)))
 
 
 def test_hidden_slot_table():
@@ -153,88 +144,94 @@ def test_default_network_counts(default_net):
 
 def test_id_layout_and_parameters(default_net):
     net = default_net
-    for nid in range(75):
-        info = net.neurons[nid]
-        assert info.layer is Layer.INPUT
-        assert net.tau_m[nid] == 0.02 and net.v_th[nid] == 0.5
-        assert info.pixel is not None
-    for nid in range(75, 210):
-        info = net.neurons[nid]
-        assert info.layer is Layer.HIDDEN
-        assert net.v_th[nid] == 0.5
-        if info.kind is HiddenKind.CENTER_RELAY:
-            assert net.tau_m[nid] == 0.002
+    neurons = net.to_json_dict()["neurons"]
+    assert [n["id"] for n in neurons] == list(range(214))
+    assert net.layer_ids() == {
+        Layer.INPUT: range(0, 75),
+        Layer.HIDDEN: range(75, 210),
+        Layer.OUTPUT: range(210, 214),
+    }
+    for n in neurons[:75]:
+        assert n["layer"] == "input" and len(n["pixel"]) == 2
+        assert net.tau_m[n["id"]] == 0.02 and net.v_th[n["id"]] == 0.5
+    for n in neurons[75:210]:
+        assert n["layer"] == "hidden"
+        assert net.v_th[n["id"]] == 0.5
+        if n["kind"] == HiddenKind.CENTER_RELAY.value:
+            assert net.tau_m[n["id"]] == 0.002
         else:
-            assert net.tau_m[nid] == 0.02
-    outs = [net.neurons[nid] for nid in range(210, 214)]
-    assert [o.direction for o in outs] == list(DIRECTION_ORDER)
+            assert net.tau_m[n["id"]] == 0.02
+    outs = neurons[210:]
+    assert [o["direction"] for o in outs] == [d.value for d in DIRECTION_ORDER]
     for o in outs:
-        assert o.layer is Layer.OUTPUT
-        assert net.tau_m[o.id] == 0.5 and net.v_th[o.id] == 1.5
-        assert net.v_floor[o.id] == -3.0
+        assert o["layer"] == "output"
+        assert net.tau_m[o["id"]] == 0.5 and net.v_th[o["id"]] == 1.5
+        assert net.v_floor[o["id"]] == -3.0
     assert net.output_ids == {
         Direction.UP: (210,),
         Direction.DOWN: (211,),
         Direction.LEFT: (212,),
         Direction.RIGHT: (213,),
     }
-    assert len(net.input_id_by_pixel) == 75
+    assert len({tuple(px) for px in net.input_pixels.tolist()}) == 75
 
 
 def test_every_relay_listens_to_one_pixel(default_net):
+    neurons = default_net.to_json_dict()["neurons"]
+    hidden = default_net.layer_ids()[Layer.HIDDEN]
     incoming = {}
     for syn in default_net.synapses:
-        if default_net.neurons[syn.post].layer is Layer.HIDDEN:
+        if syn.post in hidden:
             incoming.setdefault(syn.post, []).append(syn)
     assert len(incoming) == 135
     for post, syns in incoming.items():
         assert len(syns) == 1
         syn = syns[0]
         assert syn.sign is Sign.EXCITATORY and syn.weight == 1.0
-        pre = default_net.neurons[syn.pre]
-        post_info = default_net.neurons[post]
-        assert pre.layer is Layer.INPUT and pre.cell == post_info.cell
+        pre, relay = neurons[syn.pre], neurons[post]
+        assert pre["layer"] == "input" and pre["cell"] == relay["cell"]
         # the relay's pixel role matches the slot table
-        slot = HIDDEN_SLOTS.index((post_info.kind, post_info.direction))
-        cx, cy = default_net.layout.centers[pre.cell]
+        direction = Direction(relay["direction"]) if "direction" in relay else None
+        slot = HIDDEN_SLOTS.index((HiddenKind(relay["kind"]), direction))
+        cx, cy = default_net.layout.centers[pre["cell"]]
         dx, dy = ROLE_STEP[SLOT_SOURCE_ROLE[slot]]
-        assert pre.role is SLOT_SOURCE_ROLE[slot] and pre.pixel == (cx + dx, cy + dy)
+        assert pre["role"] == SLOT_SOURCE_ROLE[slot].value and pre["pixel"] == [cx + dx, cy + dy]
 
 
 def test_output_wiring_per_cell(default_net):
     net = default_net
+    neurons = net.to_json_dict()["neurons"]
+    layers = net.layer_ids()
     per_output = {}
     for syn in net.synapses:
-        pre = net.neurons[syn.pre]
-        if pre.layer is Layer.HIDDEN and net.neurons[syn.post].layer is Layer.OUTPUT:
-            per_output.setdefault(syn.post, []).append((pre, syn))
+        if syn.pre in layers[Layer.HIDDEN] and syn.post in layers[Layer.OUTPUT]:
+            per_output.setdefault(syn.post, []).append((neurons[syn.pre], syn))
+    assert len(per_output) == 4
     for nid, pairs in per_output.items():
-        d = net.neurons[nid].direction
+        d = Direction(neurons[nid]["direction"])
         assert len(pairs) == 45  # 3 sources per cell, 15 cells
         for pre, syn in pairs:
             if syn.sign is Sign.INHIBITORY:
-                assert pre.kind is HiddenKind.INH_RELAY and pre.direction == d
+                assert pre["kind"] == HiddenKind.INH_RELAY.value and pre["direction"] == d.value
                 assert syn.weight == 1.1
-            elif pre.kind is HiddenKind.EXC_RELAY:
-                assert pre.direction == d.opposite
+            elif pre["kind"] == HiddenKind.EXC_RELAY.value:
+                assert pre["direction"] == d.opposite.value
                 assert syn.weight == 1.0
             else:
-                assert pre.kind is HiddenKind.CENTER_RELAY
+                assert pre["kind"] == HiddenKind.CENTER_RELAY.value
                 assert syn.weight == 1.0
 
 
 def test_lateral_inhibition_pairs_ranks(default_layout):
     taus = (0.01, 0.05, 0.25)
     net = assemble_network(default_layout, n_per_dir=3, output_taus_s=taus)
+    neurons = net.to_json_dict()["neurons"]
     out_id = {}
     for d, ids in net.output_ids.items():
         for k, nid in enumerate(ids):
-            assert net.neurons[nid].rank == k
+            assert neurons[nid]["rank"] == k and neurons[nid]["direction"] == d.value
             out_id[(d, k)] = nid
-    lateral = [
-        s for s in net.synapses
-        if net.neurons[s.pre].layer is Layer.OUTPUT
-    ]
+    lateral = [s for s in net.synapses if s.pre in net.layer_ids()[Layer.OUTPUT]]
     assert len(lateral) == 12
     pairs = {(s.pre, s.post) for s in lateral}
     for k in range(3):
@@ -243,7 +240,7 @@ def test_lateral_inhibition_pairs_ranks(default_layout):
             assert (out_id[(b, k)], out_id[(a, k)]) in pairs
     for s in lateral:
         assert s.sign is Sign.INHIBITORY and s.weight == 1.0
-        assert net.neurons[s.pre].rank == net.neurons[s.post].rank
+        assert neurons[s.pre]["rank"] == neurons[s.post]["rank"]
     # each rank keeps its own membrane time constant
     for (d, k), nid in out_id.items():
         assert net.tau_m[nid] == taus[k]
@@ -260,7 +257,7 @@ def test_network_params_overrides(default_layout):
     net = assemble_network(default_layout, params=params)
     inh = [
         s.weight for s in net.synapses
-        if s.sign is Sign.INHIBITORY and net.neurons[s.pre].layer is Layer.HIDDEN
+        if s.sign is Sign.INHIBITORY and s.pre in net.layer_ids()[Layer.HIDDEN]
     ]
     assert inh and set(inh) == {1.3}
     for ids in net.output_ids.values():
@@ -343,9 +340,10 @@ def test_csr_rows_hold_the_synapses_in_construction_order(name):
     assert indptr[-1] == net.counts()["total_synapses"] == len(net.synapses)
     rows: dict[int, list] = {}
     for s in net.synapses:
-        rows.setdefault(s.pre, []).append((s.post, s.signed_weight))
+        rows.setdefault(s.pre, []).append((s.post, s.weight, s.sign is Sign.INHIBITORY))
     for pre in range(net.n_neurons):
         lo, hi = indptr[pre], indptr[pre + 1]
         assert np.all(np.diff(net.edge_index[lo:hi]) > 0)
-        got = list(zip(net.post[lo:hi].tolist(), net.signed_w[lo:hi].tolist()))
+        w = net.signed_w[lo:hi]
+        got = list(zip(net.post[lo:hi].tolist(), np.abs(w).tolist(), np.signbit(w).tolist()))
         assert got == rows.get(pre, [])
