@@ -56,52 +56,3 @@ from .experiment import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccuracyScore",
-    "CellLayout",
-    "CircleTrajectory",
-    "ConfigError",
-    "DIRECTION_ORDER",
-    "Direction",
-    "DomainError",
-    "EightTrajectory",
-    "EmitMode",
-    "Event",
-    "EventStream",
-    "ExperimentResult",
-    "FilterParams",
-    "LinearTrajectory",
-    "MotionSnnError",
-    "NetworkGraph",
-    "NetworkParams",
-    "NumericFault",
-    "RateGrid",
-    "RateSeries",
-    "Role",
-    "RunConfig",
-    "RunEvaluation",
-    "Sign",
-    "SimulationOutput",
-    "SpikeRecord",
-    "SweepVariant",
-    "Synapse",
-    "Trajectory",
-    "WaypointTrajectory",
-    "accuracy",
-    "assemble_network",
-    "calibrate_f_max",
-    "dominant_frequency",
-    "evaluate",
-    "firing_rate",
-    "frequency_sweep",
-    "generate_events",
-    "ideal_rates",
-    "phase_lag_deg",
-    "pool_group",
-    "run_experiment",
-    "simulate",
-    "spectral_summary",
-    "tessellate",
-    "__version__",
-]

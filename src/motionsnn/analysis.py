@@ -51,11 +51,6 @@ class FilterParams:
     def lam(self) -> float:
         return 1.0 / (self.tau1 - self.tau2)
 
-    @property
-    def peak_time_s(self) -> float:
-        # argmax of h: tau1*tau2/(tau2-tau1) * ln(tau2/tau1) = 2*tau1*ln 2
-        return self.tau1 * self.tau2 / (self.tau2 - self.tau1) * math.log(self.tau2 / self.tau1)
-
     def kernel(self, t: np.ndarray | float) -> np.ndarray | float:
         t = np.asarray(t, dtype=np.float64)
         h = self.lam * (np.exp(-t / self.tau1) - np.exp(-t / self.tau2))

@@ -138,7 +138,9 @@ class RunConfig:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ConfigError(
+                f"cannot read config {path}: {getattr(exc, 'strerror', None) or exc}"
+            ) from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):

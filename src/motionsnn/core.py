@@ -13,8 +13,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -131,11 +130,6 @@ class EventStream:
         if ((dt < 0) | ((dt == 0) & ((dy < 0) | ((dy == 0) & (dx < 0))))).any():
             raise ConfigError("events not sorted by (t, y, x)")
 
-    @classmethod
-    def from_events(cls, events: Iterable[Event], field_width: int, field_height: int) -> "EventStream":
-        xyt = np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
-        return cls(field_width, field_height, *xyt[np.lexsort(xyt.T)].T)
-
     @cached_property
     def events(self) -> tuple[Event, ...]:
         """The stream as `Event`s, built on first access."""
@@ -188,17 +182,9 @@ class SpikeRecord:
         dt, dn = np.diff(t), np.diff(neuron)
         if ((dt < 0) | ((dt == 0) & (dn < 0))).any():
             raise ConfigError("spikes not sorted by (t, neuron)")
-        _require_increasing(neuron[1:], (dt == 0) & (dn == 0))
-
-    @classmethod
-    def from_trains(cls, trains: Sequence[Sequence[float]]) -> "SpikeRecord":
-        """The record of per-neuron trains; neuron k spikes at trains[k]."""
-        counts = [len(train) for train in trains]
-        t = np.fromiter(chain.from_iterable(trains), dtype=np.float64, count=sum(counts))
-        neuron = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        _require_increasing(neuron[1:], (neuron[1:] == neuron[:-1]) & (np.diff(t) <= 0))
-        order = np.lexsort((neuron, t))
-        return cls(len(counts), neuron[order], t[order])
+        repeat = (dt == 0) & (dn == 0)
+        if repeat.any():
+            raise ConfigError(f"neuron {neuron[1:][np.argmax(repeat)]}: spike times not strictly increasing")
 
     @cached_property
     def spike_times(self) -> tuple[tuple[float, ...], ...]:
@@ -209,13 +195,6 @@ class SpikeRecord:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.neuron, minlength=self.n_neurons).tolist())
-
-
-def _require_increasing(neuron: np.ndarray, repeat: np.ndarray) -> None:
-    """Raise for the first neuron whose train fails to increase, flagged
-    in `repeat`."""
-    if repeat.any():
-        raise ConfigError(f"neuron {neuron[np.argmax(repeat)]}: spike times not strictly increasing")
 
 
 @dataclass(frozen=True)

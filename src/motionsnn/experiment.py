@@ -75,7 +75,6 @@ class RunEvaluation:
     """Full-grid rate curves plus the score taken over the settled window,
     which is samples window_index onwards of the grid."""
 
-    fp: FilterParams
     grid: RateGrid
     window_index: int
     f_max_hz: float
@@ -116,7 +115,6 @@ def evaluate(result: ExperimentResult) -> RunEvaluation:
     score = accuracy(window(ideal_full), measured_w)
     counts = {d: len(trains[d]) for d in DIRECTION_ORDER}
     return RunEvaluation(
-        fp=fp,
         grid=grid,
         window_index=k0,
         f_max_hz=f_max,

@@ -18,6 +18,7 @@ from .core import (
     ConfigError,
     DIRECTION_ORDER,
     Direction,
+    MAX_SAMPLES,
     Role,
     ROLE_ORDER,
     Sign,
@@ -106,6 +107,11 @@ def tessellate(field_width: int, field_height: int) -> CellLayout:
     """
     if field_width < 1 or field_height < 1:
         raise ConfigError("field dimensions must be positive")
+    if not field_width * field_height <= MAX_SAMPLES:
+        raise ConfigError(
+            f"the field has {field_width * field_height:.3g} pixels, over the limit of "
+            f"{MAX_SAMPLES:.0e}: lower field_width or field_height"
+        )
     # candidate centers with all four neighbours in the field, in (y, x) order
     ys, xs = np.meshgrid(
         np.arange(1, field_height - 1), np.arange(1, field_width - 1), indexing="ij"
@@ -135,7 +141,6 @@ class NetworkParams:
     w_hidden_output_inh: float = 1.1
     w_lateral: float = 1.0
     input_tau_s: float = 20e-3
-    t_pw_s: float = 1e-4
     t_ref_s: float = 2e-4
     d_out_s: float = 1e-4
     v_reset: float = 0.0
@@ -147,12 +152,10 @@ class NetworkParams:
         for tau in (self.input_tau_s, self.tau_center_s, self.tau_directional_s):
             if not (tau > 0.0 and math.isfinite(tau)):
                 raise ConfigError("tau_m must be positive and finite")
-        # The engine counts time in 1 ns ticks, so a pulse (and with it the
-        # refractory period) must last at least one tick.
-        if not (self.t_pw_s >= TIME_QUANTUM):
-            raise ConfigError("t_pw must be at least 1e-9 s")
-        if not (self.t_pw_s <= self.t_ref_s < math.inf):
-            raise ConfigError("t_ref must be finite and >= t_pw")
+        # The engine counts time in 1 ns ticks, so a refractory period must
+        # last at least one tick.
+        if not (TIME_QUANTUM <= self.t_ref_s < math.inf):
+            raise ConfigError("t_ref must be finite and at least 1e-9 s")
         if not (0.0 <= self.d_out_s < math.inf):
             raise ConfigError("d_out must be finite and >= 0")
         for v_th in (self.hidden_v_th, self.output_v_th):
@@ -196,8 +199,6 @@ class NetworkGraph:
     # (x, y) pixel of each input neuron, by id
     input_pixels: np.ndarray = field(repr=False)
     output_ids: dict[Direction, tuple[int, ...]] = field(repr=False)
-    feed_forward_count: int = 0
-    lateral_count: int = 0
 
     @property
     def n_inputs(self) -> int:
@@ -237,13 +238,16 @@ class NetworkGraph:
         return tuple(map(Synapse, pre.tolist(), post.tolist(), np.abs(w).tolist(), signs))
 
     def counts(self) -> dict[str, int]:
+        # CSR rows are by pre id, so the edges of rows below the outputs
+        # are the feed-forward ones and the rest are lateral.
+        feed_forward = int(self.indptr[self.n_inputs + self.n_hidden])
         return {
             "cells": self.layout.n_cells,
             "input_neurons": self.n_inputs,
             "hidden_neurons": self.n_hidden,
             "output_neurons": self.n_outputs,
-            "feed_forward_synapses": self.feed_forward_count,
-            "lateral_synapses": self.lateral_count,
+            "feed_forward_synapses": feed_forward,
+            "lateral_synapses": len(self.post) - feed_forward,
             "total_synapses": len(self.post),
         }
 
@@ -407,6 +411,4 @@ def assemble_network(
         v_floor=v_floor,
         input_pixels=(centers[:, None, :] + _ROLE_OFFSET).reshape(-1, 2),
         output_ids=output_ids,
-        feed_forward_count=pre_ih.size + pre_ho.size,
-        lateral_count=len(lat),
     )

@@ -146,7 +146,7 @@ def random_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
         for i in rng.choice(len(_CELL_PIXELS), size=k, replace=False):
             x, y = _CELL_PIXELS[i]
             events.append(Event(x=x, y=y, t=float(us) * 1e-6))
-    stream = EventStream.from_events(events, 5, 5)
+    stream = event_stream(events, 5, 5)
     t_end = (float(times_us.max()) + 357.0) * 1e-6 + 5e-7
     return net, stream, t_end
 
@@ -179,7 +179,7 @@ def tie_heavy_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
             events.append(Event(x, y, float(tick) * 1e-4))
             if rng.random() < 0.3:
                 events.append(Event(x, y, float(tick + ref_ticks) * 1e-4))
-    stream = EventStream.from_events(events, 5, 5)
+    stream = event_stream(events, 5, 5)
     return net, stream, float(stream.t[-1]) + 1e-3
 
 
@@ -277,7 +277,7 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
                         heapq.heappush(heap, (t_spike, post, seq, out_post[k], out_w[k]))
                         seq += 1
 
-    record = SpikeRecord.from_trains([[t * TIME_QUANTUM for t in train] for train in spikes])
+    record = spike_record([[t * TIME_QUANTUM for t in train] for train in spikes])
     totals = {
         layer.value: sum(map(len, spikes[ids.start : ids.stop]))
         for layer, ids in net.layer_ids().items()
@@ -288,6 +288,21 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
         refractory_dropped=refractory_dropped,
         spike_totals=totals,
     )
+
+
+def event_stream(events, field_width: int, field_height: int) -> EventStream:
+    """The stream of `Event`s on the field, sorted into (t, y, x) order."""
+    xyt = np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
+    return EventStream(field_width, field_height, *xyt[np.lexsort(xyt.T)].T)
+
+
+def spike_record(trains) -> SpikeRecord:
+    """The record in which neuron k spikes at trains[k], sorted into (t,
+    neuron) order."""
+    neuron = np.repeat(np.arange(len(trains)), np.array([len(tr) for tr in trains], dtype=np.int64))
+    t = np.array([t for train in trains for t in train], dtype=np.float64)
+    order = np.lexsort((neuron, t))
+    return SpikeRecord(len(trains), neuron[order], t[order])
 
 
 def brute_force_rate(train, fp, grid) -> np.ndarray:
@@ -370,4 +385,4 @@ def reference_events(
         for x, y in sorted(fresh, key=lambda p: (p[1], p[0])):
             events.append(Event(x, y, t_snap))
         covered = new_cover
-    return EventStream.from_events(events, traj.field_width, traj.field_height).events
+    return event_stream(events, traj.field_width, traj.field_height).events

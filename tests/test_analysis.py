@@ -18,7 +18,6 @@ from motionsnn import (
     LinearTrajectory,
     RateGrid,
     RateSeries,
-    SpikeRecord,
     accuracy,
     calibrate_f_max,
     dominant_frequency,
@@ -30,15 +29,16 @@ from motionsnn import (
 import motionsnn
 from motionsnn.analysis import decay_accumulate, transient_s
 
-from oracles import brute_force_rate, rel_err
+from oracles import brute_force_rate, rel_err, spike_record
 
 FP = FilterParams(tau1=0.05, tau2=0.1)
+# argmax of FP's kernel: tau1*tau2/(tau2-tau1) * ln(tau2/tau1) = 2*tau1*ln 2
+FP_PEAK_S = 2.0 * 0.05 * math.log(2.0)
 
 
 def test_filter_params_shape():
     assert FP.lam == pytest.approx(1.0 / (0.05 - 0.1))
     assert FP.lam < 0
-    assert FP.peak_time_s == pytest.approx(2.0 * 0.05 * math.log(2.0))
     with pytest.raises(ConfigError):
         FilterParams(tau1=0.05, tau2=0.11)
     fp = FilterParams.from_output_taus((0.1, 0.2, 0.3))
@@ -55,7 +55,7 @@ def test_kernel_is_causal_nonnegative_and_unit_area():
     tail, _ = quad(FP.kernel, 5.0, np.inf, limit=200)
     assert area + tail == pytest.approx(1.0, abs=1e-9)
     # peak sits where the closed form says it does
-    tp = FP.peak_time_s
+    tp = FP_PEAK_S
     assert FP.kernel(tp) >= FP.kernel(tp - 1e-4)
     assert FP.kernel(tp) >= FP.kernel(tp + 1e-4)
 
@@ -75,7 +75,7 @@ def test_firing_rate_of_single_spike_is_the_kernel():
     expect = FP.kernel(grid.times)
     assert rel_err(series.values, expect) < 1e-9
     peak_at = grid.times[int(np.argmax(series.values))]
-    assert peak_at == pytest.approx(FP.peak_time_s, abs=grid.dt)
+    assert peak_at == pytest.approx(FP_PEAK_S, abs=grid.dt)
 
 
 def test_firing_rate_is_linear_in_the_train():
@@ -333,14 +333,14 @@ def test_pool_group_follows_the_output_id_convention():
         (0.15,),       # LEFT
         (0.25, 0.4),   # RIGHT
     )
-    rec = SpikeRecord.from_trains(trains)
+    rec = spike_record(trains)
     assert pool_group(rec, Direction.UP, 1) == (0.1, 0.2)
     assert pool_group(rec, Direction.RIGHT, 1) == (0.25, 0.4)
-    rec2 = SpikeRecord.from_trains(((0.1,), (0.2,), (0.3,), (0.4,), (0.5,), (0.6,), (0.7,), (0.8,)))
+    rec2 = spike_record(((0.1,), (0.2,), (0.3,), (0.4,), (0.5,), (0.6,), (0.7,), (0.8,)))
     assert pool_group(rec2, Direction.UP, 2) == (0.1, 0.2)
     assert pool_group(rec2, Direction.LEFT, 2) == (0.5, 0.6)
     # two ranks spiking at one instant count twice, in time order
-    rec3 = SpikeRecord.from_trains(((0.3, 0.5), (0.1, 0.3), (), (), (), (), (), ()))
+    rec3 = spike_record(((0.3, 0.5), (0.1, 0.3), (), (), (), (), (), ()))
     assert pool_group(rec3, Direction.UP, 2) == (0.1, 0.3, 0.3, 0.5)
     with pytest.raises(ConfigError):
         pool_group(rec, Direction.UP, 2)

@@ -314,13 +314,19 @@ RESUME = ["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"]
     (RESUME, DIRECTORY),
     (RESUME, NOT_UTF8),
     (["topo", "-c", "{tmp}/not-utf8.json"], None),
+    (["topo", "-c", "{tmp}"], None),
+    # refused before the cell layout is allocated
+    (["topo", "--set", "field_width=100000", "--set", "field_height=100000"], None),
+    (["run", "--set", "field_width=100000", "--set", "field_height=100000"], None),
+    (["topo", "--set", "network.t_pw_s=1e-4"], None),
 ], ids=["network-value", "trajectory-value", "field-width", "output-tau",
         "lateral-string", "run-nan-samples", "run-inf-samples", "events-nan-samples",
         "events-inf-samples", "run-huge-samples", "run-huge-t-end", "run-huge-freq",
         "run-huge-grid", "events-huge-samples", "events-huge-t-end", "events-huge-freq",
         "short-sweep-row", "sweep-freq", "ok-row-without-score",
         "ok-row-nan-score", "unused-lateral-weight", "tau-of-no-cell",
-        "resume-from-a-directory", "resume-not-utf8", "config-not-utf8"])
+        "resume-from-a-directory", "resume-not-utf8", "config-not-utf8",
+        "config-is-a-directory", "topo-huge-field", "run-huge-field", "removed-pulse-width"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, out_file):
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     out = tmp_path / "out"
@@ -340,8 +346,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, out_file):
     elif out_file is not None:
         assert err.startswith(f"config error: cannot read {out}: ") and err.count("\n") == 1
     if "-c" in args:
-        cfg = tmp_path / "not-utf8.json"
+        cfg = args[args.index("-c") + 1]
         assert err.startswith(f"config error: cannot read config {cfg}: ") and err.count("\n") == 1
+        if cfg == str(tmp_path):
+            assert err == f"config error: cannot read config {cfg}: Is a directory\n"
 
 
 def test_importing_the_cli_loads_no_process_pool_module():

@@ -163,10 +163,8 @@ def test_package_modules_use_every_name_they_import():
 # Public names that `run`, `sweep`, `events` and `topo` never reach, each
 # kept for the reason given.
 UNCALLED_PUBLIC_API = {
-    "EventStream.from_events": "builds a stream from Event records in tests",
+    "EventStream.events": "the stream as Event records; the benchmark tracer counts stimulus changes from them",
     "FilterParams.kernel": "the closed-form kernel the rate filter is checked against",
-    "FilterParams.peak_time_s": "the kernel's closed-form peak, checked against the kernel",
-    "SpikeRecord.from_trains": "builds a record from per-neuron trains in tests and oracles",
     "SpikeRecord.spike_times": "per-neuron trains; the oracles, the tests and the benchmark tracer read them",
     "Trajectory.position": "the scalar path; the benchmark tracer counts its calls",
 }

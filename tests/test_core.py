@@ -34,6 +34,8 @@ from motionsnn.core import (
     write_spikes_csv,
 )
 
+from oracles import event_stream, spike_record
+
 
 def test_direction_opposite_is_involution():
     for d in Direction:
@@ -56,7 +58,7 @@ def test_role_of_maps_onto_matching_role():
 
 def test_event_stream_sorts_by_time_then_row_then_column():
     evs = [Event(2, 1, 0.0), Event(1, 2, 0.0), Event(1, 1, 0.0), Event(0, 0, 1e-4)]
-    s = EventStream.from_events(evs, 4, 4)
+    s = event_stream(evs, 4, 4)
     assert [(e.x, e.y, e.t) for e in s.events] == [
         (1, 1, 0.0),
         (2, 1, 0.0),
@@ -64,6 +66,9 @@ def test_event_stream_sorts_by_time_then_row_then_column():
         (0, 0, 1e-4),
     ]
     assert len(s) == 4
+    # the same events in (t, x, y) order are refused
+    with pytest.raises(ConfigError, match=r"not sorted by \(t, y, x\)"):
+        EventStream(4, 4, [1, 1, 2, 0], [1, 2, 1, 0], [0.0, 0.0, 0.0, 1e-4])
 
 
 def test_event_stream_rejects_bad_input():
@@ -92,7 +97,7 @@ def test_event_stream_holds_read_only_arrays_in_order():
         EventStream(4, 4, [1, 2], [1], [0.0])
     with pytest.raises(ConfigError, match="not sorted"):
         EventStream(4, 4, [2, 1], [1, 1], [0.0, 0.0])
-    assert len(EventStream.from_events([], 4, 4)) == 0
+    assert len(EventStream(4, 4, [], [], [])) == 0
 
 
 def test_lif_defaults():
@@ -103,18 +108,18 @@ def test_lif_defaults():
     assert net.v_floor[output_base:].tolist() == [-3.0] * net.n_outputs
     p = net.params
     assert p.v_reset == 0.0
-    assert p.t_ref_s == 2e-4 and p.t_pw_s == 1e-4 and p.d_out_s == 1e-4
+    assert p.t_ref_s == 2e-4 and p.d_out_s == 1e-4
 
 
 LIF_CASES = [
     (dict(tau_center_s=0.0), "tau_m must be positive and finite"),
     (dict(tau_directional_s=-0.1), "tau_m must be positive and finite"),
     (dict(hidden_v_th=0.0), "require v_th > v_reset"),  # threshold not above reset
-    (dict(t_pw_s=0.0), "t_pw must be at least 1e-9 s"),
-    (dict(t_pw_s=1e-10, t_ref_s=1e-10), "t_pw must be at least"),  # under one 1 ns tick
-    (dict(t_ref_s=math.inf), "t_ref must be finite and >= t_pw"),
+    (dict(t_ref_s=0.0), "t_ref must be finite and at least 1e-9 s"),
+    (dict(t_ref_s=1e-10), "t_ref must be finite and at least 1e-9 s"),  # under one 1 ns tick
+    (dict(t_ref_s=math.inf), "t_ref must be finite and at least 1e-9 s"),
     (dict(d_out_s=math.inf), "d_out must be finite and >= 0"),
-    (dict(t_ref_s=1e-5), "t_ref must be finite and >= t_pw"),  # shorter than the pulse
+    (dict(t_ref_s=math.nan), "t_ref must be finite and at least 1e-9 s"),
     (dict(d_out_s=-1e-5), "d_out must be finite and >= 0"),
     (dict(v_floor_factor=-0.5), "require v_th > v_reset >= v_floor"),  # floor above reset
     (dict(w_lateral=math.nan), "synapse weight must be finite and >= 0"),
@@ -129,6 +134,11 @@ def test_lif_validation(kw, message):
         NetworkParams(**kw)
 
 
+def test_a_refractory_period_may_last_one_tick():
+    # spikes are instantaneous, so nothing but the 1 ns clock bounds t_ref
+    assert NetworkParams(t_ref_s=1e-9).t_ref_s == 1e-9
+    assert NetworkParams(t_ref_s=1e-5, d_out_s=0.0).t_ref_s == 1e-5
+
 def test_synapse_weight_validation():
     with pytest.raises(ConfigError):
         Synapse(0, 1, -0.5, Sign.EXCITATORY)
@@ -137,30 +147,26 @@ def test_synapse_weight_validation():
 
 
 def test_spike_record_counts():
-    r = SpikeRecord.from_trains(((0.1, 0.2), (), (0.05,)))
+    r = SpikeRecord(3, [2, 0, 0], [0.05, 0.1, 0.2])
     assert r.n_neurons == 3
     assert r.counts() == (2, 0, 1)
     assert len(r.t) == 3
 
 
 def test_spike_record_holds_read_only_arrays_in_time_then_neuron_order():
-    r = SpikeRecord.from_trains(((0.1, 0.2), (), (0.05, 0.1)))
-    assert r.neuron.tolist() == [2, 0, 2, 0]
-    assert r.t.tolist() == [0.05, 0.1, 0.1, 0.2]
+    r = SpikeRecord(3, [2, 0, 2, 0], [0.05, 0.1, 0.1, 0.2])
     assert r.neuron.dtype == np.int64 and r.t.dtype == np.float64
     with pytest.raises(ValueError):
         r.t[0] = 1.0
     assert r.spike_times == ((0.1, 0.2), (), (0.05, 0.1))
-    direct = SpikeRecord(3, [2, 0, 2, 0], [0.05, 0.1, 0.1, 0.2])
-    assert direct.spike_times == r.spike_times
     assert SpikeRecord(2, [], []).spike_times == ((), ())
 
 
 def test_spike_record_requires_strictly_increasing_trains():
     with pytest.raises(ConfigError, match="neuron 0: spike times not strictly increasing"):
-        SpikeRecord.from_trains(((0.2, 0.2),))
-    with pytest.raises(ConfigError, match="neuron 1: spike times not strictly increasing"):
-        SpikeRecord.from_trains(((0.1,), (0.2, 0.1)))
+        SpikeRecord(1, [0, 0], [0.2, 0.2])
+    with pytest.raises(ConfigError, match="neuron 2: spike times not strictly increasing"):
+        SpikeRecord(3, [0, 2, 2], [0.1, 0.1, 0.1])
     with pytest.raises(ConfigError, match="neuron 1: spike times not strictly increasing"):
         SpikeRecord(2, [0, 1, 1], [0.1, 0.2, 0.2])
 
@@ -196,7 +202,7 @@ def test_fmt_float():
 
 def test_events_csv_round_trip(tmp_path):
     evs = [Event(1, 2, 0.0), Event(2, 2, 0.000123457), Event(4, 0, 0.5)]
-    stream = EventStream.from_events(evs, 5, 5)
+    stream = event_stream(evs, 5, 5)
     path = tmp_path / "ev.csv"
     write_events_csv(stream, str(path)).join()
     text = path.read_text().splitlines()
@@ -204,7 +210,7 @@ def test_events_csv_round_trip(tmp_path):
 
 
 def test_spikes_csv_round_trip(tmp_path):
-    rec = SpikeRecord.from_trains(((1e-4, 0.25), (), (0.1,)))
+    rec = spike_record(((1e-4, 0.25), (), (0.1,)))
     path = tmp_path / "spikes.csv"
     write_spikes_csv(rec, str(path)).join()
     lines = path.read_text().splitlines()
@@ -219,7 +225,7 @@ def _tied_spike_record(rng):
     trains = tuple(
         tuple(sorted(set(rng.choice(pool, 45).tolist()))) for _ in range(CSV_BLOCK_ROWS // 10)
     )
-    return SpikeRecord.from_trains(((0.0,),) + trains)
+    return spike_record(((0.0,),) + trains)
 
 
 def _reference_spikes_csv(rec, path):
@@ -235,7 +241,7 @@ def _reference_spikes_csv(rec, path):
 def _random_stream(rng, n):
     events = [Event(int(x), int(y), float(t)) for x, y, t in zip(
         rng.integers(0, 9, n), rng.integers(0, 9, n), rng.uniform(0.0, 3.0, n))]
-    return EventStream.from_events(events + [Event(0, 0, 0.0)], 9, 9)
+    return event_stream(events + [Event(0, 0, 0.0)], 9, 9)
 
 
 def _reference_events_csv(stream, path):
@@ -348,7 +354,7 @@ sorted_train = st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=8, uniqu
 
 @given(st.lists(sorted_train, max_size=5))
 def test_spike_record_round_trips_its_trains(trains):
-    rec = SpikeRecord.from_trains(trains)
+    rec = spike_record(trains)
     assert rec.spike_times == tuple(map(tuple, trains))
     rows = sorted((t, n) for n, train in enumerate(trains) for t in train)
     assert list(zip(rec.t.tolist(), rec.neuron.tolist())) == rows

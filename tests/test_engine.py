@@ -15,7 +15,6 @@ from motionsnn import (
     EventStream,
     NetworkParams,
     assemble_network,
-    pool_group,
     simulate,
 )
 
@@ -24,6 +23,7 @@ from motionsnn.topology import Layer
 
 from oracles import (
     engine_spike_steps,
+    event_stream,
     fixed_step_spikes,
     per_edge_heap_simulate,
     random_single_cell,
@@ -46,7 +46,7 @@ def input_id(net, pixel):
 
 
 def stream(*events):
-    return EventStream.from_events([Event(x, y, t) for (x, y), t in events], 3, 3)
+    return event_stream([Event(x, y, t) for (x, y), t in events], 3, 3)
 
 
 def out_train(net, sim, direction):

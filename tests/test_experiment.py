@@ -12,6 +12,7 @@ from motionsnn import (
     DIRECTION_ORDER,
     Direction,
     DomainError,
+    FilterParams,
     RateGrid,
     RateSeries,
     RunConfig,
@@ -257,7 +258,8 @@ def test_scoring_window_starts_at_the_first_sample_after_the_transient():
     result = run_experiment(RunConfig())
     ev = evaluate(result)
     k0, times = ev.window_index, ev.grid.times
-    assert times[k0 - 1] < transient_s(ev.fp, result.trajectory.period_s) <= times[k0]
+    fp = FilterParams.from_output_taus(result.network.output_taus_s)
+    assert times[k0 - 1] < transient_s(fp, result.trajectory.period_s) <= times[k0]
     # the transient (2 s) ends before t_end (2.05 s) but after the last
     # sample of a 0.7 s grid (1.4 s), which leaves nothing to score
     short = RunConfig(

@@ -1,5 +1,6 @@
 """Trajectories and the DVS-style event encoder."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -289,6 +290,24 @@ def test_no_event_comes_after_t_end(kind, samples_per_pixel):
                         samples_per_pixel=samples_per_pixel)
         stream = build_stimulus(cfg)
         assert stream.t[-1] <= resolve_t_end(cfg)
+
+
+LARGE_FIELD_CIRCLE = RunConfig(
+    field_width=100, field_height=101, encoding="footprint",
+    trajectory={"kind": "circle", "cx": 49.5, "cy": 50.0, "radius": 45.0, "freq_hz": 0.15},
+)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the stream still depends on whether a scan sample lands "
+    "in the ~60 ns that float cos spends on a pixel boundary at each turn"))
+def test_the_stream_does_not_depend_on_the_scan_density():
+    for cfg in (RunConfig(), LARGE_FIELD_CIRCLE):
+        base = build_stimulus(cfg)
+        for samples_per_pixel in (9.0, 16.0, 33.0):
+            other = build_stimulus(dataclasses.replace(cfg, samples_per_pixel=samples_per_pixel))
+            for name in ("x", "y", "t"):
+                assert np.array_equal(getattr(base, name), getattr(other, name))
 
 
 def test_generate_events_validation():
