@@ -140,16 +140,18 @@ def ideal_rates(
     traj: Trajectory, f_max_hz: float, grid: RateGrid
 ) -> dict[Direction, RateSeries]:
     """Velocity-proportional target rate per channel:
-    f = (f_max / 2) * |p_dot / p_dot_max + 1|; motionless axes hold f_max / 2."""
+    f = (f_max / 2) * |p_dot / p_dot_max + 1|; motionless axes hold f_max / 2.
+
+    Each curve is computed in the velocity projection's own buffer, so the
+    four curves returned are the only grid-sized arrays held at the end."""
     if not (f_max_hz > 0.0 and math.isfinite(f_max_hz)):
         raise ConfigError("f_max_hz must be positive")
     out: dict[Direction, RateSeries] = {}
-    for d, p_dot, p_dot_max in channel_velocities(traj, grid.times):
+    for d, values, p_dot_max in channel_velocities(traj, grid.times):
         if p_dot_max == 0.0:
-            values = np.full(grid.n, f_max_hz / 2.0)
+            values.fill(f_max_hz / 2.0)
         else:
-            # the same operations, in the same order, all in one buffer
-            values = p_dot / p_dot_max
+            np.divide(values, p_dot_max, out=values)
             values += 1.0
             np.abs(values, out=values)
             values *= f_max_hz / 2.0

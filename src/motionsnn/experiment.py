@@ -136,26 +136,37 @@ def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
     """Dominant frequencies per channel and pooled-pair, plus the phase lags
     around the direction sequence, all over the settled window.
 
-    Each channel's mean-removed window is transformed and projected once. The
-    rate filter is linear, so a pooled pair's spectrum is the sum of its two
-    channel spectra; only the argmax bin of that sum is reported.
+    The phase sums come first: the basis exp(-2 pi i f t) over the window is
+    exponentiated in place, each channel's mean-removed window is summed
+    against it, and the basis is freed before any spectrum exists. Then the
+    pooled pairs are transformed one at a time, UP and DOWN before LEFT and
+    RIGHT: each channel's dominant bin is read from its own spectrum, and the
+    second spectrum is added into the first. The rate filter is linear, so
+    that sum is the pooled pair's spectrum; only its argmax bin is reported.
     """
     m = ev.grid.n - ev.window_index
     span_s = m * ev.grid.dt
     period = result.trajectory.period_s
-    if period:
-        window = RateGrid(ev.window_start_s, ev.grid.dt, m)
-        basis = np.exp(-2j * math.pi * (1.0 / period) * window.times)
-    spectra, z = {}, {}
-    for d in DIRECTION_ORDER:
+
+    def centred(d: Direction) -> np.ndarray:
         w = ev.measured[d].values[ev.window_index :]
-        x = w - np.mean(w)
-        spectra[d] = np.fft.rfft(x)
-        if period:
-            z[d] = np.sum(x * basis)
-    dom = {d.value: _maybe(dominant_frequency, spectra[d], span_s) for d in DIRECTION_ORDER}
-    lr_hz = _maybe(dominant_frequency, spectra[Direction.LEFT] + spectra[Direction.RIGHT], span_s)
-    ud_hz = _maybe(dominant_frequency, spectra[Direction.UP] + spectra[Direction.DOWN], span_s)
+        return w - np.mean(w)
+
+    if period:
+        basis = -2j * math.pi * (1.0 / period) * RateGrid(ev.window_start_s, ev.grid.dt, m).times
+        np.exp(basis, out=basis)
+        z = {d: np.sum(centred(d) * basis) for d in DIRECTION_ORDER}
+        del basis
+    dom, pooled = {}, {}
+    for first, second in ((Direction.UP, Direction.DOWN), (Direction.LEFT, Direction.RIGHT)):
+        spectrum = np.fft.rfft(centred(first))
+        dom[first.value] = _maybe(dominant_frequency, spectrum, span_s)
+        other = np.fft.rfft(centred(second))
+        dom[second.value] = _maybe(dominant_frequency, other, span_s)
+        spectrum += other
+        pooled[first] = _maybe(dominant_frequency, spectrum, span_s)
+        del spectrum, other
+    lr_hz, ud_hz = pooled[Direction.LEFT], pooled[Direction.UP]
     ratio = lr_hz / ud_hz if lr_hz and ud_hz else None
 
     lags = None

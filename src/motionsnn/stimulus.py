@@ -237,13 +237,17 @@ def channel_velocities(
 ) -> Iterator[tuple[Direction, np.ndarray, float]]:
     """Object velocity at times ts projected onto each channel in
     DIRECTION_ORDER, with the channel's run maximum: UP reads +dy/dt, DOWN
-    -dy/dt, LEFT -dx/dt, RIGHT +dx/dt. One velocities() pass serves all four;
-    each projection is made only when the caller asks for it, so the four
-    arrays are never all held at once."""
+    -dy/dt, LEFT -dx/dt, RIGHT +dx/dt. One velocities() pass serves all four,
+    and each projection is made only when the caller asks for it.
+
+    Every array yielded is the caller's to keep or overwrite: UP is a copy,
+    DOWN is negated in the y buffer itself, LEFT is a fresh array and RIGHT
+    is the x buffer. So the four projections cost two arrays beyond the
+    two velocities."""
     vxs, vys = traj.velocities(ts)
     vx_max, vy_max = traj.speed_bound()
-    yield Direction.UP, vys, vy_max
-    yield Direction.DOWN, -vys, vy_max
+    yield Direction.UP, vys.copy(), vy_max
+    yield Direction.DOWN, np.negative(vys, out=vys), vy_max
     yield Direction.LEFT, -vxs, vx_max
     yield Direction.RIGHT, vxs, vx_max
 

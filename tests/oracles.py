@@ -13,17 +13,23 @@ import math
 import numpy as np
 
 from motionsnn import (
+    DIRECTION_ORDER,
     CellLayout,
+    Direction,
     DomainError,
     EmitMode,
     Event,
     EventStream,
+    MotionSnnError,
     NetworkGraph,
     NetworkParams,
     NumericFault,
+    RateGrid,
     SimulationOutput,
     SpikeRecord,
     assemble_network,
+    dominant_frequency,
+    phase_lag_deg,
 )
 from motionsnn.core import TIME_QUANTUM
 from motionsnn.stimulus import footprint, round_half_up
@@ -316,6 +322,75 @@ def brute_force_rate(train, fp, grid) -> np.ndarray:
     return out
 
 
+def channel_projections(traj, ts) -> dict[Direction, tuple[np.ndarray, float]]:
+    """All four channels' velocity projections at times ts at once, each with
+    its run maximum: UP +dy/dt, DOWN -dy/dt, LEFT -dx/dt, RIGHT +dx/dt."""
+    vxs, vys = traj.velocities(ts)
+    vx_max, vy_max = traj.speed_bound()
+    return {
+        Direction.UP: (vys, vy_max),
+        Direction.DOWN: (-vys, vy_max),
+        Direction.LEFT: (-vxs, vx_max),
+        Direction.RIGHT: (vxs, vx_max),
+    }
+
+
+def ideal_curves(traj, f_max_hz: float, grid) -> dict[Direction, np.ndarray]:
+    """f = (f_max / 2) * |p_dot / p_dot_max + 1| per channel, each from a
+    fresh array; a motionless axis holds f_max / 2."""
+    out = {}
+    for d, (p_dot, p_dot_max) in channel_projections(traj, grid.times).items():
+        if p_dot_max == 0.0:
+            out[d] = np.full(grid.n, f_max_hz / 2.0)
+        else:
+            out[d] = f_max_hz / 2.0 * np.abs(p_dot / p_dot_max + 1.0)
+    return out
+
+
+def spectral_summary_all_at_once(result, ev) -> dict:
+    """The spectral summary with every array held at once: the four
+    mean-removed windows, their four spectra, the pooled sums and the phase
+    basis over a `RateGrid` of the window."""
+
+    def maybe(fn, *args):
+        try:
+            return float(fn(*args))
+        except MotionSnnError:
+            return None
+
+    m = ev.grid.n - ev.window_index
+    span_s = m * ev.grid.dt
+    period = result.trajectory.period_s
+    xs = {}
+    for d in DIRECTION_ORDER:
+        w = ev.measured[d].values[ev.window_index :]
+        xs[d] = w - np.mean(w)
+    spectra = {d: np.fft.rfft(x) for d, x in xs.items()}
+    lr_hz = maybe(dominant_frequency, spectra[Direction.LEFT] + spectra[Direction.RIGHT], span_s)
+    ud_hz = maybe(dominant_frequency, spectra[Direction.UP] + spectra[Direction.DOWN], span_s)
+    lags = None
+    if period:
+        times = RateGrid(ev.window_start_s, ev.grid.dt, m).times
+        basis = np.exp(-2j * math.pi * (1.0 / period) * times)
+        z = {d: np.sum(x * basis) for d, x in xs.items()}
+        seq = (Direction.RIGHT, Direction.DOWN, Direction.LEFT, Direction.UP)
+        lags = {
+            f"{a.value}_to_{b.value}": maybe(phase_lag_deg, z[a], z[b])
+            for a, b in zip(seq, seq[1:])
+        }
+    dom = {d.value: maybe(dominant_frequency, spectra[d], span_s) for d in DIRECTION_ORDER}
+    return {
+        "bin_hz": 1.0 / span_s,
+        "dominant_hz": dom,
+        "pooled": {
+            "lr_hz": lr_hz,
+            "ud_hz": ud_hz,
+            "lr_over_ud": lr_hz / ud_hz if lr_hz and ud_hz else None,
+        },
+        "phase_lags_deg": lags,
+    }
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(b))), 1e-300)
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
@@ -354,6 +429,7 @@ def reference_events(
     n += n % 2
     n *= oversample
     ts = (np.arange(n + 1, dtype=np.float64) * traj.t_end) / n if traj.t_end > 0 else np.zeros(1)
+    ts[-1] = traj.t_end  # the path ends at t_end, which n * t_end / n can pass by one ulp
     xs, ys = traj.positions(ts)
     pxs = round_half_up(xs).astype(np.int64)
     pys = round_half_up(ys).astype(np.int64)

@@ -6,10 +6,12 @@ Runs the seed-0 configs of `perfbench/workloads.py` through the
 `motionsnn` command line twice: once with the working tree's `src/`, once
 with the `src/` of REV, extracted with `git archive` into a temporary
 directory (the repository's own state is not touched). Then it compares
-15 files byte for byte:
+18 files byte for byte:
 
 - `spikes.csv`, `rates.csv` and `summary.json` of `default-run`,
-  `long-window` and `large-field`
+  `long-window` and `large-field`, and of `eight`: the default run with
+  the figure-eight path in its default geometry, the one path whose x and
+  y speed bounds differ and whose pooled LR bin differs from the UD one
 - `events.csv` of `default-run` and `large-field`
 - `sweep.csv` of the default sweep
 - `topo` of `default-run`, `large-field` and the default run with the
@@ -17,7 +19,7 @@ directory (the repository's own state is not touched). Then it compares
 
 Every file is listed as `same` or `DIFFERS`; under each CSV that differs
 come the number of rows that differ and the first differing pair. Exit 0
-when all 15 are identical, 1 when any differs or a command fails, 2 on a
+when all 18 are identical, 1 when any differs or a command fails, 2 on a
 bad REV.
 """
 from __future__ import annotations
@@ -36,13 +38,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads as wl  # noqa: E402
 
-RUNS = ("default-run", "long-window", "large-field")
+RUNS = ("default-run", "long-window", "large-field", "eight")
 EVENTS = ("default-run", "large-field")
 
 
 def _commands() -> list[tuple[str, dict, list[str]]]:
     """(output name, config, CLI arguments with {cfg} and {out} to fill in)."""
     cfg = {name: wl.make_config(wl.WORKLOADS[name], 0) for name in wl.WORKLOADS}
+    freq = cfg["default-run"]["trajectory"]["freq_hz"]
+    cfg["eight"] = dict(cfg["default-run"], trajectory={"kind": "eight", "freq_hz": freq})
     n5 = dict(cfg["default-run"], n_per_dir=5, output_taus_s=list(wl.SWEEP_VARIANTS[1][1]))
     sweep = wl.WORKLOADS["sweep"]
     out = [(f"{name}/", cfg[name], ["run", "-c", "{cfg}", "-d", "{out}"]) for name in RUNS]
