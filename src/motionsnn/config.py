@@ -148,35 +148,24 @@ class RunConfig:
         return cls.from_dict(data)
 
 
-def resolve_t_end(cfg: RunConfig) -> float:
-    """Explicit t_end_s wins; periodic kinds default to the settling stretch
-    the scoring window skips (`analysis.transient_s`) plus three full
-    periods; other kinds require it."""
-    kind = cfg.trajectory["kind"]
-    if kind == "waypoints":
-        points = cfg.trajectory.get("points") or ()
-        if not points:
-            raise ConfigError("waypoints trajectory needs points")
-        return float(points[-1][0])
-    if cfg.t_end_s is not None:
-        return float(cfg.t_end_s)
-    if kind in ("circle", "eight"):
-        freq = float(cfg.trajectory.get("freq_hz", 1.0))
-        if not (freq > 0.0 and math.isfinite(freq)):
-            raise ConfigError("freq_hz must be positive")
-        period = 1.0 / freq
-        fp = FilterParams.from_output_taus(cfg.output_taus_s)
-        return transient_s(fp, period) + 3.0 * period
-    raise ConfigError(f"t_end_s is required for trajectory kind {kind!r}")
-
-
 def build_trajectory(cfg: RunConfig) -> Trajectory:
-    t_end = resolve_t_end(cfg)
+    """The configured path over [0, t_end_s]. Without t_end_s a periodic path
+    runs for the settling stretch the scoring window skips
+    (`analysis.transient_s`) plus three full periods; a waypoint path always
+    ends at its last waypoint; other kinds require t_end_s."""
+    kind = cfg.trajectory["kind"]
     params = {k: float(v) for k, v in cfg.trajectory.items() if k not in ("kind", "points")}
     if "points" in cfg.trajectory:
         params["points"] = tuple(tuple(float(v) for v in p) for p in cfg.trajectory["points"])
-    cls = _TRAJECTORY_KINDS[cfg.trajectory["kind"]]
-    return cls(field_width=cfg.field_width, field_height=cfg.field_height, t_end=t_end, **params)
+    t_end = cfg.t_end_s if cfg.t_end_s is not None else 0.0
+    traj = _TRAJECTORY_KINDS[kind](cfg.field_width, cfg.field_height, t_end, **params)
+    if cfg.t_end_s is not None or kind == "waypoints":
+        return traj
+    period = traj.period_s
+    if period is None:
+        raise ConfigError(f"t_end_s is required for trajectory kind {kind!r}")
+    fp = FilterParams.from_output_taus(cfg.output_taus_s)
+    return dataclasses.replace(traj, t_end=transient_s(fp, period) + 3.0 * period)
 
 
 def build_layout(cfg: RunConfig) -> CellLayout:

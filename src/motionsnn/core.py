@@ -9,11 +9,12 @@ import math
 import os
 import shutil
 import signal
-from contextlib import contextmanager, suppress
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, NoReturn, Sequence, TextIO
+from typing import BinaryIO, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -255,14 +256,20 @@ def _format_block(row: str, columns: Sequence[np.ndarray], i: int) -> str:
     return (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _write_part(fh: TextIO, row: str, columns: Sequence[np.ndarray], starts: range) -> NoReturn:
-    """Body of a forked part writer: write the blocks at `starts` to `fh`
-    and end the process, never returning into the caller's code. The exit
-    status is 0, the errno of a failed write, or _WRITER_FAILED."""
+def _write_share(fd: int, head: str, row: str, columns: Sequence[np.ndarray], starts: range) -> None:
+    """Write `head` and then the blocks at `starts` to the file open at `fd`."""
+    with open(fd, "w", newline="", closefd=False) as fh:
+        fh.write(head)
+        fh.writelines(_format_block(row, columns, i) for i in starts)
+
+
+def _write_part(fd: int, head: str, row: str, columns: Sequence[np.ndarray], starts: range) -> NoReturn:
+    """Body of a forked part writer: write its share to `fd` and end the
+    process, never returning into the caller's code. The exit status is 0,
+    the errno of a failed write, or _WRITER_FAILED."""
     status = _WRITER_FAILED
     try:
-        with fh:
-            fh.writelines(_format_block(row, columns, i) for i in starts)
+        _write_share(fd, head, row, columns, starts)
         status = 0
     except OSError as exc:
         if exc.errno and exc.errno < _WRITER_FAILED:
@@ -289,59 +296,52 @@ class CsvWriter:
     CSV_BLOCK_ROWS rows is one %-format of a repeated row template, so the
     whole text is never held at once.
 
-    Where the platform can fork and more than one CPU is usable, a table of
-    more than one block is cut into contiguous shares of blocks, one per
-    usable CPU. A forked child formats each share into its own hidden part
-    file beside `path`, and the constructor returns as soon as the children
-    run. Each child holds a copy-on-write copy of the columns, so the caller
-    may drop them and work on meanwhile; that is why the children are forked
-    rather than spawned. A child runs only `_format_block` and file writes,
-    and ends with `os._exit`. `join` waits for the children and joins the
-    parts, in order, into `path`. Otherwise the constructor writes the table
-    itself and `join` has nothing left to do. Both paths share
-    `_format_block`, so the bytes are the same.
+    The table is cut into contiguous shares of blocks, and each share is
+    formatted into its own part: an unnamed temporary file in the directory
+    of `path`, which the kernel frees however the process ends. Where the
+    platform can fork and more than one CPU is usable, a table of more than
+    one block gets one share per usable CPU, each formatted by a forked
+    child, and the constructor returns as soon as the children run. Each
+    child holds a copy-on-write copy of the columns, so the caller may drop
+    them and work on meanwhile; that is why the children are forked rather
+    than spawned. A child runs only `_format_block` and file writes, and ends
+    with `os._exit`. Otherwise the whole table is one share, formatted by the
+    constructor. Both ways share `_format_block`, so the bytes are the same.
 
-    Call `join` or use the writer as a context manager. The part files are
-    removed on every exit path; a writer left by an exception stops its
-    children and does not write `path`. A path that cannot be written, or a
-    failed child, raises ConfigError.
+    `join` waits for the children and is the only code that opens `path`:
+    it copies the parts, in order, into it. Call `join` or use the writer as
+    a context manager. A writer left by an exception stops its children,
+    closes its parts and does not write `path`. A path that cannot be
+    written, a failed fork or a failed child raises ConfigError.
     """
 
     def __init__(self, path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
         self.path = path
         self._pids: list[int] = []
-        self._parts: list[str] = []
+        self._parts: list[BinaryIO] = []
         head = ",".join(header) + "\r\n"
         row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
         starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
-        workers = min(_usable_cpus(), len(starts)) if hasattr(os, "fork") else 1
-        if workers < 2:
-            with writing(path), open(path, "w", newline="") as fh:
-                fh.write(head)
-                fh.writelines(_format_block(row, columns, i) for i in starts)
-            return
-        folder, name = os.path.split(path)
+        workers = max(1, min(_usable_cpus(), len(starts))) if hasattr(os, "fork") else 1
+        folder = os.path.dirname(path) or os.curdir
         try:
             for k in range(workers):
                 share = starts[k * len(starts) // workers : (k + 1) * len(starts) // workers]
-                part = os.path.join(folder, f".{name}.{os.getpid()}.{k}.part")
                 with writing(path):
-                    fh = open(part, "w", newline="")
-                self._parts.append(part)
-                with fh:  # the parent's copy; the child writes and closes its own
-                    if k == 0:
-                        fh.write(head)
-                        fh.flush()
-                    pid = os.fork()
-                    if pid == 0:
-                        _write_part(fh, row, columns, share)
-                    self._pids.append(pid)
+                    self._parts.append(tempfile.TemporaryFile(buffering=0, dir=folder))
+                    fd = self._parts[-1].fileno()
+                    if workers == 1:
+                        _write_share(fd, head, row, columns, share)
+                    elif (pid := os.fork()) == 0:
+                        _write_part(fd, head if k == 0 else "", row, columns, share)
+                    else:
+                        self._pids.append(pid)
         except BaseException:
             self._close()
             raise
 
     def join(self) -> None:
-        """Wait for the part writers and join their parts, in order, into
+        """Wait for the part writers and copy their parts, in order, into
         `path`; raise ConfigError for a child that failed."""
         try:
             failed = 0
@@ -359,21 +359,19 @@ class CsvWriter:
             if self._parts:
                 with writing(self.path), open(self.path, "wb") as out:
                     for part in self._parts:
-                        with open(part, "rb") as src:
-                            shutil.copyfileobj(src, out, 1 << 20)
+                        part.seek(0)
+                        shutil.copyfileobj(part, out, 1 << 20)
         finally:
             self._close()
 
     def _close(self) -> None:
-        """Stop and reap every child not yet reaped and remove the parts."""
+        """Stop and reap every child not yet reaped and close the parts."""
         while self._pids:
             os.kill(self._pids[0], signal.SIGKILL)
             os.waitpid(self._pids[0], 0)
             del self._pids[0]
         while self._parts:
-            with suppress(FileNotFoundError):
-                os.remove(self._parts[-1])
-            del self._parts[-1]
+            self._parts.pop().close()
 
     def __enter__(self) -> "CsvWriter":
         return self

@@ -24,7 +24,6 @@ from .analysis import (
     transient_s,
 )
 from .config import RunConfig, build_layout, build_network, build_stimulus, build_trajectory
-from .config import resolve_t_end
 from .core import (
     DIRECTION_ORDER,
     MAX_SAMPLES,
@@ -60,11 +59,11 @@ def _grid_samples(t_end: float, dt: float) -> int:
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
-    # refuse a rate grid `evaluate` could not hold before doing any work
-    _grid_samples(resolve_t_end(cfg), cfg.grid_dt_s)
+    traj = build_trajectory(cfg)
+    # refuse a rate grid `evaluate` could not hold before any further work
+    _grid_samples(traj.t_end, cfg.grid_dt_s)
     layout = build_layout(cfg)
     net = build_network(cfg, layout)
-    traj = build_trajectory(cfg)
     stream = build_stimulus(cfg, traj)
     sim = simulate(net, stream, traj.t_end)
     return ExperimentResult(cfg, net, traj, stream, sim)

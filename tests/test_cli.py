@@ -438,7 +438,29 @@ def test_a_failed_writer_child_exits_2(tmp_path, capsys, monkeypatch, usable_cpu
     assert capsys.readouterr().err == (
         f"config error: cannot write {out / 'rates.csv'}: No space left on device\n"
     )
-    assert sorted(os.listdir(out)) == ["spikes.csv"]
+    assert os.listdir(out) == []
+
+
+def test_a_failed_fork_exits_2(tmp_path, capsys, monkeypatch, usable_cpus, forks):
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    usable_cpus(2)  # rates.csv of the default run is forked in two parts
+    fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    out = tmp_path / "out"
+    assert main(["run", "-d", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out / 'rates.csv'}: Resource temporarily unavailable\n"
+    )
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(forks[0], os.WNOHANG)
+    assert os.listdir(out) == []
 
 
 def test_domain_error_exits_3(tmp_path, capsys):
@@ -465,7 +487,7 @@ def test_numeric_overflow_reports_the_first_faulty_relay_and_nothing_else(tmp_pa
     # stderr holds everything it prints, numpy warnings included. The
     # reported neuron is the first relay whose potential overflows in (tick,
     # id) order, as the per-edge reference engine finds it.
-    from motionsnn.config import build_network, build_stimulus, resolve_t_end
+    from motionsnn.config import build_network, build_stimulus, build_trajectory
     from motionsnn.topology import Layer
     from oracles import per_edge_heap_simulate
 
@@ -478,7 +500,7 @@ def test_numeric_overflow_reports_the_first_faulty_relay_and_nothing_else(tmp_pa
     cfg = motionsnn.RunConfig.from_dict(data)
     net = build_network(cfg)
     with pytest.raises(motionsnn.NumericFault) as fault:
-        per_edge_heap_simulate(net, build_stimulus(cfg), resolve_t_end(cfg))
+        per_edge_heap_simulate(net, build_stimulus(cfg), build_trajectory(cfg).t_end)
     assert str(fault.value) == "non-finite potential on neuron 127"
     assert 127 in net.layer_ids()[Layer.HIDDEN]
 

@@ -22,7 +22,6 @@ from motionsnn.config import (
     build_network_params,
     build_stimulus,
     build_trajectory,
-    resolve_t_end,
 )
 from motionsnn.experiment import default_sweep_variants
 
@@ -84,22 +83,22 @@ def test_build_trajectory_dispatch():
 
 def test_resolve_t_end_rules():
     # explicit value wins
-    assert resolve_t_end(RunConfig(t_end_s=7.5)) == 7.5
+    assert build_trajectory(RunConfig(t_end_s=7.5)).t_end == 7.5
     # periodic default: settle time plus three periods
     cfg = RunConfig(trajectory={"kind": "circle", "freq_hz": 0.15})
     period = 1.0 / 0.15
-    assert resolve_t_end(cfg) == pytest.approx(max(4 * 0.5, period) + 3 * period)
+    assert build_trajectory(cfg).t_end == pytest.approx(max(4 * 0.5, period) + 3 * period)
     fast = RunConfig(trajectory={"kind": "circle", "freq_hz": 10.0})
-    assert resolve_t_end(fast) == pytest.approx(2.0 + 0.3)
+    assert build_trajectory(fast).t_end == pytest.approx(2.0 + 0.3)
     # linear paths have no period to fall back on
     lin = RunConfig(trajectory={"kind": "linear", "x0": 1.0, "y0": 5.0, "vx": 3.0})
     with pytest.raises(ConfigError):
-        resolve_t_end(lin)
+        build_trajectory(lin).t_end
     # waypoint runs always end at the last waypoint
     way = RunConfig(trajectory={"kind": "waypoints",
                                 "points": [[0.0, 2.0, 2.0], [2.5, 6.0, 2.0]]},
                     t_end_s=9.0)
-    assert resolve_t_end(way) == 2.5
+    assert build_trajectory(way).t_end == 2.5
 
 
 @pytest.mark.parametrize("variant", default_sweep_variants(), ids=lambda v: v.label)
@@ -108,7 +107,7 @@ def test_t_end_settles_for_exactly_the_scored_transient(variant, freq_hz):
     cfg = RunConfig(trajectory={"kind": "circle", "freq_hz": freq_hz},
                     n_per_dir=variant.n_per_dir, output_taus_s=variant.output_taus_s)
     period = 1.0 / freq_hz
-    t_end = resolve_t_end(cfg)
+    t_end = build_trajectory(cfg).t_end
     fp = FilterParams.from_output_taus(variant.output_taus_s)
     assert t_end == transient_s(fp, period) + 3.0 * period
     # the separate config-side formula this replaced, to the last bit

@@ -5,12 +5,16 @@ import errno
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import motionsnn
 from motionsnn import (
     ConfigError,
     Direction,
@@ -279,7 +283,11 @@ def test_forked_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path, usab
         usable_cpus(parts)
         for write, table, name in ((write_spikes_csv, rec, "spikes"), (write_events_csv, stream, "ev")):
             del forks[:]
-            write(table, str(tmp_path / f"{name}.csv")).join()
+            before = sorted(os.listdir(tmp_path))
+            writer = write(table, str(tmp_path / f"{name}.csv"))
+            # the parts are unnamed: nothing appears before join
+            assert sorted(os.listdir(tmp_path)) == before
+            writer.join()
             assert len(forks) == parts
             assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
             for pid in forks:  # every child was reaped
@@ -347,6 +355,31 @@ def test_a_writer_left_by_an_exception_stops_its_children(tmp_path, usable_cpus,
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    # a table of one block, formatted in the caller, does not reach its path either
+    del forks[:]
+    one_block = SpikeRecord(7, np.arange(10) % 7, np.arange(10) * 1e-3)
+    with pytest.raises(KeyboardInterrupt):
+        with write_spikes_csv(one_block, str(tmp_path / "spikes.csv")):
+            raise KeyboardInterrupt
+    assert forks == []
+    assert not (tmp_path / "spikes.csv").exists()
+
+
+def test_a_process_that_ends_before_join_leaves_no_file(tmp_path):
+    # five blocks forked in two parts, then the process ends without join
+    code = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from motionsnn.core import CSV_BLOCK_ROWS, CsvWriter\n"
+        "n = 4 * CSV_BLOCK_ROWS + 5\n"
+        "CsvWriter(sys.argv[1] + '/t.csv', ['i', 'v'], [np.arange(n), np.arange(n) * 0.5])\n"
+        "os._exit(0)\n"
+    )
+    src = str(Path(motionsnn.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert os.listdir(tmp_path) == []
 
 
 sorted_train = st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=8, unique=True).map(sorted)

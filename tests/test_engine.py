@@ -18,7 +18,7 @@ from motionsnn import (
     simulate,
 )
 
-from motionsnn.config import build_network, build_stimulus, resolve_t_end
+from motionsnn.config import build_network, build_stimulus, build_trajectory
 from motionsnn.topology import Layer
 
 from oracles import (
@@ -314,7 +314,7 @@ def test_engine_matches_fixed_step_oracle_on_tie_heavy_streams(seed):
 def test_per_spike_queue_matches_the_per_edge_heap_on_five_ranks():
     taus = tuple(float(t) for t in np.logspace(np.log10(0.005), np.log10(0.5), 5))
     cfg = RunConfig(n_per_dir=5, output_taus_s=taus, lateral_inhibition=False)
-    net, stim, t_end = build_network(cfg), build_stimulus(cfg), resolve_t_end(cfg)
+    net, stim, t_end = build_network(cfg), build_stimulus(cfg), build_trajectory(cfg).t_end
     sim = simulate(net, stim, t_end)
     assert sim.spike_totals["output"] > 0
     assert_same_simulation(sim, per_edge_heap_simulate(net, stim, t_end))
@@ -334,7 +334,7 @@ def footprint_circle(n_per_dir, **kw):
         output_taus_s=tuple(float(t) for t in taus),
         **kw,
     )
-    return build_network(cfg), build_stimulus(cfg), resolve_t_end(cfg)
+    return build_network(cfg), build_stimulus(cfg), build_trajectory(cfg).t_end
 
 
 @pytest.mark.parametrize("n_per_dir", [1, 5])

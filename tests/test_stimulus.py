@@ -19,7 +19,7 @@ from motionsnn import (
     WaypointTrajectory,
     generate_events,
 )
-from motionsnn.config import RunConfig, build_stimulus, resolve_t_end
+from motionsnn.config import RunConfig, build_stimulus, build_trajectory
 from motionsnn.core import TIME_QUANTUM, ConfigError
 from motionsnn.stimulus import (
     channel_velocities,
@@ -289,7 +289,7 @@ def test_no_event_comes_after_t_end(kind, samples_per_pixel):
         cfg = RunConfig(trajectory={"kind": kind, "freq_hz": freq},
                         samples_per_pixel=samples_per_pixel)
         stream = build_stimulus(cfg)
-        assert stream.t[-1] <= resolve_t_end(cfg)
+        assert stream.t[-1] <= build_trajectory(cfg).t_end
 
 
 LARGE_FIELD_CIRCLE = RunConfig(
