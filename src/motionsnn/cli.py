@@ -4,8 +4,9 @@ Subcommands: `topo` exports the wired network as JSON, `events` encodes the
 stimulus as CSV, `run` simulates and scores one experiment, `sweep` maps
 scoring accuracy over stimulus frequency.
 
-Exit codes: 0 success, 2 configuration error or an output that cannot be
-written, 3 domain error, 4 numeric fault.
+Exit codes: 0 success, 2 configuration error, an output that cannot be
+written or a sweep worker that cannot be started, 3 domain error, 4 numeric
+fault.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .experiment import (
 )
 
 CONFIG_ENV = "MOTIONSNN_CONFIG"
+SWEEP_HEADER = ["freq_hz", "variant", "s_acc", "s_acc_norm", "status"]
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -175,7 +177,7 @@ def _read_sweep_csv(path: str) -> dict[tuple[float, str], SweepRow]:
     rows: dict[tuple[float, str], SweepRow] = {}
     reader = csv.reader(lines)
     header = next(reader, None)
-    if header != ["freq_hz", "variant", "s_acc", "s_acc_norm", "status"]:
+    if header != SWEEP_HEADER:
         raise ConfigError(f"unexpected sweep header in {path}: {header}")
     for row in reader:
         try:
@@ -194,7 +196,7 @@ def _write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
     norms = normalize_rows(rows)
     with writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "variant", "s_acc", "s_acc_norm", "status"])
+        writer.writerow(SWEEP_HEADER)
         for r in rows:
             norm = norms.get((r.freq_hz, r.variant))
             writer.writerow(

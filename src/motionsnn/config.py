@@ -94,7 +94,7 @@ class RunConfig:
             numbers = [("points", v) for p in points for v in p]
         for key, value in numbers:
             _number(f"trajectory.{key}", value)
-        if self.encoding not in ("onset", "footprint"):
+        if self.encoding not in [m.value for m in EmitMode]:
             raise ConfigError(f"unknown encoding {self.encoding!r}")
         if self.n_per_dir < 1:
             raise ConfigError("n_per_dir must be >= 1")

@@ -5,6 +5,7 @@ upward, membrane potentials are dimensionless (rest = 0).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import shutil
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import BinaryIO, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -52,40 +53,15 @@ class Direction(Enum):
 
     @property
     def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
+        return next(b if a is self else a for a, b in AXES if self in (a, b))
 
 
-_OPPOSITE = {
-    Direction.UP: Direction.DOWN,
-    Direction.DOWN: Direction.UP,
-    Direction.LEFT: Direction.RIGHT,
-    Direction.RIGHT: Direction.LEFT,
-}
+# The two axes of motion as opposite pairs, in the order the lateral
+# inhibition is wired and the pooled spectra are taken.
+AXES = ((Direction.UP, Direction.DOWN), (Direction.LEFT, Direction.RIGHT))
 
 # Fixed ordering used for neuron ids, CSV columns and JSON exports.
-DIRECTION_ORDER: tuple[Direction, ...] = (
-    Direction.UP,
-    Direction.DOWN,
-    Direction.LEFT,
-    Direction.RIGHT,
-)
-
-
-class Role(Enum):
-    """Position of a pixel inside its plus-shaped unit cell."""
-
-    CENTER = "center"
-    UP = "up"
-    DOWN = "down"
-    LEFT = "left"
-    RIGHT = "right"
-
-
-ROLE_ORDER: tuple[Role, ...] = (Role.CENTER, Role.UP, Role.DOWN, Role.LEFT, Role.RIGHT)
-
-
-def role_of(direction: Direction) -> Role:
-    return Role(direction.value)
+DIRECTION_ORDER: tuple[Direction, ...] = tuple(Direction)
 
 
 @dataclass(frozen=True)
@@ -214,9 +190,6 @@ class RateSeries:
             raise ConfigError("values must be one-dimensional")
         object.__setattr__(self, "values", vals)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def same_grid(self, other: "RateSeries") -> bool:
         return (
             self.t0 == other.t0
@@ -256,20 +229,25 @@ def _format_block(row: str, columns: Sequence[np.ndarray], i: int) -> str:
     return (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _write_share(fd: int, head: str, row: str, columns: Sequence[np.ndarray], starts: range) -> None:
+def _write_share(fd: int, head: str, row: str, columns: Sequence[np.ndarray], starts: Iterable[int]) -> None:
     """Write `head` and then the blocks at `starts` to the file open at `fd`."""
     with open(fd, "w", newline="", closefd=False) as fh:
         fh.write(head)
         fh.writelines(_format_block(row, columns, i) for i in starts)
 
 
-def _write_part(fd: int, head: str, row: str, columns: Sequence[np.ndarray], starts: range) -> NoReturn:
+def _write_part(
+    fd: int, head: str, row: str, columns: Sequence[np.ndarray], starts: range, parent: int
+) -> NoReturn:
     """Body of a forked part writer: write its share to `fd` and end the
     process, never returning into the caller's code. The exit status is 0,
-    the errno of a failed write, or _WRITER_FAILED."""
+    the errno of a failed write, or _WRITER_FAILED. A writer whose parent
+    pid is no longer `parent` has been orphaned, so no one will read its
+    part: it stops before its next block."""
     status = _WRITER_FAILED
     try:
-        _write_share(fd, head, row, columns, starts)
+        alive = itertools.takewhile(lambda _: os.getppid() == parent, starts)
+        _write_share(fd, head, row, columns, alive)
         status = 0
     except OSError as exc:
         if exc.errno and exc.errno < _WRITER_FAILED:
@@ -305,7 +283,8 @@ class CsvWriter:
     child holds a copy-on-write copy of the columns, so the caller may drop
     them and work on meanwhile; that is why the children are forked rather
     than spawned. A child runs only `_format_block` and file writes, and ends
-    with `os._exit`. Otherwise the whole table is one share, formatted by the
+    with `os._exit`; it also stops, before its next block, once its parent
+    has ended. Otherwise the whole table is one share, formatted by the
     constructor. Both ways share `_format_block`, so the bytes are the same.
 
     `join` waits for the children and is the only code that opens `path`:
@@ -324,6 +303,7 @@ class CsvWriter:
         starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
         workers = max(1, min(_usable_cpus(), len(starts))) if hasattr(os, "fork") else 1
         folder = os.path.dirname(path) or os.curdir
+        parent = os.getpid()
         try:
             for k in range(workers):
                 share = starts[k * len(starts) // workers : (k + 1) * len(starts) // workers]
@@ -333,7 +313,7 @@ class CsvWriter:
                     if workers == 1:
                         _write_share(fd, head, row, columns, share)
                     elif (pid := os.fork()) == 0:
-                        _write_part(fd, head if k == 0 else "", row, columns, share)
+                        _write_part(fd, head if k == 0 else "", row, columns, share, parent)
                     else:
                         self._pids.append(pid)
         except BaseException:

@@ -25,6 +25,7 @@ from .analysis import (
 )
 from .config import RunConfig, build_layout, build_network, build_stimulus, build_trajectory
 from .core import (
+    AXES,
     DIRECTION_ORDER,
     MAX_SAMPLES,
     ConfigError,
@@ -138,10 +139,10 @@ def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
     The phase sums come first: the basis exp(-2 pi i f t) over the window is
     exponentiated in place, each channel's mean-removed window is summed
     against it, and the basis is freed before any spectrum exists. Then the
-    pooled pairs are transformed one at a time, UP and DOWN before LEFT and
-    RIGHT: each channel's dominant bin is read from its own spectrum, and the
-    second spectrum is added into the first. The rate filter is linear, so
-    that sum is the pooled pair's spectrum; only its argmax bin is reported.
+    pooled pairs are transformed one at a time, in AXES order: each
+    channel's dominant bin is read from its own spectrum, and the second
+    spectrum is added into the first. The rate filter is linear, so that sum
+    is the pooled pair's spectrum; only its argmax bin is reported.
     """
     m = ev.grid.n - ev.window_index
     span_s = m * ev.grid.dt
@@ -157,7 +158,7 @@ def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
         z = {d: np.sum(centred(d) * basis) for d in DIRECTION_ORDER}
         del basis
     dom, pooled = {}, {}
-    for first, second in ((Direction.UP, Direction.DOWN), (Direction.LEFT, Direction.RIGHT)):
+    for first, second in AXES:
         spectrum = np.fft.rfft(centred(first))
         dom[first.value] = _maybe(dominant_frequency, spectrum, span_s)
         other = np.fft.rfft(centred(second))
@@ -185,16 +186,17 @@ def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
 
 @dataclass(frozen=True)
 class SweepVariant:
+    """A named output layer: one rank per entry of output_taus_s."""
+
     label: str
-    n_per_dir: int
     output_taus_s: tuple[float, ...]
 
 
 def default_sweep_variants() -> tuple[SweepVariant, ...]:
     spread = tuple(float(t) for t in np.logspace(math.log10(0.005), math.log10(0.5), 5))
     return (
-        SweepVariant("n1", 1, (0.5,)),
-        SweepVariant("n5", 5, spread),
+        SweepVariant("n1", (0.5,)),
+        SweepVariant("n5", spread),
     )
 
 
@@ -215,7 +217,7 @@ def sweep_config(base: RunConfig, freq_hz: float, variant: SweepVariant) -> RunC
         base,
         trajectory=traj,
         t_end_s=None,
-        n_per_dir=variant.n_per_dir,
+        n_per_dir=len(variant.output_taus_s),
         output_taus_s=variant.output_taus_s,
     )
 
@@ -249,10 +251,22 @@ def frequency_sweep(
     if jobs > 1 and len(tasks) > 1:
         # imported only for a pooled sweep, to keep it out of every start-up
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import active_children
 
+        others = active_children()
         # under fork every worker starts up front, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+            try:
+                # map submits every task, and so starts the workers, at once
+                results = pool.map(_sweep_worker, tasks)
+            except OSError as exc:
+                # A worker could not be started. The pool would leave those
+                # it did start waiting for work, and the exit waiting on them.
+                for worker in set(active_children()) - set(others):
+                    worker.kill()
+                    worker.join()
+                raise ConfigError(f"cannot start a sweep worker: {exc.strerror or exc}") from exc
+            rows = list(results)
     else:
         rows = [_sweep_worker(t) for t in tasks]
     fresh = iter(rows)

@@ -15,24 +15,25 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    AXES,
     ConfigError,
     DIRECTION_ORDER,
     Direction,
     MAX_SAMPLES,
-    Role,
-    ROLE_ORDER,
     Sign,
     Synapse,
     TIME_QUANTUM,
-    role_of,
 )
 
-ROLE_OFFSETS: dict[Role, tuple[int, int]] = {
-    Role.CENTER: (0, 0),
-    Role.UP: (0, 1),
-    Role.DOWN: (0, -1),
-    Role.LEFT: (-1, 0),
-    Role.RIGHT: (1, 0),
+# The pixels of a cell in input id order, each at its offset from the center
+# (y increases upward). A position in the cell is a Direction, or None for
+# the center.
+CELL_PIXELS: dict[Direction | None, tuple[int, int]] = {
+    None: (0, 0),
+    Direction.UP: (0, 1),
+    Direction.DOWN: (0, -1),
+    Direction.LEFT: (-1, 0),
+    Direction.RIGHT: (1, 0),
 }
 
 
@@ -59,26 +60,22 @@ HIDDEN_SLOTS: tuple[tuple[HiddenKind, Direction | None], ...] = (
 )
 
 HIDDEN_PER_CELL = len(HIDDEN_SLOTS)  # 9
-INPUTS_PER_CELL = len(ROLE_ORDER)  # 5
+INPUTS_PER_CELL = len(CELL_PIXELS)  # 5
 
 
 def _hidden_slot(kind: HiddenKind, direction: Direction | None) -> int:
     return HIDDEN_SLOTS.index((kind, direction))
 
 
-# Input role feeding each hidden slot (every relay listens to exactly one pixel).
-SLOT_SOURCE_ROLE: tuple[Role, ...] = tuple(
-    Role.CENTER if d is None else role_of(d) for _, d in HIDDEN_SLOTS
-)
-
-# Hidden slots feeding each output direction. An output fires on two
-# excitatory spikes arriving close together: the relay of the opposite edge
-# pixel followed by the center relay. Its own edge relay vetoes it.
-OUTPUT_SOURCES: dict[Direction, tuple[tuple[int, Sign], ...]] = {
+# Hidden slot and inhibitory flag of each source feeding an output
+# direction. An output fires on two excitatory spikes arriving close
+# together: the relay of the opposite edge pixel followed by the center
+# relay. Its own edge relay vetoes it.
+OUTPUT_SOURCES: dict[Direction, tuple[tuple[int, bool], ...]] = {
     d: (
-        (_hidden_slot(HiddenKind.EXC_RELAY, d.opposite), Sign.EXCITATORY),
-        (_hidden_slot(HiddenKind.CENTER_RELAY, None), Sign.EXCITATORY),
-        (_hidden_slot(HiddenKind.INH_RELAY, d), Sign.INHIBITORY),
+        (_hidden_slot(HiddenKind.EXC_RELAY, d.opposite), False),
+        (_hidden_slot(HiddenKind.CENTER_RELAY, None), False),
+        (_hidden_slot(HiddenKind.INH_RELAY, d), True),
     )
     for d in DIRECTION_ORDER
 }
@@ -255,11 +252,11 @@ class NetworkGraph:
         """The network as JSON data. The neuron entries are built in id
         order: each input's pixel and role, each relay's kind and direction
         from HIDDEN_SLOTS, and each output's direction and rank."""
+        roles = ["center" if p is None else p.value for p in CELL_PIXELS]
         neurons: list[dict] = []
         for nid, pixel in enumerate(self.input_pixels.tolist()):
             cell, r = divmod(nid, INPUTS_PER_CELL)
-            role = ROLE_ORDER[r].value
-            neurons.append({"layer": Layer.INPUT.value, "cell": cell, "pixel": pixel, "role": role})
+            neurons.append({"layer": Layer.INPUT.value, "cell": cell, "pixel": pixel, "role": roles[r]})
         for cell in range(self.layout.n_cells):
             for kind, d in HIDDEN_SLOTS:
                 entry = {"layer": Layer.HIDDEN.value, "cell": cell, "kind": kind.value}
@@ -300,14 +297,12 @@ class NetworkGraph:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-# Input neuron (role index within the cell) feeding each hidden slot.
-_SLOT_SOURCE = np.array([ROLE_ORDER.index(role) for role in SLOT_SOURCE_ROLE])
-# Hidden slot and sign of each output source: rows by direction, columns by source.
-_OUTPUT_SLOT = np.array([[slot for slot, _ in OUTPUT_SOURCES[d]] for d in DIRECTION_ORDER])
-_OUTPUT_INH = np.array(
-    [[sign is Sign.INHIBITORY for _, sign in OUTPUT_SOURCES[d]] for d in DIRECTION_ORDER]
-)
-_ROLE_OFFSET = np.array([ROLE_OFFSETS[role] for role in ROLE_ORDER])
+# Input neuron (index within the cell) feeding each hidden slot: every relay
+# listens to the one pixel at its own slot's position.
+_SLOT_SOURCE = np.array([list(CELL_PIXELS).index(d) for _, d in HIDDEN_SLOTS])
+# OUTPUT_SOURCES as two arrays: rows by direction, columns by source.
+_OUTPUT_SLOT, _OUTPUT_INH = np.moveaxis(np.array([OUTPUT_SOURCES[d] for d in DIRECTION_ORDER]), -1, 0)
+_PIXEL_OFFSET = np.array(list(CELL_PIXELS.values()))
 
 
 def assemble_network(
@@ -319,8 +314,9 @@ def assemble_network(
 ) -> NetworkGraph:
     """Wire the input, hidden and output layers over the given cell layout.
 
-    Neuron ids are stable: inputs cell by cell in role order, then hidden
-    cell by cell in slot order, then outputs grouped by direction and rank.
+    Neuron ids are stable: inputs cell by cell in CELL_PIXELS order, then
+    hidden cell by cell in slot order, then outputs grouped by direction and
+    rank.
     Edges are made in construction order: input to hidden relay cell by cell
     in slot order, then hidden to output cell by cell, by direction, source
     and rank, then the lateral pairs.
@@ -377,7 +373,7 @@ def assemble_network(
     # lateral: opposite channels of equal rank veto each other
     lateral = []
     if lateral_inhibition:
-        for a, b in ((Direction.UP, Direction.DOWN), (Direction.LEFT, Direction.RIGHT)):
+        for a, b in AXES:
             for ia, ib in zip(output_ids[a], output_ids[b]):
                 lateral += [(ia, ib), (ib, ia)]
     lat = np.array(lateral, dtype=np.int64).reshape(-1, 2)
@@ -409,6 +405,6 @@ def assemble_network(
         tau_m=tau_m,
         v_th=v_th,
         v_floor=v_floor,
-        input_pixels=(centers[:, None, :] + _ROLE_OFFSET).reshape(-1, 2),
+        input_pixels=(centers[:, None, :] + _PIXEL_OFFSET).reshape(-1, 2),
         output_ids=output_ids,
     )

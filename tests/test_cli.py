@@ -463,41 +463,84 @@ def test_a_failed_fork_exits_2(tmp_path, capsys, monkeypatch, usable_cpus, forks
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("started", [0, 1], ids=["first-fork", "second-fork"])
+def test_a_failed_sweep_worker_fork_exits_2(tmp_path, capsys, monkeypatch, forks, started):
+    # The pool starts its two workers up front; the fork after `started`
+    # of them fails. The workers already started are stopped and reaped.
+    fork = os.fork
+
+    def fork_until_refused():
+        if len(forks) == started:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_until_refused)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--freqs", "0.8,1.7", "--variants", "n1", "-j", "2", "-o", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot start a sweep worker: Resource temporarily unavailable\n"
+    )
+    assert len(forks) == started
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(pid, os.WNOHANG)
+    assert not out.exists()
+
+
+LINEAR_HALF_SECOND = {"trajectory": {"kind": "linear", "x0": 2.0, "vx": 1.0}, "t_end_s": 0.5}
+
+# command, config and message of each domain error
+DOMAIN_ERRORS = [
+    (["events", "--out", "{tmp}/e.csv"],
+     {"trajectory": {"kind": "circle", "freq_hz": 1.0, "radius": 6.0}},
+     "x range [-1.5, 10.5] leaves the 10x11 field"),
+    # with the default 0.5 s output tau the scoring window opens after 2 s
+    (["run", "-d", "{tmp}/out"], LINEAR_HALF_SECOND,
+     "run too short to score: needs > 2.000s, has 0.500s"),
+    (["sweep", "--freqs", "1", "-o", "{tmp}/sweep.csv"], LINEAR_HALF_SECOND,
+     "frequency sweep needs a periodic trajectory"),
+]
+
+
 def test_domain_error_exits_3(tmp_path, capsys):
-    big = write_cfg(tmp_path, {"trajectory": {"kind": "circle", "freq_hz": 1.0,
-                                              "radius": 6.0}})
-    assert main(["events", "-c", big, "--out", str(tmp_path / "e.csv")]) == 3
-    assert "domain error:" in capsys.readouterr().err
+    for command, data, message in DOMAIN_ERRORS:
+        cfg = write_cfg(tmp_path, data)
+        assert main([a.format(tmp=tmp_path) for a in command] + ["-c", cfg]) == 3
+        assert capsys.readouterr().err == f"domain error: {message}\n"
+
+
+# giant sub-threshold weights overflow a relay's potential on the second pass
+RELAY_OVERFLOW = {
+    "trajectory": {"kind": "waypoints",
+                   "points": [[0.0, 4.5, 5.0], [1.0, 6.0, 5.0], [2.0, 4.5, 5.0]]},
+    "network": {"hidden_v_th": 1.5e308, "w_input_hidden": 1e308,
+                "tau_directional_s": 20.0},
+}
 
 
 def test_numeric_overflow_exits_4(tmp_path, capsys):
-    # giant sub-threshold weights overflow the potential on the second pass
-    cfg = write_cfg(tmp_path, {
-        "trajectory": {"kind": "waypoints",
-                       "points": [[0.0, 4.5, 5.0], [1.0, 6.0, 5.0], [2.0, 4.5, 5.0]]},
-        "network": {"hidden_v_th": 1.5e308, "w_input_hidden": 1e308,
-                    "tau_directional_s": 20.0},
-    })
-    assert main(["run", "-c", cfg, "-d", str(tmp_path / "boom")]) == 4
-    assert "numeric fault:" in capsys.readouterr().err
+    for data, neuron in [
+        (RELAY_OVERFLOW, 127),
+        # two excitatory relay arrivals of weight 1e308 sum past the largest
+        # float, first in the UP output
+        ({"network": {"w_hidden_output": 1e308}}, 210),
+    ]:
+        cfg = write_cfg(tmp_path, data)
+        assert main(["run", "-c", cfg, "-d", str(tmp_path / "boom")]) == 4
+        assert capsys.readouterr().err == f"numeric fault: non-finite potential on neuron {neuron}\n"
 
 
 def test_numeric_overflow_reports_the_first_faulty_relay_and_nothing_else(tmp_path):
-    # The config of test_numeric_overflow_exits_4, run as a process so that
-    # stderr holds everything it prints, numpy warnings included. The
-    # reported neuron is the first relay whose potential overflows in (tick,
-    # id) order, as the per-edge reference engine finds it.
+    # RELAY_OVERFLOW, run as a process so that stderr holds everything it
+    # prints, numpy warnings included. The reported neuron is the first relay
+    # whose potential overflows in (tick, id) order, as the per-edge
+    # reference engine finds it.
     from motionsnn.config import build_network, build_stimulus, build_trajectory
     from motionsnn.topology import Layer
     from oracles import per_edge_heap_simulate
 
-    data = {
-        "trajectory": {"kind": "waypoints",
-                       "points": [[0.0, 4.5, 5.0], [1.0, 6.0, 5.0], [2.0, 4.5, 5.0]]},
-        "network": {"hidden_v_th": 1.5e308, "w_input_hidden": 1e308,
-                    "tau_directional_s": 20.0},
-    }
-    cfg = motionsnn.RunConfig.from_dict(data)
+    cfg = motionsnn.RunConfig.from_dict(RELAY_OVERFLOW)
     net = build_network(cfg)
     with pytest.raises(motionsnn.NumericFault) as fault:
         per_edge_heap_simulate(net, build_stimulus(cfg), build_trajectory(cfg).t_end)
@@ -506,7 +549,7 @@ def test_numeric_overflow_reports_the_first_faulty_relay_and_nothing_else(tmp_pa
 
     src = str(Path(motionsnn.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "motionsnn", "run", "-c", write_cfg(tmp_path, data),
+        [sys.executable, "-m", "motionsnn", "run", "-c", write_cfg(tmp_path, RELAY_OVERFLOW),
          "-d", str(tmp_path / "boom")],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )

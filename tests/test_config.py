@@ -105,7 +105,7 @@ def test_resolve_t_end_rules():
 @pytest.mark.parametrize("freq_hz", [0.01, 0.15, 1.0, 7.0])
 def test_t_end_settles_for_exactly_the_scored_transient(variant, freq_hz):
     cfg = RunConfig(trajectory={"kind": "circle", "freq_hz": freq_hz},
-                    n_per_dir=variant.n_per_dir, output_taus_s=variant.output_taus_s)
+                    n_per_dir=len(variant.output_taus_s), output_taus_s=variant.output_taus_s)
     period = 1.0 / freq_hz
     t_end = build_trajectory(cfg).t_end
     fp = FilterParams.from_output_taus(variant.output_taus_s)

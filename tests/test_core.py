@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from motionsnn import (
     EventStream,
     NetworkParams,
     RateSeries,
-    Role,
     Sign,
     SpikeRecord,
     Synapse,
@@ -33,7 +33,6 @@ from motionsnn import (
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
     fmt_float,
-    role_of,
     write_events_csv,
     write_spikes_csv,
 )
@@ -52,12 +51,6 @@ def test_direction_opposite_is_involution():
         Direction.LEFT,
         Direction.RIGHT,
     )
-
-
-def test_role_of_maps_onto_matching_role():
-    for d in Direction:
-        assert role_of(d).value == d.value
-    assert Role.CENTER.value not in {d.value for d in Direction}
 
 
 def test_event_stream_sorts_by_time_then_row_then_column():
@@ -380,6 +373,48 @@ def test_a_process_that_ends_before_join_leaves_no_file(tmp_path):
     subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                    env=dict(os.environ, PYTHONPATH=src), check=True)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_part_writers_stop_when_their_process_ends(tmp_path):
+    # 20 blocks of 0.1 s each in two shares, so each writer has about 1 s of
+    # work; the process records the writers' pids and ends at once. The pids
+    # go to a file: the writers would hold a captured stdout pipe open.
+    code = (
+        "import os, sys, time\n"
+        "import numpy as np\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from motionsnn import core\n"
+        "format_block = core._format_block\n"
+        "def slow_format_block(row, columns, i):\n"
+        "    time.sleep(0.1)\n"
+        "    return format_block(row, columns, i)\n"
+        "core._format_block = slow_format_block\n"
+        "fork, pids = os.fork, []\n"
+        "def recording_fork():\n"
+        "    pid = fork()\n"
+        "    pids.append(pid)\n"
+        "    return pid\n"
+        "os.fork = recording_fork\n"
+        "core.CsvWriter(sys.argv[1] + '/t.csv', ['i'], [np.arange(20 * core.CSV_BLOCK_ROWS)])\n"
+        "with open(sys.argv[1] + '/pids', 'w') as fh:\n"
+        "    fh.write(' '.join(map(str, pids)))\n"
+        "os._exit(0)\n"
+    )
+    src = str(Path(motionsnn.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)
+    pids = [int(pid) for pid in (tmp_path / "pids").read_text().split()]
+    assert len(pids) == 2
+    time.sleep(0.5)
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # ended and reaped
+        state = stat.rsplit(")", 1)[1].split()[0]
+        assert state == "Z", f"part writer {pid} still running 0.5 s after its process ended"
+    assert os.listdir(tmp_path) == ["pids"]
 
 
 sorted_train = st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=8, unique=True).map(sorted)

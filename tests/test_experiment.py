@@ -121,7 +121,7 @@ def test_sweep_returns_one_row_per_requested_point(monkeypatch):
     n1, n5 = experiment.default_sweep_variants()
     # a repeated frequency and a repeated label are one point; the first
     # variant with a label is the one that runs
-    twin = experiment.SweepVariant("n1", n5.n_per_dir, n5.output_taus_s)
+    twin = experiment.SweepVariant("n1", n5.output_taus_s)
     rows = experiment.frequency_sweep(base, (0.8, 0.8), (n1, twin))
     assert [(r.freq_hz, r.variant) for r in rows] == [(0.8, "n1")]
     assert [(f, label, cfg.n_per_dir) for cfg, f, label in tasks] == [(0.8, "n1", 1)]

@@ -14,7 +14,6 @@ from motionsnn import (
     Direction,
     DIRECTION_ORDER,
     NetworkParams,
-    Role,
     Sign,
     assemble_network,
     tessellate,
@@ -22,25 +21,26 @@ from motionsnn import (
 from motionsnn.cli import main
 from motionsnn.config import RunConfig, apply_overrides, build_network
 from motionsnn.topology import (
+    CELL_PIXELS,
     HIDDEN_PER_CELL,
     HIDDEN_SLOTS,
     INPUTS_PER_CELL,
     OUTPUT_SOURCES,
-    SLOT_SOURCE_ROLE,
     HiddenKind,
     Layer,
 )
 
 
-# Pixel of each role relative to the cell center (y increases upward).
-ROLE_STEP = {
-    Role.CENTER: (0, 0), Role.UP: (0, 1), Role.DOWN: (0, -1),
-    Role.LEFT: (-1, 0), Role.RIGHT: (1, 0),
+# Pixel of each cell position relative to the cell center (y increases
+# upward); None is the center.
+POSITION_STEP = {
+    None: (0, 0), Direction.UP: (0, 1), Direction.DOWN: (0, -1),
+    Direction.LEFT: (-1, 0), Direction.RIGHT: (1, 0),
 }
 
 
 def plus_pixels(cx, cy):
-    return {(cx + dx, cy + dy) for dx, dy in ROLE_STEP.values()}
+    return {(cx + dx, cy + dy) for dx, dy in POSITION_STEP.values()}
 
 
 def covered_pixels(layout):
@@ -121,13 +121,13 @@ def test_build_unit_cell_rejects_border_centers(center):
 def test_hidden_slot_table():
     assert HIDDEN_PER_CELL == 9 and INPUTS_PER_CELL == 5
     assert HIDDEN_SLOTS[0] == (HiddenKind.CENTER_RELAY, None)
-    assert SLOT_SOURCE_ROLE[0] is Role.CENTER
+    assert CELL_PIXELS == POSITION_STEP and list(CELL_PIXELS) == [None, *DIRECTION_ORDER]
     for d in DIRECTION_ORDER:
         sources = OUTPUT_SOURCES[d]
-        kinds = [(HIDDEN_SLOTS[slot], sign) for slot, sign in sources]
-        assert kinds[0] == ((HiddenKind.EXC_RELAY, d.opposite), Sign.EXCITATORY)
-        assert kinds[1] == ((HiddenKind.CENTER_RELAY, None), Sign.EXCITATORY)
-        assert kinds[2] == ((HiddenKind.INH_RELAY, d), Sign.INHIBITORY)
+        kinds = [(HIDDEN_SLOTS[slot], inh) for slot, inh in sources]
+        assert kinds[0] == ((HiddenKind.EXC_RELAY, d.opposite), False)
+        assert kinds[1] == ((HiddenKind.CENTER_RELAY, None), False)
+        assert kinds[2] == ((HiddenKind.INH_RELAY, d), True)
 
 
 def test_default_network_counts(default_net):
@@ -190,12 +190,13 @@ def test_every_relay_listens_to_one_pixel(default_net):
         assert syn.sign is Sign.EXCITATORY and syn.weight == 1.0
         pre, relay = neurons[syn.pre], neurons[post]
         assert pre["layer"] == "input" and pre["cell"] == relay["cell"]
-        # the relay's pixel role matches the slot table
-        direction = Direction(relay["direction"]) if "direction" in relay else None
-        slot = HIDDEN_SLOTS.index((HiddenKind(relay["kind"]), direction))
+        # the relay listens to the pixel at its own position in the cell
+        direction = relay.get("direction")
+        position = Direction(direction) if direction else None
+        assert (HiddenKind(relay["kind"]) is HiddenKind.CENTER_RELAY) == (position is None)
         cx, cy = default_net.layout.centers[pre["cell"]]
-        dx, dy = ROLE_STEP[SLOT_SOURCE_ROLE[slot]]
-        assert pre["role"] == SLOT_SOURCE_ROLE[slot].value and pre["pixel"] == [cx + dx, cy + dy]
+        dx, dy = POSITION_STEP[position]
+        assert pre["role"] == (direction or "center") and pre["pixel"] == [cx + dx, cy + dy]
 
 
 def test_output_wiring_per_cell(default_net):
