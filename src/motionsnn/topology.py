@@ -301,7 +301,8 @@ class NetworkGraph:
 # listens to the one pixel at its own slot's position.
 _SLOT_SOURCE = np.array([list(CELL_PIXELS).index(d) for _, d in HIDDEN_SLOTS])
 # OUTPUT_SOURCES as two arrays: rows by direction, columns by source.
-_OUTPUT_SLOT, _OUTPUT_INH = np.moveaxis(np.array([OUTPUT_SOURCES[d] for d in DIRECTION_ORDER]), -1, 0)
+_OUTPUT_SLOT = np.array([[s for s, _ in OUTPUT_SOURCES[d]] for d in DIRECTION_ORDER])
+_OUTPUT_INH = np.array([[inh for _, inh in OUTPUT_SOURCES[d]] for d in DIRECTION_ORDER])
 _PIXEL_OFFSET = np.array(list(CELL_PIXELS.values()))
 
 
