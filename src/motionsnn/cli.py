@@ -5,8 +5,8 @@ stimulus as CSV, `run` simulates and scores one experiment, `sweep` maps
 scoring accuracy over stimulus frequency.
 
 Exit codes: 0 success, 2 configuration error, an output that cannot be
-written or a sweep worker that cannot be started, 3 domain error, 4 numeric
-fault.
+written, or a forked CSV part writer or sweep worker that cannot be started
+or fails, 3 domain error, 4 numeric fault.
 """
 from __future__ import annotations
 
@@ -135,10 +135,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "spectra": spectra,
         },
     }
-    path = os.path.join(args.out_dir, "summary.json")
-    with writing(path), open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    _write_text(os.path.join(args.out_dir, "summary.json"), text)
     print(
         f"s_acc={ev.score.clamped:.4f} f_max={ev.f_max_hz:.4f}Hz "
         f"output_spikes={sum(ev.pooled_counts.values())} -> {args.out_dir}"

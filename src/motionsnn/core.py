@@ -11,11 +11,12 @@ import os
 import shutil
 import signal
 import tempfile
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -229,31 +230,85 @@ def _format_block(row: str, columns: Sequence[np.ndarray], i: int) -> str:
     return (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _write_share(fd: int, head: str, row: str, columns: Sequence[np.ndarray], starts: Iterable[int]) -> None:
-    """Write `head` and then the blocks at `starts` to the file open at `fd`."""
-    with open(fd, "w", newline="", closefd=False) as fh:
-        fh.write(head)
-        fh.writelines(_format_block(row, columns, i) for i in starts)
-
-
-def _write_part(
-    fd: int, head: str, row: str, columns: Sequence[np.ndarray], starts: range, parent: int
-) -> NoReturn:
-    """Body of a forked part writer: write its share to `fd` and end the
+def _write_part(work: Callable, fd: int, share: Iterable, parent: int) -> NoReturn:
+    """Body of a forked part writer: run `work` on its share and end the
     process, never returning into the caller's code. The exit status is 0,
-    the errno of a failed write, or _WRITER_FAILED. A writer whose parent
-    pid is no longer `parent` has been orphaned, so no one will read its
-    part: it stops before its next block."""
+    the errno of an OSError, or _WRITER_FAILED after the traceback of any
+    other error. A writer whose parent pid is no longer `parent` has been
+    orphaned, so no one will read its part: it stops before its next item."""
     status = _WRITER_FAILED
     try:
-        alive = itertools.takewhile(lambda _: os.getppid() == parent, starts)
-        _write_share(fd, head, row, columns, alive)
+        work(fd, itertools.takewhile(lambda _: os.getppid() == parent, share))
         status = 0
     except OSError as exc:
         if exc.errno and exc.errno < _WRITER_FAILED:
             status = exc.errno
+    except Exception:
+        import traceback  # only a failing child loads it, to keep it out of start-up
+        traceback.print_exc()
     finally:
         os._exit(status)
+
+
+class Parts:
+    """`work(fd, share)` run on each share into its own part: an unnamed
+    temporary file in `folder`, which the kernel frees however the process
+    ends. Where the platform can fork and there is more than one share, a
+    forked child, a part writer, runs each share on a copy-on-write copy of
+    the caller's memory, and the caller goes on meanwhile; otherwise the
+    constructor runs the shares in order. `join` returns the parts, rewound,
+    in share order. A failed fork or child raises OSError, at the first
+    failure and after every other child is stopped and reaped. Leaving the
+    context stops every child left and closes the parts."""
+
+    def __init__(self, work: Callable, shares: Sequence[Iterable], folder: str | None = None) -> None:
+        self._pids: list[int] = []
+        self._parts: list[BinaryIO] = []
+        fork = len(shares) > 1 and hasattr(os, "fork")
+        parent = os.getpid()
+        try:
+            for share in shares:
+                self._parts.append(tempfile.TemporaryFile(buffering=0, dir=folder))
+                fd = self._parts[-1].fileno()
+                if not fork:
+                    work(fd, share)
+                elif (pid := os.fork()) == 0:
+                    _write_part(work, fd, share, parent)
+                else:
+                    self._pids.append(pid)
+        except BaseException:
+            self.close()
+            raise
+
+    def join(self) -> list[BinaryIO]:
+        while self._pids:
+            time.sleep(0.005)  # polled, so the first child to fail is found at once
+            for pid in self._pids[:]:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    self._pids.remove(pid)
+                if code := done and os.waitstatus_to_exitcode(status):
+                    self.close()
+                    reason = f"part writer exited with status {code}"
+                    raise OSError(code, os.strerror(code) if 0 < code < _WRITER_FAILED else reason)
+        for part in self._parts:
+            part.seek(0)
+        return self._parts
+
+    def close(self) -> None:
+        """Stop and reap every child not yet reaped and close the parts."""
+        while self._pids:
+            os.kill(self._pids[0], signal.SIGKILL)
+            os.waitpid(self._pids[0], 0)
+            del self._pids[0]
+        while self._parts:
+            self._parts.pop().close()
+
+    def __enter__(self) -> "Parts":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _usable_cpus() -> int:
@@ -267,91 +322,43 @@ class CsvWriter:
     """Equal-length columns written to `path` as CSV, byte for byte what
     `csv.writer` makes of the rows with each float passed through
     `fmt_float`: integer columns print as `%d`, float columns as `%.9g`,
-    lines end in CRLF.
+    lines end in CRLF. The columns are stacked as float64, so integer values
+    must stay below 2**53 in magnitude (ids and pixel coordinates do). Each
+    block of CSV_BLOCK_ROWS rows is one %-format of a repeated row template,
+    so the whole text is never held at once.
 
-    The columns are stacked as float64, so integer values must stay below
-    2**53 in magnitude (ids and pixel coordinates do). Each block of
-    CSV_BLOCK_ROWS rows is one %-format of a repeated row template, so the
-    whole text is never held at once.
-
-    The table is cut into contiguous shares of blocks, and each share is
-    formatted into its own part: an unnamed temporary file in the directory
-    of `path`, which the kernel frees however the process ends. Where the
-    platform can fork and more than one CPU is usable, a table of more than
-    one block gets one share per usable CPU, each formatted by a forked
-    child, and the constructor returns as soon as the children run. Each
-    child holds a copy-on-write copy of the columns, so the caller may drop
-    them and work on meanwhile; that is why the children are forked rather
-    than spawned. A child runs only `_format_block` and file writes, and ends
-    with `os._exit`; it also stops, before its next block, once its parent
-    has ended. Otherwise the whole table is one share, formatted by the
-    constructor. Both ways share `_format_block`, so the bytes are the same.
-
-    `join` waits for the children and is the only code that opens `path`:
-    it copies the parts, in order, into it. Call `join` or use the writer as
-    a context manager. A writer left by an exception stops its children,
-    closes its parts and does not write `path`. A path that cannot be
+    The blocks are cut into one contiguous share per usable CPU, at most one
+    per block, and formatted as `Parts` in the directory of `path`. `join`
+    is the only code that opens `path`: it writes the header and copies the
+    parts into it. Call `join` or use the writer as a context manager; one
+    left by an exception does not write `path`. A path that cannot be
     written, a failed fork or a failed child raises ConfigError.
     """
 
     def __init__(self, path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
         self.path = path
-        self._pids: list[int] = []
-        self._parts: list[BinaryIO] = []
-        head = ",".join(header) + "\r\n"
+        self._head = (",".join(header) + "\r\n").encode()
         row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
         starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
-        workers = max(1, min(_usable_cpus(), len(starts))) if hasattr(os, "fork") else 1
-        folder = os.path.dirname(path) or os.curdir
-        parent = os.getpid()
-        try:
-            for k in range(workers):
-                share = starts[k * len(starts) // workers : (k + 1) * len(starts) // workers]
-                with writing(path):
-                    self._parts.append(tempfile.TemporaryFile(buffering=0, dir=folder))
-                    fd = self._parts[-1].fileno()
-                    if workers == 1:
-                        _write_share(fd, head, row, columns, share)
-                    elif (pid := os.fork()) == 0:
-                        _write_part(fd, head if k == 0 else "", row, columns, share, parent)
-                    else:
-                        self._pids.append(pid)
-        except BaseException:
-            self._close()
-            raise
+        n = max(1, min(_usable_cpus(), len(starts)))
+        shares = [starts[k * len(starts) // n : (k + 1) * len(starts) // n] for k in range(n)]
+
+        def write_share(fd: int, share: Iterable[int]) -> None:
+            with open(fd, "w", newline="", closefd=False) as fh:
+                fh.writelines(_format_block(row, columns, i) for i in share)
+
+        with writing(path):
+            self._parts = Parts(write_share, shares, os.path.dirname(path) or os.curdir)
 
     def join(self) -> None:
-        """Wait for the part writers and copy their parts, in order, into
-        `path`; raise ConfigError for a child that failed."""
-        try:
-            failed = 0
-            while self._pids:
-                _, status = os.waitpid(self._pids[0], 0)
-                del self._pids[0]
-                failed = failed or os.waitstatus_to_exitcode(status)
-            if failed:
-                reason = (
-                    os.strerror(failed)
-                    if 0 < failed < _WRITER_FAILED
-                    else f"part writer exited with status {failed}"
-                )
-                raise ConfigError(f"cannot write {self.path}: {reason}")
-            if self._parts:
-                with writing(self.path), open(self.path, "wb") as out:
-                    for part in self._parts:
-                        part.seek(0)
-                        shutil.copyfileobj(part, out, 1 << 20)
-        finally:
-            self._close()
-
-    def _close(self) -> None:
-        """Stop and reap every child not yet reaped and close the parts."""
-        while self._pids:
-            os.kill(self._pids[0], signal.SIGKILL)
-            os.waitpid(self._pids[0], 0)
-            del self._pids[0]
-        while self._parts:
-            self._parts.pop().close()
+        """Wait for the shares and write the header and then the parts, in
+        order, to `path`; raise ConfigError for a child that failed."""
+        with self._parts, writing(self.path):
+            parts = self._parts.join()
+            with open(self.path, "wb") as out:
+                out.write(self._head)
+                for part in parts:
+                    shutil.copyfileobj(part, out, 1 << 20)
 
     def __enter__(self) -> "CsvWriter":
         return self
@@ -360,7 +367,7 @@ class CsvWriter:
         if exc_type is None:
             self.join()
         else:
-            self._close()
+            self._parts.close()
 
 
 def write_events_csv(stream: EventStream, path: str) -> CsvWriter:

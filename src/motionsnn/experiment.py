@@ -6,7 +6,9 @@ provides the frequency sweep used to map the responsive band.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .core import (
     Direction,
     DomainError,
     MotionSnnError,
+    Parts,
     RateSeries,
 )
 from .engine import SimulationOutput, simulate
@@ -231,6 +234,12 @@ def _sweep_worker(args: tuple[RunConfig, float, str]) -> SweepRow:
         return SweepRow(freq, label, None, f"error: {exc}")
 
 
+def _run_share(fd: int, tasks: Iterable[tuple[RunConfig, float, str]]) -> None:
+    """Score each task and pickle the rows, in order, into the file open at `fd`."""
+    with open(fd, "wb", closefd=False) as fh:
+        pickle.dump([_sweep_worker(t) for t in tasks], fh)
+
+
 def frequency_sweep(
     base: RunConfig,
     freqs: tuple[float, ...],
@@ -248,28 +257,14 @@ def frequency_sweep(
     points = [(f, v) for v in by_label.values() for f in sorted(set(freqs))]
     done = precomputed or {}
     tasks = [(sweep_config(base, f, v), f, v.label) for f, v in points if (f, v.label) not in done]
-    if jobs > 1 and len(tasks) > 1:
-        # imported only for a pooled sweep, to keep it out of every start-up
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import active_children
-
-        others = active_children()
-        # under fork every worker starts up front, so start no idle ones
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            try:
-                # map submits every task, and so starts the workers, at once
-                results = pool.map(_sweep_worker, tasks)
-            except OSError as exc:
-                # A worker could not be started. The pool would leave those
-                # it did start waiting for work, and the exit waiting on them.
-                for worker in set(active_children()) - set(others):
-                    worker.kill()
-                    worker.join()
-                raise ConfigError(f"cannot start a sweep worker: {exc.strerror or exc}") from exc
-            rows = list(results)
-    else:
-        rows = [_sweep_worker(t) for t in tasks]
-    fresh = iter(rows)
+    # child k gets every n-th task from k, which spreads each variant's slow low frequencies
+    n = min(jobs, len(tasks))
+    try:
+        with Parts(_run_share, [tasks[k::n] for k in range(n)]) as parts:
+            shares = [pickle.load(part) for part in parts.join()]
+    except OSError as exc:
+        raise ConfigError(f"cannot run a sweep worker: {exc.strerror or exc}") from exc
+    fresh = (shares[i % n][i // n] for i in range(len(tasks)))
     return [done[(f, v.label)] if (f, v.label) in done else next(fresh) for f, v in points]
 
 

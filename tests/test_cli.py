@@ -5,8 +5,10 @@ import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import motionsnn
-from motionsnn import cli
+from motionsnn import cli, experiment
 from motionsnn.analysis import RateGrid
 from motionsnn.cli import _write_rates_csv, main
 from motionsnn.core import (
@@ -352,21 +354,6 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, out_file):
             assert err == f"config error: cannot read config {cfg}: Is a directory\n"
 
 
-def test_importing_the_cli_loads_no_process_pool_module():
-    # multiprocessing and concurrent.futures are imported only when a sweep
-    # is pooled
-    code = (
-        "import sys, motionsnn.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
-    )
-    src = str(Path(motionsnn.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.strip() == "[]"
-
-
 def test_the_benchmark_tracer_finds_its_hooks_and_counts_the_run(tmp_path):
     # perfbench/spans.py wraps package functions and reads its views by
     # name, and reports any it cannot find as absent
@@ -391,13 +378,18 @@ def test_the_benchmark_tracer_finds_its_hooks_and_counts_the_run(tmp_path):
         assert counters[f"engine.spikes.{layer}"] == n
 
 
-def test_run_and_events_load_no_process_pool_module(tmp_path):
-    # the CSV writers fork their part writers without either module
+def test_no_command_loads_a_process_pool_module(tmp_path):
+    # the CSV writers and the sweep fork their children without
+    # multiprocessing or concurrent.futures, and the CLI imports neither
     code = (
         "import sys, motionsnn.cli\n"
+        "def pool_modules():\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        "pool_modules()\n"
         "motionsnn.cli.main(['events', '-o', sys.argv[1] + '/ev.csv'])\n"
         "motionsnn.cli.main(['run', '-d', sys.argv[1]])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        "motionsnn.cli.main(['sweep', '--freqs', '0.8,1.7', '-j', '2', '-o', sys.argv[1] + '/sweep.csv'])\n"
+        "pool_modules()\n"
     )
     src = str(Path(motionsnn.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "MOTIONSNN_CONFIG"}
@@ -405,8 +397,11 @@ def test_run_and_events_load_no_process_pool_module(tmp_path):
         [sys.executable, "-c", code, str(tmp_path)], env=dict(env, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "[]"
-    assert sorted(os.listdir(tmp_path)) == ["ev.csv", "rates.csv", "spikes.csv", "summary.json"]
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert sorted(os.listdir(tmp_path)) == [
+        "ev.csv", "rates.csv", "spikes.csv", "summary.json", "sweep.csv"
+    ]
 
 
 @pytest.mark.parametrize("command, target", [
@@ -465,7 +460,7 @@ def test_a_failed_fork_exits_2(tmp_path, capsys, monkeypatch, usable_cpus, forks
 
 @pytest.mark.parametrize("started", [0, 1], ids=["first-fork", "second-fork"])
 def test_a_failed_sweep_worker_fork_exits_2(tmp_path, capsys, monkeypatch, forks, started):
-    # The pool starts its two workers up front; the fork after `started`
+    # The sweep starts its two workers up front; the fork after `started`
     # of them fails. The workers already started are stopped and reaped.
     fork = os.fork
 
@@ -479,9 +474,37 @@ def test_a_failed_sweep_worker_fork_exits_2(tmp_path, capsys, monkeypatch, forks
     args = ["sweep", "--freqs", "0.8,1.7", "--variants", "n1", "-j", "2", "-o", str(out)]
     assert main(args) == 2
     assert capsys.readouterr().err == (
-        "config error: cannot start a sweep worker: Resource temporarily unavailable\n"
+        "config error: cannot run a sweep worker: Resource temporarily unavailable\n"
     )
     assert len(forks) == started
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(pid, os.WNOHANG)
+    assert not out.exists()
+
+
+def test_a_killed_sweep_worker_exits_2(tmp_path, capsys, monkeypatch, forks):
+    # The worker of the 1.7 Hz point kills itself. The other one, which would
+    # sleep for 30 s, is stopped and reaped at once instead of waited for.
+    parent, run = os.getpid(), experiment.run_experiment
+
+    def killed_or_slow(cfg):
+        if os.getpid() != parent:
+            if cfg.trajectory["freq_hz"] == 1.7:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(30)
+        return run(cfg)
+
+    monkeypatch.setattr(experiment, "run_experiment", killed_or_slow)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--freqs", "0.8,1.7", "--variants", "n1", "-j", "2", "-o", str(out)]
+    began = time.monotonic()
+    assert main(args) == 2
+    assert time.monotonic() - began < 10
+    assert capsys.readouterr().err == (
+        "config error: cannot run a sweep worker: part writer exited with status -9\n"
+    )
+    assert len(forks) == 2
     for pid in forks:
         with pytest.raises(ChildProcessError):  # the worker was reaped
             os.waitpid(pid, os.WNOHANG)

@@ -321,7 +321,7 @@ def test_a_table_of_one_block_is_formatted_in_the_caller(tmp_path, usable_cpus, 
     (RuntimeError("not an OSError"), "part writer exited with status 255"),
 ], ids=["oserror", "other-error"])
 def test_a_failed_part_writer_raises_and_leaves_no_file(
-    tmp_path, usable_cpus, forks, failing_children, error, reason
+    tmp_path, capfd, usable_cpus, forks, failing_children, error, reason
 ):
     usable_cpus(3)
     failing_children(error)
@@ -335,6 +335,8 @@ def test_a_failed_part_writer_raises_and_leaves_no_file(
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    if not isinstance(error, OSError):  # a child prints the traceback of its error
+        assert "RuntimeError: not an OSError" in capfd.readouterr().err
 
 
 def test_a_writer_left_by_an_exception_stops_its_children(tmp_path, usable_cpus, forks):

@@ -1,7 +1,7 @@
 """The run path works on the array forms of the network and the stimulus,
 and scores and spectra keep their recorded values."""
 
-import concurrent.futures
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,28 +53,28 @@ def test_run_path_builds_no_views_and_no_scalar_positions(monkeypatch):
     assert "spike_times" not in vars(result.sim.record)
 
 
-def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
-    sizes = []
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, forks):
+    # worker k runs the strided share tasks[k::n], n = min(jobs, len(tasks))
+    def worker(task):
+        return experiment.SweepRow(task[1], task[2], 0.5, f"ok in {os.getpid()}")
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiment, "_sweep_worker", worker)
     base = RunConfig(trajectory={"kind": "circle", "freq_hz": 1.0, "radius": 3.0})
     n1 = experiment.default_sweep_variants()[:1]
-    rows = experiment.frequency_sweep(base, (0.8, 1.7), n1, jobs=8)
-    assert sizes == [2]
-    assert [r.status for r in rows] == ["ok", "ok"]
+    for jobs, freqs in ((8, (0.8, 1.7)), (2, (0.3, 0.8, 1.7, 2.5, 3.1))):
+        del forks[:]
+        rows = experiment.frequency_sweep(base, freqs, n1, jobs=jobs)
+        assert len(forks) == 2
+        assert [r.freq_hz for r in rows] == list(freqs)
+        assert [r.status for r in rows] == [f"ok in {forks[k % 2]}" for k in range(len(freqs))]
+        for pid in forks:  # every worker was reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+    # one job runs in the calling process
+    del forks[:]
+    rows = experiment.frequency_sweep(base, (0.8, 1.7), n1, jobs=1)
+    assert forks == []
+    assert [r.status for r in rows] == [f"ok in {os.getpid()}"] * 2
 
 
 def test_an_oversized_rate_grid_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
