@@ -378,30 +378,50 @@ def test_the_benchmark_tracer_finds_its_hooks_and_counts_the_run(tmp_path):
         assert counters[f"engine.spikes.{layer}"] == n
 
 
-def test_no_command_loads_a_process_pool_module(tmp_path):
-    # the CSV writers and the sweep fork their children without
-    # multiprocessing or concurrent.futures, and the CLI imports neither
-    code = (
-        "import sys, motionsnn.cli\n"
-        "def pool_modules():\n"
-        "    print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
-        "pool_modules()\n"
-        "motionsnn.cli.main(['events', '-o', sys.argv[1] + '/ev.csv'])\n"
-        "motionsnn.cli.main(['run', '-d', sys.argv[1]])\n"
-        "motionsnn.cli.main(['sweep', '--freqs', '0.8,1.7', '-j', '2', '-o', sys.argv[1] + '/sweep.csv'])\n"
-        "pool_modules()\n"
-    )
+POOL_MODULES = (
+    "def pool_modules():\n"
+    "    print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+)
+
+
+def _pool_modules_after(code, *args):
+    # runs `code` in a fresh interpreter and returns its stdout lines;
+    # `code` calls pool_modules() to print the pool modules loaded so far
     src = str(Path(motionsnn.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "MOTIONSNN_CONFIG"}
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=dict(env, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", "import sys, motionsnn.cli\n" + POOL_MODULES + code, *args],
+        env=dict(env, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
-    lines = proc.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "[]")
-    assert sorted(os.listdir(tmp_path)) == [
-        "ev.csv", "rates.csv", "spikes.csv", "summary.json", "sweep.csv"
-    ]
+    return proc.stdout.splitlines()
+
+
+def test_importing_the_cli_loads_no_process_pool_module():
+    # the CLI imports neither multiprocessing nor concurrent.futures
+    assert _pool_modules_after("pool_modules()\n") == ["[]"]
+
+
+def test_run_and_events_load_no_process_pool_module(tmp_path):
+    # the CSV writers fork their part writers without either module
+    lines = _pool_modules_after(
+        "motionsnn.cli.main(['events', '-o', sys.argv[1] + '/ev.csv'])\n"
+        "motionsnn.cli.main(['run', '-d', sys.argv[1]])\n"
+        "pool_modules()\n",
+        str(tmp_path),
+    )
+    assert lines[-1] == "[]"
+    assert sorted(os.listdir(tmp_path)) == ["ev.csv", "rates.csv", "spikes.csv", "summary.json"]
+
+
+def test_a_forked_sweep_loads_no_process_pool_module(tmp_path):
+    # `sweep -j 2` forks its workers through the same part files
+    lines = _pool_modules_after(
+        "motionsnn.cli.main(['sweep', '--freqs', '0.8,1.7', '-j', '2', '-o', sys.argv[1] + '/sweep.csv'])\n"
+        "pool_modules()\n",
+        str(tmp_path),
+    )
+    assert lines[-1] == "[]"
+    assert os.listdir(tmp_path) == ["sweep.csv"]
 
 
 @pytest.mark.parametrize("command, target", [
