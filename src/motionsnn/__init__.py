@@ -10,7 +10,6 @@ from .core import (
     MotionSnnError,
     NumericFault,
     RateSeries,
-    Sign,
     SpikeRecord,
     Synapse,
 )

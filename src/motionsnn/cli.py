@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides
+from .config import RunConfig, apply_overrides, build_network, build_stimulus
 from .core import (
     ConfigError,
     CsvWriter,
@@ -66,8 +66,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_topo(args: argparse.Namespace) -> int:
-    from .config import build_network
-
     cfg = _load_config(args)
     net = build_network(cfg)
     _write_text(args.out, net.to_json())
@@ -75,8 +73,6 @@ def cmd_topo(args: argparse.Namespace) -> int:
 
 
 def cmd_events(args: argparse.Namespace) -> int:
-    from .config import build_stimulus
-
     cfg = _load_config(args)
     stream = build_stimulus(cfg)
     write_events_csv(stream, args.out).join()

@@ -179,7 +179,6 @@ def build_network_params(cfg: RunConfig) -> NetworkParams:
 def build_network(cfg: RunConfig, layout: CellLayout | None = None) -> NetworkGraph:
     return assemble_network(
         layout if layout is not None else build_layout(cfg),
-        n_per_dir=cfg.n_per_dir,
         output_taus_s=cfg.output_taus_s,
         params=build_network_params(cfg),
         lateral_inhibition=cfg.lateral_inhibition,

@@ -117,23 +117,15 @@ class EventStream:
         return len(self.t)
 
 
-class Sign(Enum):
-    EXCITATORY = "exc"
-    INHIBITORY = "inh"
-
-
 @dataclass(frozen=True)
 class Synapse:
-    """Directed connection pre -> post with a non-negative weight and a sign."""
+    """Directed connection pre -> post as `topo` exports it: the weight's
+    magnitude and its sign, "exc" or "inh"."""
 
     pre: int
     post: int
     weight: float
-    sign: Sign
-
-    def __post_init__(self) -> None:
-        if self.weight < 0.0 or not math.isfinite(self.weight):
-            raise ConfigError("synapse weight must be finite and >= 0")
+    sign: str
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,20 +94,20 @@ class RunEvaluation:
 def evaluate(result: ExperimentResult) -> RunEvaluation:
     cfg, net, traj = result.config, result.network, result.trajectory
     fp = FilterParams.from_output_taus(net.output_taus_s)
-    grid = RateGrid(0.0, cfg.grid_dt_s, _grid_samples(traj.t_end, cfg.grid_dt_s))
-
-    trains = {d: pool_group(result.sim.record, d, net.n_per_dir) for d in DIRECTION_ORDER}
-    measured = {d: firing_rate(trains[d], fp, grid) for d in DIRECTION_ORDER}
-
+    # refuse a run too short to score before any curve is filtered
     t_w = transient_s(fp, traj.period_s)
     if t_w >= traj.t_end:
         raise DomainError(
             f"run too short to score: needs > {t_w:.3f}s, has {traj.t_end:.3f}s"
         )
+    grid = RateGrid(0.0, cfg.grid_dt_s, _grid_samples(traj.t_end, cfg.grid_dt_s))
     k0 = int(np.searchsorted(grid.times, t_w, side="left"))
     if k0 >= grid.n:
         raise DomainError("empty analysis window")
     t0 = float(grid.times[k0])
+
+    trains = {d: pool_group(result.sim.record, d, net.n_per_dir) for d in DIRECTION_ORDER}
+    measured = {d: firing_rate(trains[d], fp, grid) for d in DIRECTION_ORDER}
 
     def window(series: dict[Direction, RateSeries]) -> dict[Direction, RateSeries]:
         return {d: RateSeries(t0, grid.dt, series[d].values[k0:]) for d in DIRECTION_ORDER}

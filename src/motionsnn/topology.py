@@ -20,7 +20,6 @@ from .core import (
     DIRECTION_ORDER,
     Direction,
     MAX_SAMPLES,
-    Sign,
     Synapse,
     TIME_QUANTUM,
 )
@@ -183,7 +182,6 @@ class NetworkGraph:
     """
 
     layout: CellLayout
-    n_per_dir: int
     output_taus_s: tuple[float, ...]
     params: NetworkParams
     indptr: np.ndarray = field(repr=False)
@@ -204,6 +202,10 @@ class NetworkGraph:
     @property
     def n_hidden(self) -> int:
         return HIDDEN_PER_CELL * self.layout.n_cells
+
+    @property
+    def n_per_dir(self) -> int:
+        return len(self.output_taus_s)
 
     @property
     def n_outputs(self) -> int:
@@ -231,7 +233,7 @@ class NetworkGraph:
         pre[self.edge_index] = np.repeat(np.arange(self.n_neurons), np.diff(self.indptr))
         post[self.edge_index] = self.post
         w[self.edge_index] = self.signed_w
-        signs = [Sign.INHIBITORY if neg else Sign.EXCITATORY for neg in np.signbit(w).tolist()]
+        signs = ["inh" if neg else "exc" for neg in np.signbit(w).tolist()]
         return tuple(map(Synapse, pre.tolist(), post.tolist(), np.abs(w).tolist(), signs))
 
     def counts(self) -> dict[str, int]:
@@ -251,7 +253,8 @@ class NetworkGraph:
     def to_json_dict(self) -> dict:
         """The network as JSON data. The neuron entries are built in id
         order: each input's pixel and role, each relay's kind and direction
-        from HIDDEN_SLOTS, and each output's direction and rank."""
+        from HIDDEN_SLOTS, and each output's direction and rank. The synapse
+        entries are the `synapses` records' own attribute dicts, not copies."""
         roles = ["center" if p is None else p.value for p in CELL_PIXELS]
         neurons: list[dict] = []
         for nid, pixel in enumerate(self.input_pixels.tolist()):
@@ -271,15 +274,6 @@ class NetworkGraph:
         tau_m, v_th = self.tau_m.tolist(), self.v_th.tolist()
         for nid, entry in enumerate(neurons):
             entry.update(id=nid, tau_m_s=tau_m[nid], v_th=v_th[nid])
-        synapses = [
-            {
-                "pre": s.pre,
-                "post": s.post,
-                "weight": s.weight,
-                "sign": s.sign.value,
-            }
-            for s in self.synapses
-        ]
         return {
             "schema_version": 1,
             "field": {
@@ -290,7 +284,7 @@ class NetworkGraph:
             "cell_centers": [list(c) for c in self.layout.centers],
             "counts": self.counts(),
             "neurons": neurons,
-            "synapses": synapses,
+            "synapses": [vars(s) for s in self.synapses],
         }
 
     def to_json(self) -> str:
@@ -308,13 +302,13 @@ _PIXEL_OFFSET = np.array(list(CELL_PIXELS.values()))
 
 def assemble_network(
     layout: CellLayout,
-    n_per_dir: int = 1,
     output_taus_s: tuple[float, ...] = (0.5,),
     params: NetworkParams | None = None,
     lateral_inhibition: bool = True,
 ) -> NetworkGraph:
     """Wire the input, hidden and output layers over the given cell layout.
 
+    Each output direction gets one rank per entry of `output_taus_s`.
     Neuron ids are stable: inputs cell by cell in CELL_PIXELS order, then
     hidden cell by cell in slot order, then outputs grouped by direction and
     rank.
@@ -323,10 +317,9 @@ def assemble_network(
     and rank, then the lateral pairs.
     """
     params = params or NetworkParams()
+    n_per_dir = len(output_taus_s)
     if n_per_dir < 1:
-        raise ConfigError("n_per_dir must be >= 1")
-    if len(output_taus_s) != n_per_dir:
-        raise ConfigError("output_taus_s must have one entry per output rank")
+        raise ConfigError("output_taus_s needs at least one output rank")
     for tau in output_taus_s:
         if not (tau > 0.0 and math.isfinite(tau)):
             raise ConfigError("output time constants must be positive")
@@ -396,7 +389,6 @@ def assemble_network(
 
     return NetworkGraph(
         layout=layout,
-        n_per_dir=n_per_dir,
         output_taus_s=tuple(float(t) for t in output_taus_s),
         params=params,
         indptr=indptr,

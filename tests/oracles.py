@@ -140,7 +140,7 @@ def random_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
         float(t) for t in np.exp(rng.uniform(math.log(0.003), math.log(0.6), n_per))
     )
     layout = CellLayout(5, 5, -1, ((2, 2),))
-    net = assemble_network(layout, n_per_dir=n_per, output_taus_s=taus, params=params)
+    net = assemble_network(layout, output_taus_s=taus, params=params)
 
     n_ev = int(rng.integers(18, 40))
     residues = rng.choice(np.arange(1, 100), size=n_ev, replace=False)
@@ -175,7 +175,7 @@ def tie_heavy_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
     )
     layout = CellLayout(5, 5, -1, ((2, 2),))
     taus = tuple(float(t) for t in rng.uniform(0.003, 0.6, int(rng.integers(1, 3))))
-    net = assemble_network(layout, n_per_dir=len(taus), output_taus_s=taus, params=params)
+    net = assemble_network(layout, output_taus_s=taus, params=params)
     ref_ticks = int(round(params.t_ref_s / 1e-4))
     events = []
     for tick in np.sort(rng.integers(0, 60, size=int(rng.integers(10, 25)))):

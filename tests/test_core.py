@@ -24,9 +24,7 @@ from motionsnn import (
     EventStream,
     NetworkParams,
     RateSeries,
-    Sign,
     SpikeRecord,
-    Synapse,
     assemble_network,
     tessellate,
 )
@@ -135,13 +133,6 @@ def test_a_refractory_period_may_last_one_tick():
     # spikes are instantaneous, so nothing but the 1 ns clock bounds t_ref
     assert NetworkParams(t_ref_s=1e-9).t_ref_s == 1e-9
     assert NetworkParams(t_ref_s=1e-5, d_out_s=0.0).t_ref_s == 1e-5
-
-def test_synapse_weight_validation():
-    with pytest.raises(ConfigError):
-        Synapse(0, 1, -0.5, Sign.EXCITATORY)
-    with pytest.raises(ConfigError):
-        Synapse(0, 1, math.inf, Sign.EXCITATORY)
-
 
 def test_spike_record_counts():
     r = SpikeRecord(3, [2, 0, 0], [0.05, 0.1, 0.2])

@@ -271,6 +271,21 @@ def test_scoring_window_starts_at_the_first_sample_after_the_transient():
         evaluate(run_experiment(short))
 
 
+def test_a_run_too_short_to_score_is_refused_before_any_curve_is_filtered(monkeypatch):
+    circle = {"kind": "circle", "freq_hz": 1.0, "radius": 3.0}
+    too_short = run_experiment(RunConfig(trajectory=circle, t_end_s=0.5))
+    no_window = run_experiment(RunConfig(trajectory=circle, t_end_s=2.05, grid_dt_s=0.7))
+
+    def firing_rate(*args):
+        raise AssertionError("filtered a curve of a run it then refused")
+
+    monkeypatch.setattr(experiment, "firing_rate", firing_rate)
+    with pytest.raises(DomainError, match="run too short to score"):
+        evaluate(too_short)
+    with pytest.raises(DomainError, match="empty analysis window"):
+        evaluate(no_window)
+
+
 def test_pooled_pair_reads_the_spectrum_of_the_summed_channels():
     # Each channel alone peaks at 1 Hz, but the two channels of a pair are in
     # antiphase there, so their sum keeps only the common 0.5 Hz tone.

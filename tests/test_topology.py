@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from motionsnn import (
     Direction,
     DIRECTION_ORDER,
     NetworkParams,
-    Sign,
     assemble_network,
     tessellate,
 )
@@ -187,7 +188,7 @@ def test_every_relay_listens_to_one_pixel(default_net):
     for post, syns in incoming.items():
         assert len(syns) == 1
         syn = syns[0]
-        assert syn.sign is Sign.EXCITATORY and syn.weight == 1.0
+        assert syn.sign == "exc" and syn.weight == 1.0
         pre, relay = neurons[syn.pre], neurons[post]
         assert pre["layer"] == "input" and pre["cell"] == relay["cell"]
         # the relay listens to the pixel at its own position in the cell
@@ -212,7 +213,7 @@ def test_output_wiring_per_cell(default_net):
         d = Direction(neurons[nid]["direction"])
         assert len(pairs) == 45  # 3 sources per cell, 15 cells
         for pre, syn in pairs:
-            if syn.sign is Sign.INHIBITORY:
+            if syn.sign == "inh":
                 assert pre["kind"] == HiddenKind.INH_RELAY.value and pre["direction"] == d.value
                 assert syn.weight == 1.1
             elif pre["kind"] == HiddenKind.EXC_RELAY.value:
@@ -225,7 +226,7 @@ def test_output_wiring_per_cell(default_net):
 
 def test_lateral_inhibition_pairs_ranks(default_layout):
     taus = (0.01, 0.05, 0.25)
-    net = assemble_network(default_layout, n_per_dir=3, output_taus_s=taus)
+    net = assemble_network(default_layout, output_taus_s=taus)
     neurons = net.to_json_dict()["neurons"]
     out_id = {}
     for d, ids in net.output_ids.items():
@@ -240,7 +241,7 @@ def test_lateral_inhibition_pairs_ranks(default_layout):
             assert (out_id[(a, k)], out_id[(b, k)]) in pairs
             assert (out_id[(b, k)], out_id[(a, k)]) in pairs
     for s in lateral:
-        assert s.sign is Sign.INHIBITORY and s.weight == 1.0
+        assert s.sign == "inh" and s.weight == 1.0
         assert neurons[s.pre]["rank"] == neurons[s.post]["rank"]
     # each rank keeps its own membrane time constant
     for (d, k), nid in out_id.items():
@@ -253,12 +254,23 @@ def test_lateral_inhibition_can_be_ablated(default_layout):
     assert net.counts()["feed_forward_synapses"] == 315
 
 
+def test_a_zero_weight_inhibitory_synapse_exports_as_inh(capsys):
+    # signed_w holds such an edge as -0.0; its sign bit alone marks it inhibitory
+    assert main(["topo", "--set", "network.w_lateral=0", "--set", "network.w_hidden_output_inh=0"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    kind = {n["id"]: n["layer"] for n in data["neurons"]}
+    zero = [s for s in data["synapses"] if s["weight"] == 0.0]
+    assert all(s["sign"] == "inh" and math.copysign(1.0, s["weight"]) == 1.0 for s in zero)
+    edges = Counter((kind[s["pre"]], kind[s["post"]]) for s in zero)
+    assert edges == {("hidden", "output"): 60, ("output", "output"): 4}
+
+
 def test_network_params_overrides(default_layout):
     params = NetworkParams(w_hidden_output_inh=1.3, output_v_th=1.8)
     net = assemble_network(default_layout, params=params)
     inh = [
         s.weight for s in net.synapses
-        if s.sign is Sign.INHIBITORY and s.pre in net.layer_ids()[Layer.HIDDEN]
+        if s.sign == "inh" and s.pre in net.layer_ids()[Layer.HIDDEN]
     ]
     assert inh and set(inh) == {1.3}
     for ids in net.output_ids.values():
@@ -268,10 +280,8 @@ def test_network_params_overrides(default_layout):
 
 
 def test_assemble_validation(default_layout):
-    with pytest.raises(ConfigError):
-        assemble_network(default_layout, n_per_dir=0)
-    with pytest.raises(ConfigError):
-        assemble_network(default_layout, n_per_dir=2, output_taus_s=(0.5,))
+    with pytest.raises(ConfigError, match="at least one output rank"):
+        assemble_network(default_layout, output_taus_s=())
     with pytest.raises(ConfigError):
         assemble_network(default_layout, output_taus_s=(0.0,))
 
@@ -281,7 +291,7 @@ def test_assemble_validation(default_layout):
 def test_count_formulas(w, h, n_per):
     layout = tessellate(w, h)
     taus = tuple(0.01 * (k + 1) for k in range(n_per))
-    net = assemble_network(layout, n_per_dir=n_per, output_taus_s=taus)
+    net = assemble_network(layout, output_taus_s=taus)
     c = layout.n_cells
     counts = net.counts()
     assert counts["input_neurons"] == 5 * c
@@ -341,7 +351,7 @@ def test_csr_rows_hold_the_synapses_in_construction_order(name):
     assert indptr[-1] == net.counts()["total_synapses"] == len(net.synapses)
     rows: dict[int, list] = {}
     for s in net.synapses:
-        rows.setdefault(s.pre, []).append((s.post, s.weight, s.sign is Sign.INHIBITORY))
+        rows.setdefault(s.pre, []).append((s.post, s.weight, s.sign == "inh"))
     for pre in range(net.n_neurons):
         lo, hi = indptr[pre], indptr[pre + 1]
         assert np.all(np.diff(net.edge_index[lo:hi]) > 0)
