@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -136,18 +136,14 @@ def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> Rat
     return RateSeries(grid.t0, grid.dt, values)
 
 
-def ideal_rates(
-    traj: Trajectory, f_max_hz: float, grid: RateGrid
-) -> dict[Direction, RateSeries]:
-    """Velocity-proportional target rate per channel:
-    f = (f_max / 2) * |p_dot / p_dot_max + 1|; motionless axes hold f_max / 2.
-
-    Each curve is computed in the velocity projection's own buffer, so the
-    four curves returned are the only grid-sized arrays held at the end."""
+def _ideal_curves(
+    traj: Trajectory, f_max_hz: float, times: np.ndarray
+) -> Iterator[tuple[Direction, np.ndarray]]:
+    """Each channel's ideal rate at `times`, in DIRECTION_ORDER, computed in
+    the buffer of its velocity projection and yielded before the next exists."""
     if not (f_max_hz > 0.0 and math.isfinite(f_max_hz)):
         raise ConfigError("f_max_hz must be positive")
-    out: dict[Direction, RateSeries] = {}
-    for d, values, p_dot_max in channel_velocities(traj, grid.times):
+    for d, values, p_dot_max in channel_velocities(traj, times):
         if p_dot_max == 0.0:
             values.fill(f_max_hz / 2.0)
         else:
@@ -155,8 +151,16 @@ def ideal_rates(
             values += 1.0
             np.abs(values, out=values)
             values *= f_max_hz / 2.0
-        out[d] = RateSeries(grid.t0, grid.dt, values)
-    return out
+        yield d, values
+
+
+def ideal_rates(
+    traj: Trajectory, f_max_hz: float, grid: RateGrid
+) -> dict[Direction, RateSeries]:
+    """Velocity-proportional target rate per channel:
+    f = (f_max / 2) * |p_dot / p_dot_max + 1|; motionless axes hold f_max / 2.
+    The four curves returned are the only grid-sized arrays held at the end."""
+    return {d: RateSeries(grid.t0, grid.dt, v) for d, v in _ideal_curves(traj, f_max_hz, grid.times)}
 
 
 def calibrate_f_max(measured: Mapping[Direction, RateSeries]) -> float:
@@ -174,23 +178,41 @@ class AccuracyScore:
     per_channel: dict[Direction, float]
 
 
+def _score(
+    ideal: Iterable[tuple[Direction, np.ndarray]], measured: Mapping[Direction, RateSeries]
+) -> AccuracyScore:
+    """Mean over the channels `ideal` yields, summed in DIRECTION_ORDER, of
+    1 - |ideal - measured|^2 / |ideal|^2, each found in one scratch array."""
+    per: dict[Direction, float] = {}
+    for d, curve in ideal:
+        scratch = np.square(curve)
+        denom = float(np.sum(scratch))
+        if denom <= 0.0:
+            raise DomainError(f"accuracy undefined: zero ideal signal on {d.value}")
+        np.subtract(curve, measured[d].values, out=scratch)
+        np.square(scratch, out=scratch)
+        per[d] = 1.0 - float(np.sum(scratch)) / denom
+        del scratch  # before the next curve is made
+    raw = sum(per[d] for d in DIRECTION_ORDER) / 4.0
+    return AccuracyScore(raw=raw, clamped=max(raw, 0.0), per_channel=per)
+
+
 def accuracy(
     ideal: Mapping[Direction, RateSeries], measured: Mapping[Direction, RateSeries]
 ) -> AccuracyScore:
-    """Mean over channels of 1 - |ideal - measured|^2 / |ideal|^2 (discrete
-    sums over the supplied samples)."""
-    per: dict[Direction, float] = {}
+    """Mean over channels of 1 - |ideal - measured|^2 / |ideal|^2 over the samples given."""
     for d in DIRECTION_ORDER:
-        ideal_d, meas_d = ideal[d], measured[d]
-        if not ideal_d.same_grid(meas_d):
+        if not ideal[d].same_grid(measured[d]):
             raise ConfigError(f"grids differ on channel {d.value}")
-        denom = float(np.sum(ideal_d.values**2))
-        if denom <= 0.0:
-            raise DomainError(f"accuracy undefined: zero ideal signal on {d.value}")
-        err = float(np.sum((ideal_d.values - meas_d.values) ** 2))
-        per[d] = 1.0 - err / denom
-    raw = sum(per.values()) / 4.0
-    return AccuracyScore(raw=raw, clamped=max(raw, 0.0), per_channel=per)
+    return _score(((d, ideal[d].values) for d in DIRECTION_ORDER), measured)
+
+
+def window_accuracy(
+    traj: Trajectory, f_max_hz: float, times: np.ndarray, measured: Mapping[Direction, RateSeries]
+) -> AccuracyScore:
+    """`accuracy` of the ideal curves at `times` against `measured` on the same
+    samples, bit for bit, with one channel's ideal curve held at a time."""
+    return _score(_ideal_curves(traj, f_max_hz, times), measured)
 
 
 def transient_s(fp: FilterParams, period_s: float | None) -> float:

@@ -17,10 +17,10 @@ import math
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import replace
 
 import numpy as np
 
+from .analysis import ideal_rates
 from .config import RunConfig, apply_overrides, build_network, build_stimulus
 from .core import (
     ConfigError,
@@ -80,13 +80,13 @@ def cmd_events(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_rates_csv(path: str, ev) -> CsvWriter:
+def _write_rates_csv(path: str, ev, ideal) -> CsvWriter:
     header = ["t_s"]
     header += [f"{d.value}_hz" for d in DIRECTION_ORDER]
     header += [f"{d.value}_ideal_hz" for d in DIRECTION_ORDER]
     columns = [ev.grid.times]
     columns += [ev.measured[d].values for d in DIRECTION_ORDER]
-    columns += [ev.ideal[d].values for d in DIRECTION_ORDER]
+    columns += [ideal[d].values for d in DIRECTION_ORDER]
     return CsvWriter(path, header, columns)
 
 
@@ -101,10 +101,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         writers.enter_context(
             write_spikes_csv(result.sim.record, os.path.join(args.out_dir, "spikes.csv"))
         )
-        writers.enter_context(_write_rates_csv(os.path.join(args.out_dir, "rates.csv"), ev))
-        # The writers hold copies of the curves, so the ideal ones are
-        # freed here, before the spectra allocate theirs.
-        ev = replace(ev, ideal={})
+        # the writers hold their own copies: drop the ideal curves before the spectra
+        ideal = ideal_rates(result.trajectory, ev.f_max_hz, ev.grid)
+        writers.enter_context(_write_rates_csv(os.path.join(args.out_dir, "rates.csv"), ev, ideal))
+        del ideal
         spectra = spectral_summary(result, ev)
 
     summary = {

@@ -273,8 +273,7 @@ class Parts:
             raise
 
     def join(self) -> list[BinaryIO]:
-        while self._pids:
-            time.sleep(0.005)  # polled, so the first child to fail is found at once
+        while self._pids:  # polled, so the first child to fail is found at once
             for pid in self._pids[:]:
                 done, status = os.waitpid(pid, os.WNOHANG)
                 if done:
@@ -283,6 +282,8 @@ class Parts:
                     self.close()
                     reason = f"part writer exited with status {code}"
                     raise OSError(code, os.strerror(code) if 0 < code < _WRITER_FAILED else reason)
+            if self._pids:
+                time.sleep(0.005)
         for part in self._parts:
             part.seek(0)
         return self._parts

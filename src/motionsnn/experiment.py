@@ -16,14 +16,13 @@ from .analysis import (
     AccuracyScore,
     FilterParams,
     RateGrid,
-    accuracy,
     calibrate_f_max,
     dominant_frequency,
     firing_rate,
-    ideal_rates,
     phase_lag_deg,
     pool_group,
     transient_s,
+    window_accuracy,
 )
 from .config import RunConfig, build_layout, build_network, build_stimulus, build_trajectory
 from .core import (
@@ -75,14 +74,13 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class RunEvaluation:
-    """Full-grid rate curves plus the score taken over the settled window,
-    which is samples window_index onwards of the grid."""
+    """Full-grid measured curves plus the score taken over the settled
+    window, which is samples window_index onwards of the grid."""
 
     grid: RateGrid
     window_index: int
     f_max_hz: float
     measured: dict[Direction, RateSeries]
-    ideal: dict[Direction, RateSeries]
     score: AccuracyScore
     pooled_counts: dict[Direction, int]
 
@@ -108,21 +106,15 @@ def evaluate(result: ExperimentResult) -> RunEvaluation:
 
     trains = {d: pool_group(result.sim.record, d, net.n_per_dir) for d in DIRECTION_ORDER}
     measured = {d: firing_rate(trains[d], fp, grid) for d in DIRECTION_ORDER}
-
-    def window(series: dict[Direction, RateSeries]) -> dict[Direction, RateSeries]:
-        return {d: RateSeries(t0, grid.dt, series[d].values[k0:]) for d in DIRECTION_ORDER}
-
-    measured_w = window(measured)
+    measured_w = {d: RateSeries(t0, grid.dt, measured[d].values[k0:]) for d in DIRECTION_ORDER}
     f_max = calibrate_f_max(measured_w)
-    ideal_full = ideal_rates(traj, f_max, grid)
-    score = accuracy(window(ideal_full), measured_w)
+    score = window_accuracy(traj, f_max, grid.times[k0:], measured_w)
     counts = {d: len(trains[d]) for d in DIRECTION_ORDER}
     return RunEvaluation(
         grid=grid,
         window_index=k0,
         f_max_hz=f_max,
         measured=measured,
-        ideal=ideal_full,
         score=score,
         pooled_counts=counts,
     )

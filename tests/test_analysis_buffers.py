@@ -1,6 +1,7 @@
-"""`ideal_rates` and `spectral_summary` compute in buffers they own or
-reuse. They must give the bytes of the all-at-once formulas in
-tests/oracles.py, and at their peak hold little more than what they return."""
+"""`ideal_rates`, `evaluate`'s window score and `spectral_summary` compute
+in buffers they own or reuse. They must give the bytes of the all-at-once
+formulas in tests/oracles.py and of `accuracy`, and at their peak hold
+little more than what they return."""
 
 import tracemalloc
 from types import SimpleNamespace
@@ -11,15 +12,21 @@ import pytest
 from motionsnn import (
     DIRECTION_ORDER,
     CircleTrajectory,
+    DomainError,
     EightTrajectory,
     LinearTrajectory,
     RateGrid,
     RateSeries,
+    RunConfig,
     RunEvaluation,
     WaypointTrajectory,
+    accuracy,
+    evaluate,
     ideal_rates,
+    run_experiment,
     spectral_summary,
 )
+from motionsnn.analysis import window_accuracy
 from motionsnn.stimulus import channel_velocities
 
 from oracles import channel_projections, ideal_curves, spectral_summary_all_at_once
@@ -77,7 +84,7 @@ def _evaluation(traj, noise: float, window_s: float, dt: float = 1e-3) -> RunEva
         gain = 1.0 + noise * rng.standard_normal(grid.n)
         measured[d] = RateSeries(0.0, dt, np.roll(ideal[d], 50 + 40 * i) * gain)
     k0 = int(np.searchsorted(grid.times, window_s, side="left"))
-    return RunEvaluation(grid, k0, 2.0, measured, ideal={}, score=None, pooled_counts={})
+    return RunEvaluation(grid, k0, 2.0, measured, score=None, pooled_counts={})
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))
@@ -114,6 +121,42 @@ def test_spectral_summary_matches_the_all_at_once_formula_bit_for_bit(name):
     got = spectral_summary(result, ev)
     assert got == spectral_summary_all_at_once(result, ev)
     assert (got["phase_lags_deg"] is None) == (traj.period_s is None)
+
+
+# window starts: index 1, small odd offsets, multiples of numpy's 8,192-element
+# buffer and of the 4,096-row CSV block, and one past each
+WINDOW_STARTS = (1, 7, 100, 4096, 4097, 8192, 8193, 16_384, 20_001)
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_window_scoring_matches_accuracy_on_views_of_the_full_curves(name):
+    # evaluate makes each ideal curve over the window's samples only; numpy's
+    # sin and cos give an element the same value wherever its array starts,
+    # so the score keeps every bit of scoring views of the full-grid curves
+    traj, noise, window_s = PATHS[name]
+    ev = _evaluation(traj, noise, window_s)
+    grid = ev.grid
+    full = ideal_rates(traj, F_MAX_HZ, grid)
+    starts = [k0 for k0 in WINDOW_STARTS if k0 < grid.n] + [ev.window_index]
+    for k0 in starts:
+        t0 = float(grid.times[k0])
+
+        def window(series):
+            return {d: RateSeries(t0, grid.dt, series[d].values[k0:]) for d in DIRECTION_ORDER}
+
+        measured = window(ev.measured)
+        try:
+            want = accuracy(window(full), measured)
+        except DomainError as exc:
+            # the linear path moves LEFT at full speed, so its ideal LEFT is zero
+            with pytest.raises(DomainError, match=f"^{exc}$"):
+                window_accuracy(traj, F_MAX_HZ, grid.times[k0:], measured)
+            continue
+        got = window_accuracy(traj, F_MAX_HZ, grid.times[k0:], measured)
+        assert got.raw.hex() == want.raw.hex() and got.clamped.hex() == want.clamped.hex()
+        assert list(got.per_channel) == list(DIRECTION_ORDER)
+        for d in DIRECTION_ORDER:
+            assert got.per_channel[d].hex() == want.per_channel[d].hex(), (k0, d)
 
 
 def test_the_oracle_inputs_reach_every_branch():
@@ -157,3 +200,15 @@ def test_spectral_summary_holds_about_five_window_sized_arrays():
     m = ev.grid.n - ev.window_index
     arrays = _peak_bytes(spectral_summary, SimpleNamespace(trajectory=traj), ev) / (8 * m)
     assert arrays <= 5.5
+
+
+def test_evaluate_holds_the_measured_curves_and_four_window_sized_arrays():
+    # at its peak, while it scores, evaluate holds the grid axis, the four
+    # measured curves and four arrays of the window's length: two
+    # velocities, one channel's ideal curve and its scratch
+    result = run_experiment(RunConfig(trajectory={"kind": "circle", "freq_hz": 0.05}))
+    ev = evaluate(result)
+    n, m = ev.grid.n, ev.grid.n - ev.window_index
+    assert n == 80_001 and m < n
+    del ev
+    assert _peak_bytes(evaluate, result) <= (5 * n + 4 * m) * 8 * 1.01

@@ -170,7 +170,7 @@ def _random_rates(n):
 def test_rates_csv_matches_the_row_by_row_writer(tmp_path):
     n = 2 * CSV_BLOCK_ROWS + 37  # crosses block boundaries, ends mid-block
     ev = _random_rates(n)
-    _write_rates_csv(str(tmp_path / "new.csv"), ev).join()
+    _write_rates_csv(str(tmp_path / "new.csv"), ev, ev.ideal).join()
     _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
@@ -183,30 +183,30 @@ def test_forked_rates_csv_matches_the_row_by_row_writer(tmp_path, usable_cpus, f
     for parts in (2, 3, 4):
         usable_cpus(parts)
         del forks[:]
-        _write_rates_csv(str(tmp_path / "new.csv"), ev).join()
+        _write_rates_csv(str(tmp_path / "new.csv"), ev, ev.ideal).join()
         assert len(forks) == parts
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["new.csv", "ref.csv"]
 
 
 def test_run_frees_the_ideal_curves_before_the_spectra(tmp_path, monkeypatch):
-    # the rates.csv writers hold their own copies, so the run drops its
-    # ideal curves before the spectra allocate; holding them again raises
-    # the run's peak memory by four grid-sized arrays
+    # the run makes the ideal curves only for rates.csv, whose writers hold
+    # their own copies, so no curve is left when the spectra allocate;
+    # holding them raises the run's peak memory by four grid-sized arrays
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     ideal = []
 
-    def evaluate(result):
-        ev = cli_evaluate(result)
-        ideal.extend(weakref.ref(series.values) for series in ev.ideal.values())
-        return ev
+    def ideal_rates(*args):
+        curves = cli_ideal_rates(*args)
+        ideal.extend(weakref.ref(series.values) for series in curves.values())
+        return curves
 
     def spectral_summary(result, ev):
         assert len(ideal) == 4 and all(ref() is None for ref in ideal)
         return cli_spectral_summary(result, ev)
 
-    cli_evaluate, cli_spectral_summary = cli.evaluate, cli.spectral_summary
-    monkeypatch.setattr(cli, "evaluate", evaluate)
+    cli_ideal_rates, cli_spectral_summary = cli.ideal_rates, cli.spectral_summary
+    monkeypatch.setattr(cli, "ideal_rates", ideal_rates)
     monkeypatch.setattr(cli, "spectral_summary", spectral_summary)
     out = tmp_path / "out"
     assert main(["run", "--set", "trajectory.freq_hz=0.05", "-d", str(out)]) == 0

@@ -28,8 +28,10 @@ from motionsnn import (
     assemble_network,
     tessellate,
 )
+from motionsnn import core
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
+    Parts,
     fmt_float,
     write_events_csv,
     write_spikes_csv,
@@ -408,6 +410,23 @@ def test_part_writers_stop_when_their_process_ends(tmp_path):
         state = stat.rsplit(")", 1)[1].split()[0]
         assert state == "Z", f"part writer {pid} still running 0.5 s after its process ended"
     assert os.listdir(tmp_path) == ["pids"]
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits for the children with os.waitid")
+def test_join_sleeps_only_while_a_child_is_running(monkeypatch, forks):
+    # WNOWAIT leaves every exited child to join to reap, so join finds them
+    # all done and must return without a single poll interval
+    def work(fd, share):
+        os.write(fd, bytes(share))
+
+    with Parts(work, [b"first", b"second"]) as parts:
+        assert len(forks) == 2
+        for pid in forks:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        sleeps = []
+        monkeypatch.setattr(core.time, "sleep", sleeps.append)
+        assert [part.read() for part in parts.join()] == [b"first", b"second"]
+    assert sleeps == []
 
 
 sorted_train = st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=8, unique=True).map(sorted)

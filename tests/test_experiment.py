@@ -220,7 +220,7 @@ def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path):
 
         return wrapper
 
-    lengths, searches, scored, rate_calls, ffts = [], [], [], [], []
+    lengths, searches, scored, velocities, ideal, rate_calls, ffts = [], [], [], [], [], [], []
     arange = np.arange
 
     def counted_arange(*args, **kwargs):
@@ -230,22 +230,32 @@ def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np, "arange", counted_arange)
     monkeypatch.setattr(np, "searchsorted", counted(searches, np.searchsorted))
-    monkeypatch.setattr(experiment, "accuracy", counted(scored, experiment.accuracy))
+    monkeypatch.setattr(experiment, "window_accuracy", counted(scored, experiment.window_accuracy))
+    monkeypatch.setattr(analysis, "channel_velocities", counted(velocities, analysis.channel_velocities))
     ev = evaluate(result)
 
-    # the scoring windows are views of the full-grid series
-    ((ideal_w, measured_w),) = scored
+    # the score reads views of the full-grid measured series, and takes the
+    # velocities once, over a view of the window's samples
+    ((_, _, times, measured_w),) = scored
     for d in DIRECTION_ORDER:
         assert np.shares_memory(measured_w[d].values, ev.measured[d].values)
-        assert np.shares_memory(ideal_w[d].values, ev.ideal[d].values)
+    ((_, ts),) = velocities
+    assert ts is times and len(ts) == ev.grid.n - ev.window_index
+    assert np.shares_memory(ts, ev.grid.times)
     # one scalar search finds the window start
     assert sum(np.ndim(args[1]) == 0 for args in searches) == 1
 
     monkeypatch.setattr(experiment, "firing_rate", counted(rate_calls, experiment.firing_rate))
     monkeypatch.setattr(analysis, "firing_rate", counted(rate_calls, analysis.firing_rate))
     monkeypatch.setattr(np.fft, "rfft", counted(ffts, np.fft.rfft))
-    spectral_summary(result, ev)
-    cli._write_rates_csv(str(tmp_path / "rates.csv"), ev).join()
+    monkeypatch.setattr(cli, "ideal_rates", counted(ideal, cli.ideal_rates))
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: result)
+    monkeypatch.setattr(cli, "evaluate", lambda res: ev)
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    assert cli.main(["run", "-d", str(tmp_path)]) == 0
+    # the run makes the ideal curves once, over the full grid, for rates.csv
+    ((_, f_max_hz, grid),) = ideal
+    assert f_max_hz == ev.f_max_hz and grid is ev.grid
     assert rate_calls == []
     assert len(ffts) <= 4
     # one grid time axis serves evaluate, the spectra and the t_s column;
