@@ -19,6 +19,7 @@ from .core import (
     DomainError,
     RateSeries,
     SpikeRecord,
+    TIME_QUANTUM,
 )
 from .stimulus import Trajectory, channel_velocities
 
@@ -78,8 +79,8 @@ class RateGrid:
 
 
 def pool_group(record: SpikeRecord, direction: Direction, n_per_dir: int) -> tuple[float, ...]:
-    """The sorted spike times of one direction's output group; a time two
-    ranks share appears twice.
+    """The sorted spike times of one direction's output group, in seconds; a
+    time two ranks share appears twice.
 
     Relies on the id convention: outputs are the last 4 * n_per_dir neurons,
     grouped by direction in DIRECTION_ORDER, ranks contiguous.
@@ -89,7 +90,7 @@ def pool_group(record: SpikeRecord, direction: Direction, n_per_dir: int) -> tup
     base = record.n_neurons - 4 * n_per_dir
     start = base + DIRECTION_ORDER.index(direction) * n_per_dir
     group = (record.neuron >= start) & (record.neuron < start + n_per_dir)
-    return tuple(record.t[group].tolist())
+    return tuple((record.t[group] * TIME_QUANTUM).tolist())
 
 
 def decay_accumulate(n: int, bins: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared domain types: stimulus events, spike trains, synapses and rate series.
 
-Times are seconds, positions are integer pixel coordinates with y increasing
-upward, membrane potentials are dimensionless (rest = 0).
+Streams and records hold times as int64 counts of 1 ns ticks (TIME_QUANTUM),
+in seconds only for the CSVs, `pool_group` and two views. Positions are
+integer pixels, y upward; potentials are dimensionless (rest = 0).
 """
 from __future__ import annotations
 
@@ -74,11 +75,26 @@ class Event:
     t: float
 
 
+def _whole_numbers(obj: object, *names: str) -> None:
+    """Store the named fields of `obj` as read-only 1-D int64 copies of one
+    length; a value that is not a non-negative integer is refused, not rounded."""
+    for name in names:
+        given = np.asarray(getattr(obj, name)).reshape(-1)
+        with np.errstate(invalid="ignore"):  # NaN and out-of-range casts are refused below
+            arr = given.astype(np.int64)
+        if (bad := (arr != given) | (arr < 0)).any():
+            raise ConfigError(f"{name} value {given[np.argmax(bad)].item()!r} is not a non-negative integer")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    if len({len(getattr(obj, name)) for name in names}) > 1:
+        raise ConfigError(f"{', '.join(names)} must have the same length")
+
+
 @dataclass(frozen=True, eq=False)
 class EventStream:
-    """Stimulus events on a bounded pixel field as three read-only arrays:
-    pixel `x`, `y` (int64) and time `t` (float64, seconds), ordered by
-    (t, y, x); duplicates are preserved.
+    """Stimulus events on a bounded pixel field as three read-only int64
+    arrays: pixel `x`, `y` and time `t` in ticks, ordered by (t, y, x);
+    duplicates are preserved.
     """
 
     field_width: int
@@ -90,28 +106,19 @@ class EventStream:
     def __post_init__(self) -> None:
         if self.field_width < 1 or self.field_height < 1:
             raise ConfigError("field dimensions must be positive")
-        for name, dtype in (("x", np.int64), ("y", np.int64), ("t", np.float64)):
-            arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _whole_numbers(self, "x", "y", "t")
         x, y, t = self.x, self.y, self.t
-        if not len(x) == len(y) == len(t):
-            raise ConfigError("event x, y and t must have the same length")
-        outside = (x < 0) | (x >= self.field_width) | (y < 0) | (y >= self.field_height)
-        if outside.any():
+        if (outside := (x >= self.field_width) | (y >= self.field_height)).any():
             i = int(np.argmax(outside))
             raise ConfigError(f"event pixel ({x[i]}, {y[i]}) outside field")
-        bad_t = ~(np.isfinite(t) & (t >= 0.0))
-        if bad_t.any():
-            raise ConfigError(f"event time {float(t[np.argmax(bad_t)])!r} must be finite and >= 0")
         dt, dy, dx = np.diff(t), np.diff(y), np.diff(x)
         if ((dt < 0) | ((dt == 0) & ((dy < 0) | ((dy == 0) & (dx < 0))))).any():
             raise ConfigError("events not sorted by (t, y, x)")
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
-        """The stream as `Event`s, built on first access."""
-        return tuple(map(Event, self.x.tolist(), self.y.tolist(), self.t.tolist()))
+        """The stream as `Event`s in seconds, built on first access."""
+        return tuple(map(Event, self.x.tolist(), self.y.tolist(), (self.t * TIME_QUANTUM).tolist()))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -130,9 +137,9 @@ class Synapse:
 
 @dataclass(frozen=True, eq=False)
 class SpikeRecord:
-    """Every spike of a run on `n_neurons` neurons as two read-only arrays in
-    (t, neuron) order, the row order of spikes.csv: `neuron` id (int64) and
-    time `t` (float64, seconds). Each neuron's times are strictly increasing.
+    """Every spike of a run on `n_neurons` neurons as two read-only int64
+    arrays in (t, neuron) order, the row order of spikes.csv: `neuron` id and
+    time `t` in ticks. Each neuron's times are strictly increasing.
     """
 
     n_neurons: int
@@ -140,26 +147,20 @@ class SpikeRecord:
     t: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        for name, dtype in (("neuron", np.int64), ("t", np.float64)):
-            arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _whole_numbers(self, "neuron", "t")
         neuron, t = self.neuron, self.t
-        if len(neuron) != len(t):
-            raise ConfigError("spike neuron and t must have the same length")
-        if ((neuron < 0) | (neuron >= self.n_neurons)).any():
+        if (neuron >= self.n_neurons).any():
             raise ConfigError(f"spike neuron id outside 0..{self.n_neurons - 1}")
         dt, dn = np.diff(t), np.diff(neuron)
         if ((dt < 0) | ((dt == 0) & (dn < 0))).any():
             raise ConfigError("spikes not sorted by (t, neuron)")
-        repeat = (dt == 0) & (dn == 0)
-        if repeat.any():
+        if (repeat := (dt == 0) & (dn == 0)).any():
             raise ConfigError(f"neuron {neuron[1:][np.argmax(repeat)]}: spike times not strictly increasing")
 
     @cached_property
     def spike_times(self) -> tuple[tuple[float, ...], ...]:
-        """Per-neuron spike trains, built on first access."""
-        t = self.t[np.argsort(self.neuron, kind="stable")].tolist()
+        """Per-neuron spike trains in seconds, built on first access."""
+        t = (self.t[np.argsort(self.neuron, kind="stable")] * TIME_QUANTUM).tolist()
         ends = np.cumsum(self.counts()).tolist()
         return tuple(tuple(t[a:b]) for a, b in zip([0, *ends], ends))
 
@@ -365,10 +366,10 @@ class CsvWriter:
 
 def write_events_csv(stream: EventStream, path: str) -> CsvWriter:
     """All events as `x,y,t_s` rows in stream order; see CsvWriter."""
-    return CsvWriter(path, ["x", "y", "t_s"], [stream.x, stream.y, stream.t])
+    return CsvWriter(path, ["x", "y", "t_s"], [stream.x, stream.y, stream.t * TIME_QUANTUM])
 
 
 def write_spikes_csv(record: SpikeRecord, path: str) -> CsvWriter:
     """All spikes as `neuron_id,t_s` rows ordered by (time, neuron id); see
     CsvWriter."""
-    return CsvWriter(path, ["neuron_id", "t_s"], [record.neuron, record.t])
+    return CsvWriter(path, ["neuron_id", "t_s"], [record.neuron, record.t * TIME_QUANTUM])

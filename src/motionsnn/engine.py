@@ -6,9 +6,9 @@ check, so simultaneous excitation acts as a coincidence. A neuron whose
 potential crosses threshold at time t emits its spike at t + d_out, which is
 also when downstream targets receive it.
 
-Inside `simulate` every time is an integer count of nanosecond ticks (the
-stimulus's time grid), so instants compare exactly; spike times are turned
-back into seconds once, at the end.
+Every time in `simulate` is an int64 count of 1 ns ticks, as the stimulus and
+the record hold it, so instants compare exactly. One end tick, t_end rounded,
+bounds the events taken and the spikes delivered; only the decay uses seconds.
 
 The engine relies on one layering rule, which `assemble_network` guarantees
 and `simulate` checks: inputs feed only hidden neurons, and hidden and output
@@ -120,13 +120,12 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     end = round(t_end / TIME_QUANTUM)
 
     # Input neuron id at pixel (x, y), stored at y * width + x; -1 where no
-    # cell covers the pixel. Only events at or before t_end are looked up.
+    # cell covers the pixel. Only events up to the end tick are looked up.
     width = net.layout.field_width
     id_at = np.full(width * net.layout.field_height, -1, dtype=np.int64)
     px, py = net.input_pixels.T
     id_at[py * width + px] = np.arange(net.n_inputs)
-    n_ev = int(np.searchsorted(stim.t, t_end, side="right"))
-    ticks = np.rint(stim.t[:n_ev] / TIME_QUANTUM).astype(np.int64)
+    n_ev = int(np.searchsorted(stim.t, end, side="right"))
     owners = id_at[stim.y[:n_ev] * width + stim.x[:n_ev]]
     covered = owners >= 0
     dropped = n_ev - int(np.count_nonzero(covered))
@@ -135,7 +134,7 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     # pixel at a time. An event passes at least t_ref after the last one
     # that passed.
     by_pixel = np.argsort(owners[covered], kind="stable")
-    in_pre, in_t = owners[covered][by_pixel], ticks[covered][by_pixel]
+    in_pre, in_t = owners[covered][by_pixel], stim.t[:n_ev][covered][by_pixel]
     passed = np.ones(len(in_t), dtype=bool)
     last = np.full(net.n_inputs, -t_ref, dtype=np.int64)
     for k in _by_rank(in_pre):
@@ -243,9 +242,8 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
 
     neuron = np.concatenate([in_pre, hid_pre, np.array(spike_n, dtype=np.int64) + output_base])
     t_ticks = np.concatenate([in_t, hid_t, np.array(spike_t, dtype=np.int64)])
-    # (t, neuron) order; the pairs are unique, so any sort of this key gives it
-    order = np.argsort(np.unique(t_ticks, return_inverse=True)[1] * n + neuron)
-    record = SpikeRecord(n, neuron[order], t_ticks[order] * TIME_QUANTUM)
+    order = np.lexsort((neuron, t_ticks))
+    record = SpikeRecord(n, neuron[order], t_ticks[order])
     per_neuron = np.bincount(neuron, minlength=n)
     totals = {
         layer.value: int(per_neuron[ids.start : ids.stop].sum())

@@ -4,8 +4,8 @@ The object is a 3x3 pixel block centered on the rounded (half-up) continuous
 position. A vision-sensor-style encoder emits one event per pixel that becomes
 covered when the rounded position changes ("onset" mode) or re-emits the whole
 footprint at every change ("footprint" mode). The y axis points upward.
-Event times are whole 1 ns ticks: each change is stamped with the first tick
-at which the rounded position differs.
+Event times are int64 counts of 1 ns ticks: each change is stamped with the
+first tick at which the rounded position differs.
 """
 from __future__ import annotations
 
@@ -358,7 +358,7 @@ def generate_events(
         # a pixel is fresh when it lies outside the previous 3x3 block
         prev = centers[:-1]
         emit[1:] = (np.abs(xs[1:] - prev[:, :1]) > 1) | (np.abs(ys[1:] - prev[:, 1:]) > 1)
-    ts_ev = np.broadcast_to(np.concatenate([[0.0], ticks * TIME_QUANTUM])[:, None], xs.shape)
-    xs, ys, ts_ev = xs[emit], ys[emit], ts_ev[emit]
-    order = np.lexsort((xs, ys, ts_ev))
-    return EventStream(traj.field_width, traj.field_height, xs[order], ys[order], ts_ev[order])
+    t_ev = np.broadcast_to(np.concatenate([[0], ticks])[:, None], xs.shape)
+    xs, ys, t_ev = xs[emit], ys[emit], t_ev[emit]
+    order = np.lexsort((xs, ys, t_ev))
+    return EventStream(traj.field_width, traj.field_height, xs[order], ys[order], t_ev[order])

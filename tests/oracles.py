@@ -43,10 +43,13 @@ def fixed_step_spikes(
     """March the whole network on a fixed 1 us grid.
 
     Returns integer spike steps per neuron. Decay is applied one step at a
-    time, so the only thing shared with the event-driven engine is the
-    network description itself.
+    time, so the only things shared with the event-driven engine are the
+    network description and the run's end: t_end rounded to a whole tick,
+    after which no event is taken and no spike delivered.
     """
     n = net.n_neurons
+    step = round(step_s / TIME_QUANTUM)  # ticks per step
+    end = round(t_end / TIME_QUANTUM)
     v_th, v_floor = net.v_th, net.v_floor
     factor = np.exp(-step_s / net.tau_m)
     # constants every neuron shares
@@ -65,13 +68,13 @@ def fixed_step_spikes(
     pending: dict[int, dict[int, float]] = {}
     trains: list[list[int]] = [[] for _ in range(n)]
     prev_input: dict[int, int] = {}
-    for ev in stream.events:
-        if ev.t > t_end:
+    for x, y, t in zip(stream.x.tolist(), stream.y.tolist(), stream.t.tolist()):
+        if t > end:
             break
-        nid = input_id.get((ev.x, ev.y))
+        nid = input_id.get((x, y))
         if nid is None:
             continue
-        s = int(round(ev.t / step_s))
+        s = round(t / step)
         prev = prev_input.get(nid)
         if prev is not None and s - prev < t_ref:
             continue
@@ -83,7 +86,7 @@ def fixed_step_spikes(
 
     v = np.zeros(n)
     ref_until = [0] * n
-    last_step = int(math.floor(t_end / step_s))
+    last_step = end // step
     for s in range(last_step + 1):
         if s > 0:
             v *= factor
@@ -97,7 +100,7 @@ def fixed_step_spikes(
                 trains[post].append(spike)
                 v[post] = v_reset
                 ref_until[post] = s + t_ref
-                if spike * step_s <= t_end:
+                if spike * step <= end:
                     late = pending.setdefault(spike, {})
                     for q, w in outgoing[post]:
                         late[q] = late.get(q, 0.0) + w
@@ -186,7 +189,7 @@ def tie_heavy_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
             if rng.random() < 0.3:
                 events.append(Event(x, y, float(tick + ref_ticks) * 1e-4))
     stream = event_stream(events, 5, 5)
-    return net, stream, float(stream.t[-1]) + 1e-3
+    return net, stream, stream.events[-1].t + 1e-3
 
 
 def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOutput:
@@ -237,11 +240,10 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
     dropped = 0
     refractory_dropped = 0
     last_input_spike: dict[int, int] = {}
-    for ev in stim.events:
-        if ev.t > t_end:
+    for x, y, t in zip(stim.x.tolist(), stim.y.tolist(), stim.t.tolist()):
+        if t > end:
             break
-        t = int(np.rint(ev.t / TIME_QUANTUM))
-        owner = id_at[ev.y * width + ev.x]
+        owner = id_at[y * width + x]
         if owner < 0:
             dropped += 1
             continue
@@ -283,7 +285,7 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
                         heapq.heappush(heap, (t_spike, post, seq, out_post[k], out_w[k]))
                         seq += 1
 
-    record = spike_record([[t * TIME_QUANTUM for t in train] for train in spikes])
+    record = tick_record(spikes)
     totals = {
         layer.value: sum(map(len, spikes[ids.start : ids.stop]))
         for layer, ids in net.layer_ids().items()
@@ -296,17 +298,39 @@ def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -
     )
 
 
+def ticks(seconds) -> np.ndarray:
+    """Times in seconds as int64 engine ticks, each rounded to the nearest:
+    the one place where the builders below leave seconds."""
+    return np.rint(np.asarray(seconds, dtype=np.float64) / TIME_QUANTUM).astype(np.int64)
+
+
+def on_grid(seconds) -> tuple[float, ...]:
+    """What a stream or record built from these times gives back in seconds:
+    each time's tick times TIME_QUANTUM."""
+    return tuple((ticks(seconds) * TIME_QUANTUM).tolist())
+
+
 def event_stream(events, field_width: int, field_height: int) -> EventStream:
-    """The stream of `Event`s on the field, sorted into (t, y, x) order."""
-    xyt = np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
-    return EventStream(field_width, field_height, *xyt[np.lexsort(xyt.T)].T)
+    """The stream of `Event`s, with times in seconds, on the field, sorted
+    into (t, y, x) order."""
+    events = list(events)
+    x, y = np.array([e.x for e in events]), np.array([e.y for e in events])
+    t = ticks([e.t for e in events])
+    order = np.lexsort((x, y, t))
+    return EventStream(field_width, field_height, x[order], y[order], t[order])
 
 
 def spike_record(trains) -> SpikeRecord:
-    """The record in which neuron k spikes at trains[k], sorted into (t,
+    """The record in which neuron k spikes at trains[k], in seconds, sorted
+    into (t, neuron) order."""
+    return tick_record([ticks(train).tolist() for train in trains])
+
+
+def tick_record(trains) -> SpikeRecord:
+    """The record in which neuron k spikes at ticks trains[k], sorted into (t,
     neuron) order."""
     neuron = np.repeat(np.arange(len(trains)), np.array([len(tr) for tr in trains], dtype=np.int64))
-    t = np.array([t for train in trains for t in train], dtype=np.float64)
+    t = np.array([t for train in trains for t in train], dtype=np.int64)
     order = np.lexsort((neuron, t))
     return SpikeRecord(len(trains), neuron[order], t[order])
 

@@ -29,7 +29,7 @@ from motionsnn import (
 import motionsnn
 from motionsnn.analysis import decay_accumulate, transient_s
 
-from oracles import brute_force_rate, rel_err, spike_record
+from oracles import brute_force_rate, on_grid, rel_err, spike_record
 
 FP = FilterParams(tau1=0.05, tau2=0.1)
 # argmax of FP's kernel: tau1*tau2/(tau2-tau1) * ln(tau2/tau1) = 2*tau1*ln 2
@@ -334,13 +334,14 @@ def test_pool_group_follows_the_output_id_convention():
         (0.25, 0.4),   # RIGHT
     )
     rec = spike_record(trains)
-    assert pool_group(rec, Direction.UP, 1) == (0.1, 0.2)
-    assert pool_group(rec, Direction.RIGHT, 1) == (0.25, 0.4)
+    # the times come back in seconds, as their ticks times TIME_QUANTUM
+    assert pool_group(rec, Direction.UP, 1) == on_grid((0.1, 0.2))
+    assert pool_group(rec, Direction.RIGHT, 1) == on_grid((0.25, 0.4))
     rec2 = spike_record(((0.1,), (0.2,), (0.3,), (0.4,), (0.5,), (0.6,), (0.7,), (0.8,)))
-    assert pool_group(rec2, Direction.UP, 2) == (0.1, 0.2)
-    assert pool_group(rec2, Direction.LEFT, 2) == (0.5, 0.6)
+    assert pool_group(rec2, Direction.UP, 2) == on_grid((0.1, 0.2))
+    assert pool_group(rec2, Direction.LEFT, 2) == on_grid((0.5, 0.6))
     # two ranks spiking at one instant count twice, in time order
     rec3 = spike_record(((0.3, 0.5), (0.1, 0.3), (), (), (), (), (), ()))
-    assert pool_group(rec3, Direction.UP, 2) == (0.1, 0.3, 0.3, 0.5)
+    assert pool_group(rec3, Direction.UP, 2) == on_grid((0.1, 0.3, 0.3, 0.5))
     with pytest.raises(ConfigError):
         pool_group(rec, Direction.UP, 2)

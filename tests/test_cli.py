@@ -63,6 +63,23 @@ def test_events_writes_csv(tmp_path, capsys):
     assert f"wrote {len(lines) - 1} events" in capsys.readouterr().out
 
 
+def test_a_trajectory_kind_is_switched_by_one_whole_object_override(tmp_path, capsys, monkeypatch):
+    # The README's command. A dotted `trajectory.kind` override keeps the
+    # default circle's other keys, which a linear path does not take.
+    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+    out = tmp_path / "ev.csv"
+    linear = 'trajectory={"kind":"linear","x0":1.5,"y0":5,"vx":10,"vy":0}'
+    assert main(["events", "--set", linear, "--set", "t_end_s=0.5", "-o", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    # the centre moves from column 2 to column 7: the first footprint, then
+    # one new column of three pixels per change
+    assert len(rows) == 1 + 9 + 5 * 3 and rows[-1].startswith("8,6,")
+    assert "wrote 24 events" in capsys.readouterr().out
+    assert main(["events", "--set", "trajectory.kind=linear", "--set", "t_end_s=0.5",
+                 "-o", str(tmp_path / "dotted.csv")]) == 2
+    assert capsys.readouterr().err == "config error: unknown trajectory keys: ['freq_hz']\n"
+
+
 # sha256 of `motionsnn events` output, recorded from the encoder that built
 # one `Event` object per row before the stream became three arrays.
 EVENTS_GOLDEN = {

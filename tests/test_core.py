@@ -31,6 +31,7 @@ from motionsnn import (
 from motionsnn import core
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
+    TIME_QUANTUM,
     Parts,
     fmt_float,
     write_events_csv,
@@ -65,35 +66,60 @@ def test_event_stream_sorts_by_time_then_row_then_column():
     assert len(s) == 4
     # the same events in (t, x, y) order are refused
     with pytest.raises(ConfigError, match=r"not sorted by \(t, y, x\)"):
-        EventStream(4, 4, [1, 1, 2, 0], [1, 2, 1, 0], [0.0, 0.0, 0.0, 1e-4])
+        EventStream(4, 4, [1, 1, 2, 0], [1, 2, 1, 0], [0, 0, 0, 100_000])
 
 
 def test_event_stream_rejects_bad_input():
     with pytest.raises(ConfigError, match=r"not sorted by \(t, y, x\)"):
-        EventStream(3, 3, [1, 1], [1, 1], [0.002, 0.001])
+        EventStream(3, 3, [1, 1], [1, 1], [2_000_000, 1_000_000])
     with pytest.raises(ConfigError, match=r"event pixel \(3, 1\) outside field"):
-        EventStream(3, 3, [3], [1], [0.0])
-    with pytest.raises(ConfigError, match="event time -1e-09 must be finite"):
-        EventStream(3, 3, [1], [1], [-1e-9])
-    with pytest.raises(ConfigError, match="event time nan must be finite"):
+        EventStream(3, 3, [3], [1], [0])
+    with pytest.raises(ConfigError, match="t value nan is not a non-negative integer"):
         EventStream(3, 3, [1], [1], [math.nan])
     with pytest.raises(ConfigError, match="field dimensions must be positive"):
         EventStream(0, 3, [], [], [])
 
 
+# A stream or a record holds whole ticks and ids: anything else is refused,
+# never truncated or rounded to the grid.
+NOT_WHOLE = {
+    "stream-fractional-x": (lambda: EventStream(3, 3, [1.7], [1], [0]), "x value 1.7"),
+    "stream-fractional-y": (lambda: EventStream(3, 3, [1], [0.5], [0]), "y value 0.5"),
+    "stream-seconds": (lambda: EventStream(3, 3, [1], [1], [1e-3]), "t value 0.001"),
+    "stream-negative-tick": (lambda: EventStream(3, 3, [1], [1], [-1]), "t value -1"),
+    "stream-negative-x": (lambda: EventStream(3, 3, [-1], [1], [0]), "x value -1"),
+    "record-fractional-id": (lambda: SpikeRecord(2, [0.9, 1], [0, 1]), "neuron value 0.9"),
+    "record-nan-tick": (lambda: SpikeRecord(2, [0, 1], [math.nan, 1]), "t value nan"),
+    "record-negative-tick": (lambda: SpikeRecord(2, [0], [-1]), "t value -1"),
+    "record-seconds": (lambda: SpikeRecord(2, [0], [0.25]), "t value 0.25"),
+    "record-past-int64": (lambda: SpikeRecord(2, [0], [2.0**63]), "t value 9.223372036854776e+18"),
+}
+
+
+@pytest.mark.parametrize("build, message", NOT_WHOLE.values(), ids=NOT_WHOLE.keys())
+def test_records_refuse_anything_but_whole_ticks_and_ids(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}.* is not a non-negative integer$"):
+        build()
+
+
+def test_whole_floats_are_taken_as_ticks():
+    s = EventStream(3, 3, [1.0], [2.0], [5.0])
+    assert (s.x.tolist(), s.y.tolist(), s.t.tolist(), s.t.dtype) == ([1], [2], [5], np.int64)
+
+
 def test_event_stream_holds_read_only_arrays_in_order():
     # ties on t fall back to y, then x; unequal lengths are refused
-    s = EventStream(4, 4, [2, 1, 3, 0], [1, 2, 2, 0], [0.0, 0.0, 0.0, 1e-4])
-    assert (s.x.dtype, s.y.dtype, s.t.dtype) == (np.int64, np.int64, np.float64)
+    s = EventStream(4, 4, [2, 1, 3, 0], [1, 2, 2, 0], [0, 0, 0, 100_000])
+    assert (s.x.dtype, s.y.dtype, s.t.dtype) == (np.int64, np.int64, np.int64)
     for arr in (s.x, s.y, s.t):
         with pytest.raises(ValueError):
             arr[0] = 0
     assert "events" not in vars(s)
     assert s.events == (Event(2, 1, 0.0), Event(1, 2, 0.0), Event(3, 2, 0.0), Event(0, 0, 1e-4))
     with pytest.raises(ConfigError, match="same length"):
-        EventStream(4, 4, [1, 2], [1], [0.0])
+        EventStream(4, 4, [1, 2], [1], [0])
     with pytest.raises(ConfigError, match="not sorted"):
-        EventStream(4, 4, [2, 1], [1, 1], [0.0, 0.0])
+        EventStream(4, 4, [2, 1], [1, 1], [0, 0])
     assert len(EventStream(4, 4, [], [], [])) == 0
 
 
@@ -137,39 +163,40 @@ def test_a_refractory_period_may_last_one_tick():
     assert NetworkParams(t_ref_s=1e-5, d_out_s=0.0).t_ref_s == 1e-5
 
 def test_spike_record_counts():
-    r = SpikeRecord(3, [2, 0, 0], [0.05, 0.1, 0.2])
+    r = SpikeRecord(3, [2, 0, 0], [50_000_000, 100_000_000, 200_000_000])
     assert r.n_neurons == 3
     assert r.counts() == (2, 0, 1)
     assert len(r.t) == 3
 
 
 def test_spike_record_holds_read_only_arrays_in_time_then_neuron_order():
-    r = SpikeRecord(3, [2, 0, 2, 0], [0.05, 0.1, 0.1, 0.2])
-    assert r.neuron.dtype == np.int64 and r.t.dtype == np.float64
+    r = SpikeRecord(3, [2, 0, 2, 0], [50_000_000, 100_000_000, 100_000_000, 200_000_000])
+    assert r.neuron.dtype == np.int64 and r.t.dtype == np.int64
     with pytest.raises(ValueError):
-        r.t[0] = 1.0
+        r.t[0] = 1
+    # the trains are in seconds
     assert r.spike_times == ((0.1, 0.2), (), (0.05, 0.1))
     assert SpikeRecord(2, [], []).spike_times == ((), ())
 
 
 def test_spike_record_requires_strictly_increasing_trains():
     with pytest.raises(ConfigError, match="neuron 0: spike times not strictly increasing"):
-        SpikeRecord(1, [0, 0], [0.2, 0.2])
+        SpikeRecord(1, [0, 0], [2, 2])
     with pytest.raises(ConfigError, match="neuron 2: spike times not strictly increasing"):
-        SpikeRecord(3, [0, 2, 2], [0.1, 0.1, 0.1])
+        SpikeRecord(3, [0, 2, 2], [1, 1, 1])
     with pytest.raises(ConfigError, match="neuron 1: spike times not strictly increasing"):
-        SpikeRecord(2, [0, 1, 1], [0.1, 0.2, 0.2])
+        SpikeRecord(2, [0, 1, 1], [1, 2, 2])
 
 
 def test_spike_record_validation():
     with pytest.raises(ConfigError, match=r"not sorted by \(t, neuron\)"):
-        SpikeRecord(2, [0, 1], [0.2, 0.1])
+        SpikeRecord(2, [0, 1], [2, 1])
     with pytest.raises(ConfigError, match=r"not sorted by \(t, neuron\)"):
-        SpikeRecord(2, [1, 0], [0.1, 0.1])
+        SpikeRecord(2, [1, 0], [1, 1])
     with pytest.raises(ConfigError, match=r"outside 0\.\.1"):
-        SpikeRecord(2, [2], [0.1])
+        SpikeRecord(2, [2], [1])
     with pytest.raises(ConfigError, match="same length"):
-        SpikeRecord(2, [0, 1], [0.1])
+        SpikeRecord(2, [0, 1], [1])
 
 
 def test_rate_series_grid():
@@ -303,7 +330,7 @@ def test_a_table_of_one_block_is_formatted_in_the_caller(tmp_path, usable_cpus, 
     usable_cpus(4)
     for n in (0, 1, CSV_BLOCK_ROWS):
         ids = np.arange(n) % 7
-        rec = SpikeRecord(7, ids, np.arange(n) * 1e-3)
+        rec = SpikeRecord(7, ids, np.arange(n) * 1_000_000)
         write_spikes_csv(rec, str(tmp_path / "spikes.csv")).join()
         lines = (tmp_path / "spikes.csv").read_bytes().split(b"\r\n")
         assert len(lines) == n + 2 and lines[0] == b"neuron_id,t_s" and lines[-1] == b""
@@ -345,7 +372,7 @@ def test_a_writer_left_by_an_exception_stops_its_children(tmp_path, usable_cpus,
             os.waitpid(pid, os.WNOHANG)
     # a table of one block, formatted in the caller, does not reach its path either
     del forks[:]
-    one_block = SpikeRecord(7, np.arange(10) % 7, np.arange(10) * 1e-3)
+    one_block = SpikeRecord(7, np.arange(10) % 7, np.arange(10) * 1_000_000)
     with pytest.raises(KeyboardInterrupt):
         with write_spikes_csv(one_block, str(tmp_path / "spikes.csv")):
             raise KeyboardInterrupt
@@ -429,12 +456,13 @@ def test_join_sleeps_only_while_a_child_is_running(monkeypatch, forks):
     assert sleeps == []
 
 
-sorted_train = st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=8, unique=True).map(sorted)
+sorted_train = st.lists(st.integers(0, 10**10), max_size=8, unique=True).map(sorted)
 
 
 @given(st.lists(sorted_train, max_size=5))
 def test_spike_record_round_trips_its_trains(trains):
-    rec = spike_record(trains)
-    assert rec.spike_times == tuple(map(tuple, trains))
+    # trains of ticks, handed over and given back in seconds
+    rec = spike_record([[t * TIME_QUANTUM for t in train] for train in trains])
+    assert rec.spike_times == tuple(tuple(t * TIME_QUANTUM for t in train) for train in trains)
     rows = sorted((t, n) for n, train in enumerate(trains) for t in train)
     assert list(zip(rec.t.tolist(), rec.neuron.tolist())) == rows

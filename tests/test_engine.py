@@ -19,6 +19,7 @@ from motionsnn import (
 )
 
 from motionsnn.config import build_network, build_stimulus, build_trajectory
+from motionsnn.core import TIME_QUANTUM
 from motionsnn.topology import Layer
 
 from oracles import (
@@ -226,6 +227,41 @@ def test_events_up_to_t_end_are_taken():
     )
     assert sim.record.spike_times[input_id(net, CENTER)] == (0.0, 0.01)
     assert sim.dropped_events == 1
+
+
+def test_one_end_tick_cuts_the_events():
+    # t_end = 0.0100000006 s is off the grid; the run ends at its nearest
+    # tick, 10_000_001. An event on that tick is taken, though its time in
+    # seconds lies after t_end, and one a tick later is not.
+    net = one_cell()
+    (cx, cy), (lx, ly) = CENTER, LEFT_PX
+    stim = EventStream(3, 3, [cx, lx], [cy, ly], [10_000_001, 10_000_002])
+    sim = simulate(net, stim, t_end=0.01 + 0.6e-9)
+    inputs = net.layer_ids()[Layer.INPUT]
+    taken = np.isin(sim.record.neuron, inputs)
+    assert sim.record.neuron[taken].tolist() == [input_id(net, CENTER)]
+    assert sim.record.t[taken].tolist() == [10_000_001]
+    assert sim.dropped_events == sim.refractory_dropped == 0
+    assert_same_simulation(sim, per_edge_heap_simulate(net, stim, 0.01 + 0.6e-9))
+    assert engine_spike_steps(sim.record) == fixed_step_spikes(net, stim, 0.01 + 0.6e-9)
+
+
+def test_ticks_stay_distinct_in_a_long_run():
+    # Two events one tick apart, 9e6 s into a run. In seconds both ticks
+    # read 9000000.000000002; the engine and the record keep them apart.
+    net = one_cell()
+    (cx, cy), (lx, ly) = CENTER, LEFT_PX
+    first = 9_000_000_000_000_001
+    stim = EventStream(3, 3, [lx, cx], [ly, cy], [first, first + 1])
+    sim = simulate(net, stim, t_end=9e6 + 1e-3)
+    d_out = round(net.params.d_out_s / TIME_QUANTUM)
+    inputs = net.layer_ids()[Layer.INPUT]
+    taken = np.isin(sim.record.neuron, inputs)
+    assert sim.record.t[taken].tolist() == [first, first + 1]
+    assert sim.record.neuron[taken].tolist() == [input_id(net, LEFT_PX), input_id(net, CENTER)]
+    # the relays fire one output delay later, still a tick apart
+    relays = ~taken & (sim.record.t < first + d_out + 2)
+    assert sorted(set(sim.record.t[relays].tolist())) == [first + d_out, first + 1 + d_out]
 
 
 def test_potential_floor_limits_inhibition_depth():
