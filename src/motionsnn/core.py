@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import shutil
 import signal
@@ -80,10 +81,16 @@ def _whole_numbers(obj: object, *names: str) -> None:
     length; a value that is not a non-negative integer is refused, not rounded."""
     for name in names:
         given = np.asarray(getattr(obj, name)).reshape(-1)
-        with np.errstate(invalid="ignore"):  # NaN and out-of-range casts are refused below
-            arr = given.astype(np.int64)
+        try:
+            with np.errstate(invalid="ignore"):  # NaN and out-of-range casts are refused below
+                arr = given.astype(np.int64)
+        except (TypeError, ValueError, OverflowError):
+            # objects or strings, cast one at a time: -1 stands for a value
+            # that is no number in int64's range
+            cast = [int(v) if isinstance(v, numbers.Real) and 0 <= v < 2**63 else -1 for v in given]
+            arr = np.array(cast, dtype=np.int64)
         if (bad := (arr != given) | (arr < 0)).any():
-            raise ConfigError(f"{name} value {given[np.argmax(bad)].item()!r} is not a non-negative integer")
+            raise ConfigError(f"{name} value {given[bad][:1].item()!r} is not a non-negative integer")
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
     if len({len(getattr(obj, name)) for name in names}) > 1:
@@ -352,7 +359,7 @@ class CsvWriter:
             with open(self.path, "wb") as out:
                 out.write(self._head)
                 for part in parts:
-                    shutil.copyfileobj(part, out, 1 << 20)
+                    shutil.copyfileobj(part, out)
 
     def __enter__(self) -> "CsvWriter":
         return self

@@ -17,7 +17,9 @@ the stimulus alone and are evaluated as arrays, the k-th event of every
 pixel and then the k-th arrival of every relay at a time. Only the output
 layer, recurrent through lateral inhibition, runs as a loop of waves. Every
 stage applies the same IEEE operations in the same order as an event-by-event
-run, so the layered evaluation changes no bit of the result.
+run, so the layered evaluation changes no bit of the result. Each stage's
+working arrays are released as soon as the next stage has its input, so the
+run holds one stage's arrays at a time besides the spikes it will record.
 """
 from __future__ import annotations
 
@@ -69,18 +71,22 @@ def _summed_arrivals(
     per (target, tick), as (target, tick, sum) arrays in that order. Each sum
     is 0.0 plus the edges in (pre, CSR row) order: the spikes list them in
     that order and the sort is stable. `np.add.at` adds them one at a time."""
-    start = net.indptr[pre]
-    count = net.indptr[pre + 1] - start
-    spike = np.repeat(np.arange(len(pre)), count)
-    edge = start[spike] + np.arange(len(spike)) - (np.cumsum(count) - count)[spike]
-    t, target = ticks[spike], net.post[edge]
-    order = np.lexsort((t, target))
-    t, target, w = t[order], target[order], net.signed_w[edge[order]]
+    count = net.indptr[pre + 1] - net.indptr[pre]
+    # delivery j of a spike whose first delivery is j0 takes its edge j - j0 on
+    edge = np.repeat(net.indptr[pre] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    t = np.repeat(ticks, count)
+    order = np.lexsort((t, net.post[edge]))
+    edge = edge[order]
+    t = t[order]
+    del count, order
+    target, w = net.post[edge], net.signed_w[edge]
+    del edge
     new = _run_starts(target, t)
-    sums = np.zeros(np.count_nonzero(new))
+    target, t = target[new], t[new]
+    sums = np.zeros(len(t))
     with np.errstate(over="ignore", invalid="ignore"):  # a fault, reported later
         np.add.at(sums, np.cumsum(new) - 1, w)
-    return target[new], t[new], sums
+    return target, t, sums
 
 
 def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOutput:
@@ -143,6 +149,7 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
         last[in_pre[k][ok]] = in_t[k][ok]
     refractory_dropped = len(in_t) - int(np.count_nonzero(passed))
     in_pre, in_t = in_pre[passed], in_t[passed]
+    del id_at, owners, covered, by_pixel, passed, last
 
     # The relay layer: each relay's summed arrivals in tick order, the k-th
     # of every relay at a time, with the arithmetic of the wave loop below.
@@ -154,9 +161,10 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     fired = np.zeros(len(r_t), dtype=bool)
     bad = np.zeros(len(r_t), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a fault, reported below
-        r_dt = (r_t - np.where(_run_starts(relay), 0, np.roll(r_t, 1))) * TIME_QUANTUM
-        x = (-r_dt / net.tau_m[relay]).tolist()
+        x = (r_t - np.where(_run_starts(relay), 0, np.roll(r_t, 1))) * -TIME_QUANTUM
+        x /= net.tau_m[relay]
         decay = np.fromiter(map(math.exp, x), np.float64, len(x))
+        del x
         for k in _by_rank(relay):
             post, t_now = relay[k], r_t[k]
             v_new = v_relay[post] * decay[k] + r_sum[k]
@@ -169,8 +177,8 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     hid_pre, hid_t = relay[fired], r_t[fired] + d_out
     # The first relay fault in (tick, id) order ends the run at its tick: at
     # one instant the relays update before any output does.
-    faults = np.lexsort((relay[bad], r_t[bad]))
-    stop = int(r_t[bad][faults[0]]) if len(faults) else end + 1
+    stop, fault = min(zip(r_t[bad].tolist(), relay[bad].tolist()), default=(end + 1, -1))
+    del relay, r_t, r_sum, decay, v_relay, ref_relay, fired, bad
 
     # The output layer, the only recurrent one. Its delivery queue is a merge
     # of two sorted sequences: the relay spikes summed per (instant, output),
@@ -237,18 +245,17 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
                 ref_until[post] = t_now + t_ref
                 if t_spike <= end:
                     fifo.append((t_spike, post))
-    if len(faults):
-        raise NumericFault(f"non-finite potential on neuron {relay[bad][faults[0]]}")
+    if fault >= 0:
+        raise NumericFault(f"non-finite potential on neuron {fault}")
 
+    totals = {layer.value: len(s) for layer, s in zip(net.layer_ids(), (in_pre, hid_pre, spike_n))}
     neuron = np.concatenate([in_pre, hid_pre, np.array(spike_n, dtype=np.int64) + output_base])
     t_ticks = np.concatenate([in_t, hid_t, np.array(spike_t, dtype=np.int64)])
+    del in_pre, in_t, hid_pre, hid_t, spike_n, spike_t
+    del arr_post, arr_t, arr_sum, indptr, out_post, out_w
     order = np.lexsort((neuron, t_ticks))
-    record = SpikeRecord(n, neuron[order], t_ticks[order])
-    per_neuron = np.bincount(neuron, minlength=n)
-    totals = {
-        layer.value: int(per_neuron[ids.start : ids.stop].sum())
-        for layer, ids in net.layer_ids().items()
-    }
+    neuron, t_ticks = neuron[order], t_ticks[order]
+    record = SpikeRecord(n, neuron, t_ticks)
     return SimulationOutput(
         record=record,
         dropped_events=dropped,

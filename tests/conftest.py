@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -79,3 +80,21 @@ def failing_children(monkeypatch):
         monkeypatch.setattr(core, "_format_block", format_block)
 
     return fail
+
+
+@pytest.fixture
+def peak_bytes():
+    """Peak of the memory traced while fn(*args) runs, above what was traced
+    before; numpy reports its data buffers to tracemalloc."""
+
+    def peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return peak

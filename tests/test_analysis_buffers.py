@@ -3,7 +3,6 @@ in buffers they own or reuse. They must give the bytes of the all-at-once
 formulas in tests/oracles.py and of `accuracy`, and at their peak hold
 little more than what they return."""
 
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,35 +173,22 @@ def test_the_oracle_inputs_reach_every_branch():
     assert PATHS["linear"][0].speed_bound()[1] == 0.0
 
 
-def _peak_bytes(fn, *args) -> int:
-    """Peak of the memory traced while fn(*args) runs, above what was traced
-    before; numpy reports its data buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def test_ideal_rates_hold_no_more_than_the_four_curves_they_return():
+def test_ideal_rates_hold_no_more_than_the_four_curves_they_return(peak_bytes):
     traj = CircleTrajectory(10, 11, _periodic_t_end(0.05), freq_hz=0.05)
     grid = _grid(traj)  # 80,001 samples: the arrays dominate the peak
-    arrays = _peak_bytes(ideal_rates, traj, F_MAX_HZ, grid) / (8 * grid.n)
+    arrays = peak_bytes(ideal_rates, traj, F_MAX_HZ, grid) / (8 * grid.n)
     assert arrays <= 4.01
 
 
-def test_spectral_summary_holds_about_five_window_sized_arrays():
+def test_spectral_summary_holds_about_five_window_sized_arrays(peak_bytes):
     traj = CircleTrajectory(10, 11, _periodic_t_end(0.05), freq_hz=0.05)
     ev = _evaluation(traj, 0.1, 20.0)
     m = ev.grid.n - ev.window_index
-    arrays = _peak_bytes(spectral_summary, SimpleNamespace(trajectory=traj), ev) / (8 * m)
+    arrays = peak_bytes(spectral_summary, SimpleNamespace(trajectory=traj), ev) / (8 * m)
     assert arrays <= 5.5
 
 
-def test_evaluate_holds_the_measured_curves_and_four_window_sized_arrays():
+def test_evaluate_holds_the_measured_curves_and_four_window_sized_arrays(peak_bytes):
     # at its peak, while it scores, evaluate holds the grid axis, the four
     # measured curves and four arrays of the window's length: two
     # velocities, one channel's ideal curve and its scratch
@@ -211,4 +197,4 @@ def test_evaluate_holds_the_measured_curves_and_four_window_sized_arrays():
     n, m = ev.grid.n, ev.grid.n - ev.window_index
     assert n == 80_001 and m < n
     del ev
-    assert _peak_bytes(evaluate, result) <= (5 * n + 4 * m) * 8 * 1.01
+    assert peak_bytes(evaluate, result) <= (5 * n + 4 * m) * 8 * 1.01

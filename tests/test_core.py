@@ -93,6 +93,12 @@ NOT_WHOLE = {
     "record-negative-tick": (lambda: SpikeRecord(2, [0], [-1]), "t value -1"),
     "record-seconds": (lambda: SpikeRecord(2, [0], [0.25]), "t value 0.25"),
     "record-past-int64": (lambda: SpikeRecord(2, [0], [2.0**63]), "t value 9.223372036854776e+18"),
+    # values that numpy cannot cast to int64 at all
+    "stream-int-past-int64": (lambda: EventStream(3, 3, [1], [1], [2**70]), f"t value {2**70}"),
+    "stream-string": (lambda: EventStream(3, 3, [1], [1], ["a"]), "t value 'a'"),
+    "stream-none": (lambda: EventStream(3, 3, [1], [1], [None]), "t value None"),
+    "stream-none-after-a-tick": (lambda: EventStream(3, 3, [1, 1], [1, 1], [0, None]), "t value None"),
+    "record-int-past-int64": (lambda: SpikeRecord(3, [2**70], [0]), f"neuron value {2**70}"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from motionsnn import (
 
 from motionsnn.config import build_network, build_stimulus, build_trajectory
 from motionsnn.core import TIME_QUANTUM
+from motionsnn.engine import _summed_arrivals
 from motionsnn.topology import Layer
 
 from oracles import (
@@ -418,3 +420,71 @@ def test_a_graph_that_breaks_the_layering_rule_is_refused():
     )
     with pytest.raises(DomainError, match="feed only"):
         simulate(wired, stream((CENTER, 0.0)), t_end=0.01)
+
+
+def per_edge_sums(net, pre, ticks):
+    """(target, tick, sum) arrays in that order, each sum 0.0 plus its edges
+    one at a time in (pre, CSR row) order."""
+    sums = {}
+    for p, t in zip(pre.tolist(), ticks.tolist()):
+        for e in range(net.indptr[p], net.indptr[p + 1]):
+            key = (int(net.post[e]), t)
+            sums[key] = sums.get(key, 0.0) + float(net.signed_w[e])
+    keys = sorted(sums)
+    return (
+        np.array([k[0] for k in keys], dtype=np.int64),
+        np.array([k[1] for k in keys], dtype=np.int64),
+        np.array([sums[k] for k in keys], dtype=np.float64),
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_summed_arrivals_add_each_edge_like_a_per_edge_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    # neurons 0-10 have 0-4 out-edges onto 0-10, of mixed sign and magnitude
+    # so that the order of the additions shows in the last bits; neuron 11
+    # has one edge, of weight -0.0, onto neuron 11, which 0.0 + w makes 0.0
+    degree = np.r_[rng.integers(0, 5, n - 1), 1]
+    indptr = np.r_[0, np.cumsum(degree)]
+    post = np.r_[rng.integers(0, n - 1, indptr[-2]), n - 1]
+    signed_w = np.r_[rng.normal(0.0, 1.0, indptr[-2]) * 10.0 ** rng.integers(-8, 9, indptr[-2]), -0.0]
+    net = SimpleNamespace(indptr=indptr, post=post, signed_w=signed_w)
+    # 40 spikes sorted by pre on four ticks, so different spikes meet on
+    # one (target, tick)
+    pre = np.sort(np.r_[rng.integers(0, n, 39), n - 1])
+    ticks = rng.integers(0, 4, 40) * 1000
+    senders = {}
+    for i, (p, t) in enumerate(zip(pre.tolist(), ticks.tolist())):
+        for q in post[indptr[p] : indptr[p + 1]].tolist():
+            senders.setdefault((q, t), set()).add(i)
+    assert max(map(len, senders.values())) > 1
+
+    target, t, sums = _summed_arrivals(net, pre, ticks)
+    want = per_edge_sums(net, pre, ticks)
+    assert target.tolist() == want[0].tolist() and t.tolist() == want[1].tolist()
+    assert sums.view(np.int64).tolist() == want[2].view(np.int64).tolist()
+    assert sums[target == n - 1].view(np.int64).tolist() == [0] * int(np.sum(target == n - 1))
+
+
+def test_simulate_holds_few_records_at_its_peak(peak_bytes):
+    # The large-field benchmark config: 27,178 neurons, 12,969 events and
+    # 39,206 spikes, a record of 0.63 MB. Holding every stage's arrays to the
+    # end, simulate peaked at 10.8 records above its inputs; releasing each
+    # stage once the next has its input brings that to 3.8: the input and
+    # relay spikes and the sort of the relay spikes' deliveries to the
+    # outputs. Keeping the relay layer's arrays or the output layer's lists
+    # to the end, or expanding the deliveries through a per-delivery spike
+    # index, each takes it to 5.7-6.0, so the bound sits below those, with
+    # room for other numpy versions' temporaries.
+    cfg = RunConfig(
+        field_width=100,
+        field_height=101,
+        trajectory={"kind": "circle", "cx": 49.5, "cy": 50.0, "radius": 45.0, "freq_hz": 0.15},
+        encoding="footprint",
+    )
+    net, stim, t_end = build_network(cfg), build_stimulus(cfg), build_trajectory(cfg).t_end
+    record = simulate(net, stim, t_end).record
+    assert (net.n_neurons, len(stim), len(record.t)) == (27_178, 12_969, 39_206)
+    records = peak_bytes(simulate, net, stim, t_end) / (record.neuron.nbytes + record.t.nbytes)
+    assert records <= 5.0

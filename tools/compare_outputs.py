@@ -1,4 +1,4 @@
-"""Compare the output files of the working tree with those of a git revision.
+"""Compare the output files and peak memory of the working tree with those of a git revision.
 
     python3 tools/compare_outputs.py REV
 
@@ -18,9 +18,12 @@ directory (the repository's own state is not touched). Then it compares
   sweep's five-rank `n5` outputs
 
 Every file is listed as `same` or `DIFFERS`; under each CSV that differs
-come the number of rows that differ and the first differing pair. Exit 0
-when all 18 are identical, 1 when any differs or a command fails, 2 on a
-bad REV.
+come the number of rows that differ and the first differing pair. Then
+each command's peak RSS, as `wait4` reports it for the process and the
+children it reaped, is listed at REV, in the tree and their difference, in
+MB: one run each, so a difference under about 0.5 MB may be noise. Exit 0
+when all 18 files are identical, 1 when any differs or a command fails, 2
+on a bad REV.
 """
 from __future__ import annotations
 
@@ -65,23 +68,30 @@ def _files(out: str) -> list[str]:
     return [out]
 
 
-def run_all(src: Path, dest: Path) -> list[str]:
-    """Every command against the package in `src`; returns the failures."""
+def run_all(src: Path, dest: Path) -> tuple[list[float], list[str]]:
+    """Every command against the package in `src`: the peak RSS in MB of
+    each, with the children it reaped, and the failures."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    failures = []
+    rss, failures = [], []
     for i, (out, cfg, args) in enumerate(_commands()):
         cfg_path = dest / f"config{i}.json"
         cfg_path.write_text(json.dumps(cfg))
         target = dest / out
         (target if out.endswith("/") else target.parent).mkdir(parents=True, exist_ok=True)
         filled = [a.format(cfg=cfg_path, out=target) for a in args]
-        proc = subprocess.run(
-            [sys.executable, "-m", "motionsnn", *filled],
-            env=env, cwd=dest, capture_output=True, text=True,
-        )
+        with tempfile.TemporaryFile() as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "motionsnn", *filled],
+                env=env, cwd=dest, stdout=subprocess.DEVNULL, stderr=err,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            err.seek(0)
+            stderr = err.read().decode(errors="replace").strip()
+        rss.append(usage.ru_maxrss / 1024)
         if proc.returncode != 0:
-            failures.append(f"{src}: {' '.join(filled)} exited {proc.returncode}: {proc.stderr.strip()}")
-    return failures
+            failures.append(f"{src}: {' '.join(filled)} exited {proc.returncode}: {stderr}")
+    return rss, failures
 
 
 def csv_diff(a: Path, b: Path, names: tuple[str, str]) -> list[str]:
@@ -117,10 +127,11 @@ def main(argv: list[str]) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         sides = {"tree": (ROOT / "src", tmp_path / "tree"), rev: (base / "src", tmp_path / "rev-out")}
-        failures = []
-        for src, dest in sides.values():
+        rss, failures = {}, []
+        for side, (src, dest) in sides.items():
             dest.mkdir()
-            failures += run_all(src, dest)
+            rss[side], failed = run_all(src, dest)
+            failures += failed
         names = [f for out, _, _ in _commands() for f in _files(out)]
         differ = 0
         for name in names:
@@ -131,6 +142,9 @@ def main(argv: list[str]) -> int:
             if not same and name.endswith(".csv") and a.is_file() and b.is_file():
                 for line in csv_diff(a, b, tuple(sides)):
                     print(f"{'':8} {line}")
+        print(f"peak RSS in MB at {rev}, in the tree, and the change:")
+        for (out, _, args), at_rev, in_tree in zip(_commands(), rss[rev], rss["tree"]):
+            print(f"{at_rev:8.2f} {in_tree:8.2f} {in_tree - at_rev:+7.2f}  {args[0]} {out}")
     for line in failures:
         print(line, file=sys.stderr)
     print(f"{len(names) - differ} of {len(names)} files identical against {rev}")
