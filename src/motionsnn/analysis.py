@@ -7,8 +7,9 @@ velocity-derived ideal response channel by channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,22 +61,46 @@ class FilterParams:
 
 @dataclass(frozen=True)
 class RateGrid:
-    """n samples from t0 in steps of dt; `times` is the time axis, built once
-    with the grid and shared by every series and export on it."""
+    """n samples from t0 in steps of dt: sample k is at `time(k)`, t0 + dt * k.
+    The grid holds no time axis. `at_or_after` finds samples by that formula,
+    and `axis` builds the times of a run of samples for a caller that needs
+    them as an array."""
 
     t0: float
     dt: float
     n: int
-    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ConfigError("grid dt must be positive")
         if self.n < 1:
             raise ConfigError("grid needs at least one sample")
-        times = self.t0 + self.dt * np.arange(self.n)
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
+
+    def time(self, k):
+        """The time of sample k, or of each sample index in an int array k."""
+        return self.t0 + self.dt * k
+
+    def at_or_after(self, t):
+        """The first sample at or after each time in t (n where there is
+        none): np.searchsorted(axis, t, side="left") on the whole axis,
+        found by bisection on `time`, which never decreases in k."""
+        t = np.asarray(t, dtype=np.float64)
+        lo = np.zeros(t.shape, dtype=np.int64)
+        hi = np.full(t.shape, self.n, dtype=np.int64)
+        while (live := lo < hi).any():
+            mid = (lo + hi) // 2
+            below = self.time(mid) < t
+            lo = np.where(live & below, mid + 1, lo)
+            hi = np.where(live & ~below, mid, hi)
+        return lo
+
+    def axis(self, k0: int = 0) -> np.ndarray:
+        """A new array of the times of samples k0 .. n - 1, made in place:
+        the same bits as `time` gives."""
+        times = np.arange(k0, self.n, dtype=np.float64)
+        times *= self.dt
+        times += self.t0
+        return times
 
 
 def pool_group(record: SpikeRecord, direction: Direction, n_per_dir: int) -> tuple[float, ...]:
@@ -116,18 +141,18 @@ def decay_accumulate(n: int, bins: np.ndarray, c: np.ndarray, r: float) -> np.nd
 def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> RateSeries:
     """Causal rate estimate: the kernel summed over all past spikes, evaluated
     in closed form at every grid point."""
-    times = grid.times
     spikes = np.asarray(sorted(train), dtype=np.float64)
-    spikes = spikes[spikes <= times[-1]]
+    bins = grid.at_or_after(spikes)
+    inside = bins < grid.n  # a spike after the last sample adds nothing
+    spikes, bins = spikes[inside], bins[inside]
     if len(spikes) == 0:
         return RateSeries(grid.t0, grid.dt, np.zeros(grid.n))
-    bins = np.searchsorted(times, spikes, side="left")
     spike_bins, slot = np.unique(bins, return_inverse=True)
     # Per-step recursion A_k = A_{k-1} * exp(-dt/tau) + (new spikes decayed to t_k)
     acc = []
     for tau in (fp.tau1, fp.tau2):
         c = np.zeros(len(spike_bins))
-        np.add.at(c, slot, np.exp(-(times[bins] - spikes) / tau))
+        np.add.at(c, slot, np.exp(-(grid.time(bins) - spikes) / tau))
         acc.append(decay_accumulate(grid.n, spike_bins, c, math.exp(-grid.dt / tau)))
     # Both sums are >= 0, so acc1 - acc2 in acc1's buffer is bit for bit the
     # same as 0 + acc1 + (-1 * acc2).
@@ -137,22 +162,44 @@ def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> Rat
     return RateSeries(grid.t0, grid.dt, values)
 
 
+def _write_curve(u: np.ndarray | None, sign: float, half: float, out: np.ndarray) -> np.ndarray:
+    """half * |sign * u + 1| into `out`, with u an axis's velocity over its
+    run maximum; `half` throughout for a motionless axis (u None). For sign
+    -1 that is 1 - u: (-v) / v_max is -(v / v_max) bit for bit."""
+    if u is None:
+        out.fill(half)
+        return out
+    if sign > 0.0:
+        np.add(u, 1.0, out=out)
+    else:
+        np.subtract(1.0, u, out=out)
+    np.abs(out, out=out)
+    out *= half
+    return out
+
+
 def _ideal_curves(
-    traj: Trajectory, f_max_hz: float, times: np.ndarray
-) -> Iterator[tuple[Direction, np.ndarray]]:
-    """Each channel's ideal rate at `times`, in DIRECTION_ORDER, computed in
-    the buffer of its velocity projection and yielded before the next exists."""
+    traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int
+) -> Iterator[tuple[Direction, np.ndarray, Callable[[], np.ndarray] | None]]:
+    """Each channel's ideal rate at samples k0 .. n - 1 of `grid`, in
+    DIRECTION_ORDER, as (direction, curve, rebuild), one axis at a time.
+
+    The axis's velocity is made in a buffer of its sample times and divided
+    by its run maximum in place. The axis's first channel gets a new array,
+    and `rebuild()` writes its curve again if the caller has overwritten it;
+    the second channel's curve is made in the axis buffer itself, and its
+    rebuild is None. Either curve is the caller's to keep or overwrite, and
+    the next axis is made only once the caller asks for it."""
     if not (f_max_hz > 0.0 and math.isfinite(f_max_hz)):
         raise ConfigError("f_max_hz must be positive")
-    for d, values, p_dot_max in channel_velocities(traj, times):
-        if p_dot_max == 0.0:
-            values.fill(f_max_hz / 2.0)
-        else:
-            np.divide(values, p_dot_max, out=values)
-            values += 1.0
-            np.abs(values, out=values)
-            values *= f_max_hz / 2.0
-        yield d, values
+    half = f_max_hz / 2.0
+    for v, v_max, ((first, s1), (second, s2)) in channel_velocities(traj, partial(grid.axis, k0)):
+        u = np.divide(v, v_max, out=v) if v_max != 0.0 else None
+        curve = _write_curve(u, s1, half, np.empty_like(v))
+        yield first, curve, partial(_write_curve, u, s1, half, curve)
+        del curve
+        yield second, _write_curve(u, s2, half, v), None
+        del v, u  # before the next axis is made
 
 
 def ideal_rates(
@@ -161,7 +208,10 @@ def ideal_rates(
     """Velocity-proportional target rate per channel:
     f = (f_max / 2) * |p_dot / p_dot_max + 1|; motionless axes hold f_max / 2.
     The four curves returned are the only grid-sized arrays held at the end."""
-    return {d: RateSeries(grid.t0, grid.dt, v) for d, v in _ideal_curves(traj, f_max_hz, grid.times)}
+    return {
+        d: RateSeries(grid.t0, grid.dt, curve)
+        for d, curve, _ in _ideal_curves(traj, f_max_hz, grid, 0)
+    }
 
 
 def calibrate_f_max(measured: Mapping[Direction, RateSeries]) -> float:
@@ -180,20 +230,24 @@ class AccuracyScore:
 
 
 def _score(
-    ideal: Iterable[tuple[Direction, np.ndarray]], measured: Mapping[Direction, RateSeries]
+    ideal: Iterable[tuple[Direction, np.ndarray, Callable[[], np.ndarray] | None]],
+    measured: Mapping[Direction, RateSeries],
 ) -> AccuracyScore:
     """Mean over the channels `ideal` yields, summed in DIRECTION_ORDER, of
-    1 - |ideal - measured|^2 / |ideal|^2, each found in one scratch array."""
+    1 - |ideal - measured|^2 / |ideal|^2. A curve that can be rebuilt is its
+    own scratch; any other is scored with one scratch array."""
     per: dict[Direction, float] = {}
-    for d, curve in ideal:
-        scratch = np.square(curve)
+    for d, curve, rebuild in ideal:
+        scratch = np.square(curve, out=curve if rebuild else None)
         denom = float(np.sum(scratch))
         if denom <= 0.0:
             raise DomainError(f"accuracy undefined: zero ideal signal on {d.value}")
+        if rebuild:
+            rebuild()
         np.subtract(curve, measured[d].values, out=scratch)
         np.square(scratch, out=scratch)
         per[d] = 1.0 - float(np.sum(scratch)) / denom
-        del scratch  # before the next curve is made
+        del curve, scratch, rebuild  # before the next curve is made
     raw = sum(per[d] for d in DIRECTION_ORDER) / 4.0
     return AccuracyScore(raw=raw, clamped=max(raw, 0.0), per_channel=per)
 
@@ -205,15 +259,18 @@ def accuracy(
     for d in DIRECTION_ORDER:
         if not ideal[d].same_grid(measured[d]):
             raise ConfigError(f"grids differ on channel {d.value}")
-    return _score(((d, ideal[d].values) for d in DIRECTION_ORDER), measured)
+    return _score(((d, ideal[d].values, None) for d in DIRECTION_ORDER), measured)
 
 
 def window_accuracy(
-    traj: Trajectory, f_max_hz: float, times: np.ndarray, measured: Mapping[Direction, RateSeries]
+    traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int, measured: Mapping[Direction, RateSeries]
 ) -> AccuracyScore:
-    """`accuracy` of the ideal curves at `times` against `measured` on the same
-    samples, bit for bit, with one channel's ideal curve held at a time."""
-    return _score(_ideal_curves(traj, f_max_hz, times), measured)
+    """`accuracy` of the ideal curves at samples k0 .. n - 1 of `grid` against
+    `measured` on the same samples, bit for bit. It holds two arrays of the
+    window's length at a time: an axis's velocity and one channel's ideal
+    curve, which is its own scratch; the axis's last curve is made in the
+    velocity's buffer and scored with one scratch array."""
+    return _score(_ideal_curves(traj, f_max_hz, grid, k0), measured)
 
 
 def transient_s(fp: FilterParams, period_s: float | None) -> float:

@@ -185,8 +185,9 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
     # and a FIFO of (delivery time, spiker) output spikes. Every neuron
     # shares d_out and waves run at non-decreasing instants, so the FIFO's
     # times never decrease either. Output ids count from output_base here.
-    on_time = hid_t <= end
-    arr_post, arr_t, arr_sum = _summed_arrivals(net, hid_pre[on_time], hid_t[on_time])
+    # Relay spikes delivered after the end tick are summed too, but no wave
+    # reaches them: `stop` is at most end + 1.
+    arr_post, arr_t, arr_sum = _summed_arrivals(net, hid_pre, hid_t)
     order = np.lexsort((arr_post, arr_t))
     arr_t, arr_sum = arr_t[order].tolist(), arr_sum[order].tolist()
     arr_post = (arr_post[order] - output_base).tolist()

@@ -86,7 +86,7 @@ class RunEvaluation:
 
     @property
     def window_start_s(self) -> float:
-        return float(self.grid.times[self.window_index])
+        return self.grid.time(self.window_index)
 
 
 def evaluate(result: ExperimentResult) -> RunEvaluation:
@@ -99,16 +99,16 @@ def evaluate(result: ExperimentResult) -> RunEvaluation:
             f"run too short to score: needs > {t_w:.3f}s, has {traj.t_end:.3f}s"
         )
     grid = RateGrid(0.0, cfg.grid_dt_s, _grid_samples(traj.t_end, cfg.grid_dt_s))
-    k0 = int(np.searchsorted(grid.times, t_w, side="left"))
+    k0 = int(grid.at_or_after(t_w))
     if k0 >= grid.n:
         raise DomainError("empty analysis window")
-    t0 = float(grid.times[k0])
+    t0 = grid.time(k0)
 
     trains = {d: pool_group(result.sim.record, d, net.n_per_dir) for d in DIRECTION_ORDER}
     measured = {d: firing_rate(trains[d], fp, grid) for d in DIRECTION_ORDER}
     measured_w = {d: RateSeries(t0, grid.dt, measured[d].values[k0:]) for d in DIRECTION_ORDER}
     f_max = calibrate_f_max(measured_w)
-    score = window_accuracy(traj, f_max, grid.times[k0:], measured_w)
+    score = window_accuracy(traj, f_max, grid, k0, measured_w)
     counts = {d: len(trains[d]) for d in DIRECTION_ORDER}
     return RunEvaluation(
         grid=grid,
@@ -148,7 +148,7 @@ def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
         return w - np.mean(w)
 
     if period:
-        basis = -2j * math.pi * (1.0 / period) * RateGrid(ev.window_start_s, ev.grid.dt, m).times
+        basis = -2j * math.pi * (1.0 / period) * RateGrid(ev.window_start_s, ev.grid.dt, m).axis()
         np.exp(basis, out=basis)
         z = {d: np.sum(centred(d) * basis) for d in DIRECTION_ORDER}
         del basis

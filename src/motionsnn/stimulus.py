@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -57,7 +57,9 @@ class Trajectory:
     def positions(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def velocity(self, axis: str, ts: np.ndarray) -> np.ndarray:
+        """dx/dt (axis "x") or dy/dt (axis "y") at the float64 times ts,
+        computed in ts's own buffer, which is returned."""
         raise NotImplementedError
 
     def extent(self) -> tuple[float, float, float, float]:
@@ -98,9 +100,13 @@ class CircleTrajectory(Trajectory):
         w = 2.0 * math.pi * self.freq_hz
         return self.cx - self.radius * np.cos(w * ts), self.cy + self.radius * np.sin(w * ts)
 
-    def velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def velocity(self, axis: str, ts: np.ndarray) -> np.ndarray:
+        # r w sin(w t) and r w cos(w t)
         w = 2.0 * math.pi * self.freq_hz
-        return self.radius * w * np.sin(w * ts), self.radius * w * np.cos(w * ts)
+        ts *= w
+        (np.sin if axis == "x" else np.cos)(ts, out=ts)
+        ts *= self.radius * w
+        return ts
 
     def extent(self) -> tuple[float, float, float, float]:
         return (
@@ -141,9 +147,14 @@ class EightTrajectory(Trajectory):
         w = 2.0 * math.pi * self.freq_hz
         return self.cx + self.ax * np.sin(2.0 * w * ts), self.cy + self.ay * np.sin(w * ts)
 
-    def velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def velocity(self, axis: str, ts: np.ndarray) -> np.ndarray:
+        # 2 w ax cos(2 w t) and w ay cos(w t)
         w = 2.0 * math.pi * self.freq_hz
-        return 2.0 * w * self.ax * np.cos(2.0 * w * ts), w * self.ay * np.cos(w * ts)
+        w, a = (2.0 * w, self.ax) if axis == "x" else (w, self.ay)
+        ts *= w
+        np.cos(ts, out=ts)
+        ts *= w * a
+        return ts
 
     def extent(self) -> tuple[float, float, float, float]:
         return self.cx - self.ax, self.cx + self.ax, self.cy - self.ay, self.cy + self.ay
@@ -169,9 +180,9 @@ class LinearTrajectory(Trajectory):
     def positions(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.x0 + self.vx * ts, self.y0 + self.vy * ts
 
-    def velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ones = np.ones_like(ts)
-        return self.vx * ones, self.vy * ones
+    def velocity(self, axis: str, ts: np.ndarray) -> np.ndarray:
+        ts.fill(self.vx if axis == "x" else self.vy)
+        return ts
 
     def extent(self) -> tuple[float, float, float, float]:
         x1, y1 = self.x0 + self.vx * self.t_end, self.y0 + self.vy * self.t_end
@@ -204,18 +215,15 @@ class WaypointTrajectory(Trajectory):
         ys = np.asarray([p[2] for p in self.points])
         return np.interp(ts, knots, xs), np.interp(ts, knots, ys)
 
-    def velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def velocity(self, axis: str, ts: np.ndarray) -> np.ndarray:
         # Right-sided derivative; constant within each segment.
+        if len(self.points) < 2:
+            ts.fill(0.0)
+            return ts
         knots = np.asarray([p[0] for p in self.points])
-        seg = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, max(len(knots) - 2, 0))
-        vx = np.zeros_like(ts)
-        vy = np.zeros_like(ts)
-        if len(self.points) > 1:
-            dt = np.diff(knots)
-            dx = np.diff(np.asarray([p[1] for p in self.points])) / dt
-            dy = np.diff(np.asarray([p[2] for p in self.points])) / dt
-            vx, vy = dx[seg], dy[seg]
-        return vx, vy
+        seg = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(knots) - 2)
+        coord = np.asarray([p[1 if axis == "x" else 2] for p in self.points])
+        return np.take(np.diff(coord) / np.diff(knots), seg, out=ts)
 
     def extent(self) -> tuple[float, float, float, float]:
         xs = [p[1] for p in self.points]
@@ -233,23 +241,19 @@ class WaypointTrajectory(Trajectory):
 
 
 def channel_velocities(
-    traj: Trajectory, ts: np.ndarray
-) -> Iterator[tuple[Direction, np.ndarray, float]]:
-    """Object velocity at times ts projected onto each channel in
-    DIRECTION_ORDER, with the channel's run maximum: UP reads +dy/dt, DOWN
-    -dy/dt, LEFT -dx/dt, RIGHT +dx/dt. One velocities() pass serves all four,
-    and each projection is made only when the caller asks for it.
+    traj: Trajectory, times: Callable[[], np.ndarray]
+) -> Iterator[tuple[np.ndarray, float, tuple[tuple[Direction, float], tuple[Direction, float]]]]:
+    """The object's velocity along each axis of motion in AXES order, y and
+    then x, as (v, v_max, channels): v at the sample times, v_max its run
+    maximum, and the axis's two channels, each with the sign it reads v with:
+    UP reads +dy/dt, DOWN -dy/dt, LEFT -dx/dt, RIGHT +dx/dt.
 
-    Every array yielded is the caller's to keep or overwrite: UP is a copy,
-    DOWN is negated in the y buffer itself, LEFT is a fresh array and RIGHT
-    is the x buffer. So the four projections cost two arrays beyond the
-    two velocities."""
-    vxs, vys = traj.velocities(ts)
+    One axis at a time: each v is computed in a new buffer of the sample
+    times from `times()`, which is called for the next axis only once the
+    caller asks for it. v is the caller's to keep or overwrite."""
     vx_max, vy_max = traj.speed_bound()
-    yield Direction.UP, vys.copy(), vy_max
-    yield Direction.DOWN, np.negative(vys, out=vys), vy_max
-    yield Direction.LEFT, -vxs, vx_max
-    yield Direction.RIGHT, vxs, vx_max
+    yield traj.velocity("y", times()), vy_max, ((Direction.UP, 1.0), (Direction.DOWN, -1.0))
+    yield traj.velocity("x", times()), vx_max, ((Direction.LEFT, -1.0), (Direction.RIGHT, 1.0))
 
 
 def footprint(px: int, py: int) -> tuple[tuple[int, int], ...]:

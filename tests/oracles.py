@@ -15,11 +15,14 @@ import numpy as np
 from motionsnn import (
     DIRECTION_ORDER,
     CellLayout,
+    CircleTrajectory,
     Direction,
     DomainError,
+    EightTrajectory,
     EmitMode,
     Event,
     EventStream,
+    LinearTrajectory,
     MotionSnnError,
     NetworkGraph,
     NetworkParams,
@@ -27,6 +30,7 @@ from motionsnn import (
     RateGrid,
     SimulationOutput,
     SpikeRecord,
+    WaypointTrajectory,
     assemble_network,
     dominant_frequency,
     phase_lag_deg,
@@ -335,9 +339,14 @@ def tick_record(trains) -> SpikeRecord:
     return SpikeRecord(len(trains), neuron[order], t[order])
 
 
+def grid_times(grid) -> np.ndarray:
+    """The whole time axis of a `RateGrid`, by the formula of its docstring."""
+    return grid.t0 + grid.dt * np.arange(grid.n)
+
+
 def brute_force_rate(train, fp, grid) -> np.ndarray:
     """Direct superposition of the biphasic kernel, O(spikes * samples)."""
-    times = grid.times
+    times = grid_times(grid)
     out = np.zeros(grid.n)
     for t_s in train:
         dt = times - t_s
@@ -346,10 +355,35 @@ def brute_force_rate(train, fp, grid) -> np.ndarray:
     return out
 
 
+def reference_velocities(traj, ts) -> tuple[np.ndarray, np.ndarray]:
+    """dx/dt and dy/dt at times ts, each path kind's formula written out as
+    new arrays, the form the in-place `Trajectory.velocity` must match."""
+    if isinstance(traj, CircleTrajectory):
+        w = 2.0 * math.pi * traj.freq_hz
+        return traj.radius * w * np.sin(w * ts), traj.radius * w * np.cos(w * ts)
+    if isinstance(traj, EightTrajectory):
+        w = 2.0 * math.pi * traj.freq_hz
+        return 2.0 * w * traj.ax * np.cos(2.0 * w * ts), w * traj.ay * np.cos(w * ts)
+    if isinstance(traj, LinearTrajectory):
+        ones = np.ones_like(ts)
+        return traj.vx * ones, traj.vy * ones
+    assert isinstance(traj, WaypointTrajectory)
+    knots = np.asarray([p[0] for p in traj.points])
+    seg = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, max(len(knots) - 2, 0))
+    vx = np.zeros_like(ts)
+    vy = np.zeros_like(ts)
+    if len(traj.points) > 1:
+        dt = np.diff(knots)
+        dx = np.diff(np.asarray([p[1] for p in traj.points])) / dt
+        dy = np.diff(np.asarray([p[2] for p in traj.points])) / dt
+        vx, vy = dx[seg], dy[seg]
+    return vx, vy
+
+
 def channel_projections(traj, ts) -> dict[Direction, tuple[np.ndarray, float]]:
     """All four channels' velocity projections at times ts at once, each with
     its run maximum: UP +dy/dt, DOWN -dy/dt, LEFT -dx/dt, RIGHT +dx/dt."""
-    vxs, vys = traj.velocities(ts)
+    vxs, vys = reference_velocities(traj, ts)
     vx_max, vy_max = traj.speed_bound()
     return {
         Direction.UP: (vys, vy_max),
@@ -363,7 +397,7 @@ def ideal_curves(traj, f_max_hz: float, grid) -> dict[Direction, np.ndarray]:
     """f = (f_max / 2) * |p_dot / p_dot_max + 1| per channel, each from a
     fresh array; a motionless axis holds f_max / 2."""
     out = {}
-    for d, (p_dot, p_dot_max) in channel_projections(traj, grid.times).items():
+    for d, (p_dot, p_dot_max) in channel_projections(traj, grid_times(grid)).items():
         if p_dot_max == 0.0:
             out[d] = np.full(grid.n, f_max_hz / 2.0)
         else:
@@ -394,7 +428,7 @@ def spectral_summary_all_at_once(result, ev) -> dict:
     ud_hz = maybe(dominant_frequency, spectra[Direction.UP] + spectra[Direction.DOWN], span_s)
     lags = None
     if period:
-        times = RateGrid(ev.window_start_s, ev.grid.dt, m).times
+        times = grid_times(RateGrid(ev.window_start_s, ev.grid.dt, m))
         basis = np.exp(-2j * math.pi * (1.0 / period) * times)
         z = {d: np.sum(x * basis) for d, x in xs.items()}
         seq = (Direction.RIGHT, Direction.DOWN, Direction.LEFT, Direction.UP)

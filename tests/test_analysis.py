@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from motionsnn import (
@@ -29,7 +31,7 @@ from motionsnn import (
 import motionsnn
 from motionsnn.analysis import decay_accumulate, transient_s
 
-from oracles import brute_force_rate, on_grid, rel_err, spike_record
+from oracles import brute_force_rate, grid_times, on_grid, rel_err, spike_record
 
 FP = FilterParams(tau1=0.05, tau2=0.1)
 # argmax of FP's kernel: tau1*tau2/(tau2-tau1) * ln(tau2/tau1) = 2*tau1*ln 2
@@ -72,9 +74,9 @@ def test_firing_rate_matches_brute_force_superposition():
 def test_firing_rate_of_single_spike_is_the_kernel():
     grid = RateGrid(0.0, 1e-3, 1500)
     series = firing_rate((0.0,), FP, grid)
-    expect = FP.kernel(grid.times)
+    expect = FP.kernel(grid_times(grid))
     assert rel_err(series.values, expect) < 1e-9
-    peak_at = grid.times[int(np.argmax(series.values))]
+    peak_at = grid.time(int(np.argmax(series.values)))
     assert peak_at == pytest.approx(FP_PEAK_S, abs=grid.dt)
 
 
@@ -110,7 +112,7 @@ def _lfilter_rate(train, fp, grid):
     """firing_rate as a dense scipy.signal.lfilter recursion, the reference
     the sparse segment form must reproduce bit for bit."""
     lfilter = pytest.importorskip("scipy.signal").lfilter
-    times = grid.times
+    times = grid_times(grid)
     spikes = np.asarray(sorted(train), dtype=np.float64)
     spikes = spikes[spikes <= times[-1]]
     values = np.zeros(grid.n)
@@ -314,15 +316,52 @@ def test_phase_lag_sign_and_wrap():
         phase_lag_deg(ref, z(np.full(n, 2.0)))
 
 
-def test_rate_grid_holds_one_read_only_time_axis():
+def test_rate_grid_holds_no_time_axis():
     grid = RateGrid(1.0, 0.5, 3)
-    assert list(grid.times) == [1.0, 1.5, 2.0]
-    assert not grid.times.flags.writeable
+    # three fields and no array: the times are made only where asked for
+    assert vars(grid) == {"t0": 1.0, "dt": 0.5, "n": 3}
+    assert [grid.time(k) for k in range(3)] == [1.0, 1.5, 2.0]
+    axis = grid.axis()
+    assert axis.tolist() == [1.0, 1.5, 2.0] and axis.flags.writeable
+    assert grid.axis(1).tolist() == [1.5, 2.0] and grid.axis(3).tolist() == []
+    assert grid.axis() is not axis
     assert grid == RateGrid(1.0, 0.5, 3) and grid != RateGrid(1.0, 0.5, 4)
     with pytest.raises(ConfigError):
         RateGrid(0.0, 0.0, 3)
     with pytest.raises(ConfigError):
         RateGrid(0.0, 1e-3, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t0=st.floats(-1e6, 1e6, allow_nan=False) | st.just(0.0),
+    dt=st.floats(1e-12, 1e3, allow_nan=False, exclude_min=False),
+    n=st.integers(1, 3000),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=30),
+    outside=st.floats(0.0, 1e9, allow_nan=False),
+)
+def test_the_grid_search_is_searchsorted_on_the_whole_axis(t0, dt, n, picks, outside):
+    # the first sample at or after each time, by bisection on t0 + dt * k,
+    # against np.searchsorted on the axis itself; the times are grid times,
+    # their float neighbours, and times before the first and after the last
+    # sample. A grid whose dt is below the spacing of floats near t0 has
+    # runs of equal times, and the search must land on the first of a run.
+    grid = RateGrid(t0, dt, n)
+    axis = grid_times(grid)
+    on_grid = axis[[k % n for k in picks]]
+    t = np.concatenate([
+        on_grid,
+        np.nextafter(on_grid, -np.inf),
+        np.nextafter(on_grid, np.inf),
+        [axis[0] - outside, axis[-1] + outside, -np.inf, np.inf],
+    ])
+    want = np.searchsorted(axis, t, side="left")
+    got = grid.at_or_after(t)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert [int(grid.at_or_after(v)) for v in t[:5]] == want[:5].tolist()
+    # and the axis the grid builds is that axis, bit for bit
+    assert grid.axis().tobytes() == axis.tobytes()
+    assert grid.axis(n // 2).tobytes() == axis[n // 2 :].tobytes()
 
 
 def test_pool_group_follows_the_output_id_convention():

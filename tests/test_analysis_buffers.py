@@ -28,7 +28,12 @@ from motionsnn import (
 from motionsnn.analysis import window_accuracy
 from motionsnn.stimulus import channel_velocities
 
-from oracles import channel_projections, ideal_curves, spectral_summary_all_at_once
+from oracles import (
+    grid_times,
+    ideal_curves,
+    reference_velocities,
+    spectral_summary_all_at_once,
+)
 
 F_MAX_HZ = 1.3
 
@@ -82,7 +87,7 @@ def _evaluation(traj, noise: float, window_s: float, dt: float = 1e-3) -> RunEva
     for i, d in enumerate(DIRECTION_ORDER):
         gain = 1.0 + noise * rng.standard_normal(grid.n)
         measured[d] = RateSeries(0.0, dt, np.roll(ideal[d], 50 + 40 * i) * gain)
-    k0 = int(np.searchsorted(grid.times, window_s, side="left"))
+    k0 = int(np.searchsorted(grid_times(grid), window_s, side="left"))
     return RunEvaluation(grid, k0, 2.0, measured, score=None, pooled_counts={})
 
 
@@ -99,17 +104,28 @@ def test_ideal_rates_match_the_all_at_once_formula_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", sorted(PATHS))
 def test_each_velocity_projection_belongs_to_the_caller(name):
-    # overwriting each array as it comes must leave the later ones intact
+    # each axis's velocity is made in a new buffer of the sample times, the
+    # x axis's only once the y axis's has been taken; the in-place kinematics
+    # keep every bit of the all-at-once formulas, and overwriting one axis
+    # must leave the next intact
     traj = PATHS[name][0]
-    ts = _grid(traj).times
-    want = channel_projections(traj, ts)
-    seen = []
-    for d, p_dot, p_dot_max in channel_velocities(traj, ts):
-        seen.append(d)
-        assert p_dot_max == want[d][1]
-        assert _same_bits(p_dot, want[d][0])
-        p_dot.fill(np.nan)
-    assert seen == list(DIRECTION_ORDER)
+    grid = _grid(traj)
+    vx, vy = reference_velocities(traj, grid_times(grid))
+    vx_max, vy_max = traj.speed_bound()
+    buffers = []
+
+    def times():
+        buffers.append(grid.axis())
+        return buffers[-1]
+
+    axes = channel_velocities(traj, times)
+    for i, (v, v_max, channels) in enumerate(axes):
+        assert len(buffers) == i + 1 and v is buffers[i]
+        want, want_max = ((vy, vy_max), (vx, vx_max))[i]
+        assert _same_bits(v, want) and v_max == want_max
+        assert [d for d, _ in channels] == list(DIRECTION_ORDER[2 * i : 2 * i + 2])
+        v.fill(np.nan)
+    assert len(buffers) == 2
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))
@@ -138,7 +154,7 @@ def test_window_scoring_matches_accuracy_on_views_of_the_full_curves(name):
     full = ideal_rates(traj, F_MAX_HZ, grid)
     starts = [k0 for k0 in WINDOW_STARTS if k0 < grid.n] + [ev.window_index]
     for k0 in starts:
-        t0 = float(grid.times[k0])
+        t0 = grid.time(k0)
 
         def window(series):
             return {d: RateSeries(t0, grid.dt, series[d].values[k0:]) for d in DIRECTION_ORDER}
@@ -149,9 +165,9 @@ def test_window_scoring_matches_accuracy_on_views_of_the_full_curves(name):
         except DomainError as exc:
             # the linear path moves LEFT at full speed, so its ideal LEFT is zero
             with pytest.raises(DomainError, match=f"^{exc}$"):
-                window_accuracy(traj, F_MAX_HZ, grid.times[k0:], measured)
+                window_accuracy(traj, F_MAX_HZ, grid, k0, measured)
             continue
-        got = window_accuracy(traj, F_MAX_HZ, grid.times[k0:], measured)
+        got = window_accuracy(traj, F_MAX_HZ, grid, k0, measured)
         assert got.raw.hex() == want.raw.hex() and got.clamped.hex() == want.clamped.hex()
         assert list(got.per_channel) == list(DIRECTION_ORDER)
         for d in DIRECTION_ORDER:
@@ -188,13 +204,28 @@ def test_spectral_summary_holds_about_five_window_sized_arrays(peak_bytes):
     assert arrays <= 5.5
 
 
-def test_evaluate_holds_the_measured_curves_and_four_window_sized_arrays(peak_bytes):
-    # at its peak, while it scores, evaluate holds the grid axis, the four
-    # measured curves and four arrays of the window's length: two
-    # velocities, one channel's ideal curve and its scratch
+def test_window_scoring_holds_two_window_sized_arrays(peak_bytes):
+    # one axis's velocity, and one channel's ideal curve, which is its own
+    # scratch; the axis's last curve is made in the velocity's buffer and
+    # takes one scratch array
+    traj = CircleTrajectory(10, 11, _periodic_t_end(0.05), freq_hz=0.05)
+    ev = _evaluation(traj, 0.1, 20.0)
+    k0, m = ev.window_index, ev.grid.n - ev.window_index
+    t0 = ev.grid.time(k0)
+    measured = {d: RateSeries(t0, ev.grid.dt, ev.measured[d].values[k0:]) for d in DIRECTION_ORDER}
+    arrays = peak_bytes(window_accuracy, traj, F_MAX_HZ, ev.grid, k0, measured) / (8 * m)
+    assert arrays <= 2.01
+
+
+def test_evaluate_holds_the_measured_curves_and_three_window_sized_arrays(peak_bytes):
+    # at its peak, while it scores, evaluate holds the four measured curves
+    # and at most three arrays of the window's length (two today: one axis's
+    # velocity and one channel's ideal curve); it holds no time axis of the
+    # grid. A design that holds a grid axis, both velocities, a copy of
+    # one and a scratch array needs 5n + 4m.
     result = run_experiment(RunConfig(trajectory={"kind": "circle", "freq_hz": 0.05}))
     ev = evaluate(result)
     n, m = ev.grid.n, ev.grid.n - ev.window_index
     assert n == 80_001 and m < n
     del ev
-    assert peak_bytes(evaluate, result) <= (5 * n + 4 * m) * 8 * 1.01
+    assert peak_bytes(evaluate, result) <= (4 * n + 3 * m) * 8 * 1.01

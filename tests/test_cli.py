@@ -27,6 +27,8 @@ from motionsnn.core import (
     fmt_float,
 )
 
+from oracles import grid_times
+
 # one-period settle plus three periods at 1 Hz keeps runs around a second
 FAST = {"trajectory": {"kind": "circle", "freq_hz": 1.0, "radius": 3.0}}
 
@@ -155,7 +157,7 @@ def _reference_rates_csv(path, ev):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, t in enumerate(ev.grid.times):
+        for i, t in enumerate(grid_times(ev.grid)):
             row = [fmt_float(float(t))]
             row += [fmt_float(float(ev.measured[d].values[i])) for d in DIRECTION_ORDER]
             row += [fmt_float(float(ev.ideal[d].values[i])) for d in DIRECTION_ORDER]
@@ -177,6 +179,7 @@ def _random_rates(n):
 
     ev = SimpleNamespace(
         grid=grid,
+        f_max_hz=1.0,
         measured={d: series(i) for i, d in enumerate(DIRECTION_ORDER)},
         ideal={d: series(i + 4) for i, d in enumerate(DIRECTION_ORDER)},
     )
@@ -184,45 +187,58 @@ def _random_rates(n):
     return ev
 
 
-def test_rates_csv_matches_the_row_by_row_writer(tmp_path):
+def test_rates_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch):
     n = 2 * CSV_BLOCK_ROWS + 37  # crosses block boundaries, ends mid-block
     ev = _random_rates(n)
-    _write_rates_csv(str(tmp_path / "new.csv"), ev, ev.ideal).join()
+    monkeypatch.setattr(cli, "ideal_rates", lambda traj, f_max_hz, grid: ev.ideal)
+    _write_rates_csv(str(tmp_path / "new.csv"), None, ev).join()
     _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert b"-0," not in new and b",-0\r" not in new
 
 
-def test_forked_rates_csv_matches_the_row_by_row_writer(tmp_path, usable_cpus, forks):
+def test_forked_rates_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch, usable_cpus, forks):
     ev = _random_rates(4 * CSV_BLOCK_ROWS + 37)
+    monkeypatch.setattr(cli, "ideal_rates", lambda traj, f_max_hz, grid: ev.ideal)
     _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
     for parts in (2, 3, 4):
         usable_cpus(parts)
         del forks[:]
-        _write_rates_csv(str(tmp_path / "new.csv"), ev, ev.ideal).join()
+        _write_rates_csv(str(tmp_path / "new.csv"), None, ev).join()
         assert len(forks) == parts
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["new.csv", "ref.csv"]
 
 
 def test_run_frees_the_ideal_curves_before_the_spectra(tmp_path, monkeypatch):
-    # the run makes the ideal curves only for rates.csv, whose writers hold
-    # their own copies, so no curve is left when the spectra allocate;
-    # holding them raises the run's peak memory by four grid-sized arrays
+    # the run makes the ideal curves and the grid's time axis only for
+    # rates.csv, whose writers hold their own copies, so neither is left
+    # when the spectra allocate; holding them raises the run's peak memory
+    # by five grid-sized arrays
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
-    ideal = []
+    ideal, axes = [], []
 
     def ideal_rates(*args):
         curves = cli_ideal_rates(*args)
         ideal.extend(weakref.ref(series.values) for series in curves.values())
         return curves
 
+    def axis(grid, k0=0):
+        times = grid_axis(grid, k0)
+        axes.append(weakref.ref(times))
+        return times
+
     def spectral_summary(result, ev):
         assert len(ideal) == 4 and all(ref() is None for ref in ideal)
+        # the scoring window's y and x velocity axes, the t_s column, then
+        # the y and x velocity axes of the ideal curves
+        assert len(axes) == 5 and all(ref() is None for ref in axes)
         return cli_spectral_summary(result, ev)
 
     cli_ideal_rates, cli_spectral_summary = cli.ideal_rates, cli.spectral_summary
+    grid_axis = RateGrid.axis
+    monkeypatch.setattr(RateGrid, "axis", axis)
     monkeypatch.setattr(cli, "ideal_rates", ideal_rates)
     monkeypatch.setattr(cli, "spectral_summary", spectral_summary)
     out = tmp_path / "out"

@@ -15,6 +15,7 @@ from motionsnn import (
     Event,
     EventStream,
     NetworkParams,
+    NumericFault,
     assemble_network,
     simulate,
 )
@@ -229,6 +230,44 @@ def test_events_up_to_t_end_are_taken():
     )
     assert sim.record.spike_times[input_id(net, CENTER)] == (0.0, 0.01)
     assert sim.dropped_events == 1
+
+
+def test_relay_spikes_delivered_after_t_end_reach_no_output():
+    # LEFT and CENTER at 0 make their relays fire at d_out = 1e-4 s, and the
+    # two arrivals make the RIGHT output fire. A run that ends a tick before
+    # 1e-4 s records the relay spikes, which lie after its end, but delivers
+    # neither of them.
+    net = one_cell()
+    stim = stream((LEFT_PX, 0.0), (CENTER, 0.0))
+    hidden = net.layer_ids()[Layer.HIDDEN]
+    for t_end, right in ((1e-4, (2e-4,)), (1e-4 - 1e-9, ())):
+        sim = simulate(net, stim, t_end)
+        relay_spikes = sim.record.t[np.isin(sim.record.neuron, hidden)]
+        assert len(relay_spikes) > 1 and set(relay_spikes.tolist()) == {100_000}
+        assert out_train(net, sim, Direction.RIGHT) == pytest.approx(right)
+        assert_same_simulation(sim, per_edge_heap_simulate(net, stim, t_end))
+        assert engine_spike_steps(sim.record) == fixed_step_spikes(net, stim, t_end)
+
+
+def test_a_relay_fault_ends_the_run_before_later_on_time_arrivals():
+    # LEFT and CENTER at 0 send two relay arrivals of weight 1e308 to the
+    # RIGHT output at 1e-4 s, well before t_end, and their sum overflows.
+    # An infinite input edge makes the DOWN relay fault at 5e-5 s, first in
+    # time, so that fault is the one reported, as in the per-edge engine:
+    # no arrival at or after a relay fault's tick reaches an output.
+    net = one_cell(NetworkParams(w_hidden_output=1e308))
+    stim = stream((LEFT_PX, 0.0), (CENTER, 0.0), (DOWN_PX, 5e-5))
+    right = net.output_ids[Direction.RIGHT][0]
+    with pytest.raises(NumericFault, match=f"^non-finite potential on neuron {right}$"):
+        simulate(net, stim, t_end=0.01)
+    edge = net.indptr[input_id(net, DOWN_PX)]
+    relay = int(net.post[edge])
+    signed_w = net.signed_w.copy()
+    signed_w[edge] = math.inf
+    wired = dataclasses.replace(net, signed_w=signed_w)
+    for run in (simulate, per_edge_heap_simulate):
+        with pytest.raises(NumericFault, match=f"^non-finite potential on neuron {relay}$"):
+            run(wired, stim, 0.01)
 
 
 def test_one_end_tick_cuts_the_events():

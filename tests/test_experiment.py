@@ -24,6 +24,8 @@ from motionsnn import (
 from motionsnn import analysis, cli, experiment, stimulus
 from motionsnn.analysis import transient_s
 
+from oracles import grid_times
+
 
 def test_run_path_builds_no_views_and_no_scalar_positions(monkeypatch):
     position_calls = []
@@ -220,31 +222,38 @@ def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path):
 
         return wrapper
 
-    lengths, searches, scored, velocities, ideal, rate_calls, ffts = [], [], [], [], [], [], []
-    arange = np.arange
+    def counted_length(record, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            record.append(np.size(out))
+            return out
 
-    def counted_arange(*args, **kwargs):
-        out = arange(*args, **kwargs)
-        lengths.append(len(out))
-        return out
+        return wrapper
 
-    monkeypatch.setattr(np, "arange", counted_arange)
+    lengths, trig, searches, scored, ideal, rate_calls, ffts = [], [], [], [], [], [], []
+    monkeypatch.setattr(np, "arange", counted_length(lengths, np.arange))
+    monkeypatch.setattr(np, "sin", counted_length(trig, np.sin))
+    monkeypatch.setattr(np, "cos", counted_length(trig, np.cos))
     monkeypatch.setattr(np, "searchsorted", counted(searches, np.searchsorted))
     monkeypatch.setattr(experiment, "window_accuracy", counted(scored, experiment.window_accuracy))
-    monkeypatch.setattr(analysis, "channel_velocities", counted(velocities, analysis.channel_velocities))
     ev = evaluate(result)
+    n, m = ev.grid.n, ev.grid.n - ev.window_index
+    assert 0 < m < n
 
-    # the score reads views of the full-grid measured series, and takes the
-    # velocities once, over a view of the window's samples
-    ((_, _, times, measured_w),) = scored
+    # the score reads views of the full-grid measured series over the window
+    ((_, _, grid, k0, measured_w),) = scored
+    assert grid is ev.grid and k0 == ev.window_index
     for d in DIRECTION_ORDER:
         assert np.shares_memory(measured_w[d].values, ev.measured[d].values)
-    ((_, ts),) = velocities
-    assert ts is times and len(ts) == ev.grid.n - ev.window_index
-    assert np.shares_memory(ts, ev.grid.times)
-    # one scalar search finds the window start
-    assert sum(np.ndim(args[1]) == 0 for args in searches) == 1
+    # no time axis of the grid: the window start and the spike bins are found
+    # on the grid's formula, and each of the two velocity axes starts as the
+    # window's times, in a buffer that takes one sin or cos pass
+    assert searches == []
+    assert n not in lengths and lengths.count(m) == 2
+    assert trig == [m, m]
 
+    lengths.clear()
+    trig.clear()
     monkeypatch.setattr(experiment, "firing_rate", counted(rate_calls, experiment.firing_rate))
     monkeypatch.setattr(analysis, "firing_rate", counted(rate_calls, analysis.firing_rate))
     monkeypatch.setattr(np.fft, "rfft", counted(ffts, np.fft.rfft))
@@ -253,23 +262,26 @@ def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "evaluate", lambda res: ev)
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     assert cli.main(["run", "-d", str(tmp_path)]) == 0
-    # the run makes the ideal curves once, over the full grid, for rates.csv
+    # the run makes the ideal curves once, over the full grid, for rates.csv,
+    # with one trig pass per axis
     ((_, f_max_hz, grid),) = ideal
     assert f_max_hz == ev.f_max_hz and grid is ev.grid
+    assert trig == [n, n]
     assert rate_calls == []
     assert len(ffts) <= 4
-    # one grid time axis serves evaluate, the spectra and the t_s column;
-    # the phase basis is built once over the window's own axis
-    assert lengths.count(ev.grid.n) == 1
-    assert lengths.count(ev.grid.n - ev.window_index) == 1
+    # grid-length times: the two velocity axes of the ideal curves and the
+    # t_s column; the phase basis is built once over the window's own axis
+    assert lengths.count(n) == 3
+    assert lengths.count(m) == 1
 
 
 def test_scoring_window_starts_at_the_first_sample_after_the_transient():
     result = run_experiment(RunConfig())
     ev = evaluate(result)
-    k0, times = ev.window_index, ev.grid.times
+    k0, grid = ev.window_index, ev.grid
     fp = FilterParams.from_output_taus(result.network.output_taus_s)
-    assert times[k0 - 1] < transient_s(fp, result.trajectory.period_s) <= times[k0]
+    assert grid.time(k0 - 1) < transient_s(fp, result.trajectory.period_s) <= grid.time(k0)
+    assert ev.window_start_s == grid.time(k0) == grid_times(grid)[k0]
     # the transient (2 s) ends before t_end (2.05 s) but after the last
     # sample of a 0.7 s grid (1.4 s), which leaves nothing to score
     short = RunConfig(

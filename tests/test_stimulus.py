@@ -62,8 +62,8 @@ def test_circle_quarter_period_positions():
 
 
 def velocity_at(traj, t):
-    vxs, vys = traj.velocities(np.array([t]))
-    return float(vxs[0]), float(vys[0])
+    vx, vy = (traj.velocity(axis, np.array([t])) for axis in ("x", "y"))
+    return float(vx[0]), float(vy[0])
 
 
 @pytest.mark.parametrize("traj", TRAJECTORIES)
@@ -84,7 +84,7 @@ def test_velocity_matches_finite_differences(traj):
 @pytest.mark.parametrize("traj", TRAJECTORIES)
 def test_speed_bound_is_a_tight_maximum(traj):
     ts = np.linspace(0.0, traj.t_end, 20001)
-    vxs, vys = traj.velocities(ts)
+    vxs, vys = traj.velocity("x", ts.copy()), traj.velocity("y", ts.copy())
     bx, by = traj.speed_bound()
     assert np.max(np.abs(vxs)) <= bx + 1e-9
     assert np.max(np.abs(vys)) <= by + 1e-9
@@ -152,20 +152,20 @@ def test_eight_is_periodic_and_centered():
 
 def test_channel_velocity_projection():
     traj = TRAJECTORIES[2]  # vx=4, vy=2
-    velocities = {
-        d: (p_dot[0], p_dot_max)
-        for d, p_dot, p_dot_max in channel_velocities(traj, np.array([0.5]))
+    axes = [
+        (v.tolist(), v_max, channels)
+        for v, v_max, channels in channel_velocities(traj, lambda: np.array([0.5]))
+    ]
+    assert axes == [
+        ([2.0], pytest.approx(2.0), ((Direction.UP, 1.0), (Direction.DOWN, -1.0))),
+        ([4.0], pytest.approx(4.0), ((Direction.LEFT, -1.0), (Direction.RIGHT, 1.0))),
+    ]
+    # each channel reads its axis with its sign, in DIRECTION_ORDER
+    projected = {d: sign * v[0] for v, _, channels in axes for d, sign in channels}
+    assert list(projected) == list(DIRECTION_ORDER)
+    assert projected == {
+        Direction.UP: 2.0, Direction.DOWN: -2.0, Direction.LEFT: -4.0, Direction.RIGHT: 4.0
     }
-    assert list(velocities) == list(DIRECTION_ORDER)
-    for d, want in [
-        (Direction.RIGHT, 4.0),
-        (Direction.LEFT, -4.0),
-        (Direction.UP, 2.0),
-        (Direction.DOWN, -2.0),
-    ]:
-        assert velocities[d][0] == pytest.approx(want)
-    assert velocities[Direction.RIGHT][1] == pytest.approx(4.0)
-    assert velocities[Direction.UP][1] == pytest.approx(2.0)
 
 
 def test_footprint_is_a_3x3_block_in_row_order():
