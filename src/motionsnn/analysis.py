@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -178,28 +178,10 @@ def _write_curve(u: np.ndarray | None, sign: float, half: float, out: np.ndarray
     return out
 
 
-def _ideal_curves(
-    traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int
-) -> Iterator[tuple[Direction, np.ndarray, Callable[[], np.ndarray] | None]]:
-    """Each channel's ideal rate at samples k0 .. n - 1 of `grid`, in
-    DIRECTION_ORDER, as (direction, curve, rebuild), one axis at a time.
-
-    The axis's velocity is made in a buffer of its sample times and divided
-    by its run maximum in place. The axis's first channel gets a new array,
-    and `rebuild()` writes its curve again if the caller has overwritten it;
-    the second channel's curve is made in the axis buffer itself, and its
-    rebuild is None. Either curve is the caller's to keep or overwrite, and
-    the next axis is made only once the caller asks for it."""
+def _half_f_max(f_max_hz: float) -> float:
     if not (f_max_hz > 0.0 and math.isfinite(f_max_hz)):
         raise ConfigError("f_max_hz must be positive")
-    half = f_max_hz / 2.0
-    for v, v_max, ((first, s1), (second, s2)) in channel_velocities(traj, partial(grid.axis, k0)):
-        u = np.divide(v, v_max, out=v) if v_max != 0.0 else None
-        curve = _write_curve(u, s1, half, np.empty_like(v))
-        yield first, curve, partial(_write_curve, u, s1, half, curve)
-        del curve
-        yield second, _write_curve(u, s2, half, v), None
-        del v, u  # before the next axis is made
+    return f_max_hz / 2.0
 
 
 def ideal_rates(
@@ -207,11 +189,18 @@ def ideal_rates(
 ) -> dict[Direction, RateSeries]:
     """Velocity-proportional target rate per channel:
     f = (f_max / 2) * |p_dot / p_dot_max + 1|; motionless axes hold f_max / 2.
-    The four curves returned are the only grid-sized arrays held at the end."""
-    return {
-        d: RateSeries(grid.t0, grid.dt, curve)
-        for d, curve, _ in _ideal_curves(traj, f_max_hz, grid, 0)
-    }
+
+    One axis at a time: its velocity is made in a buffer of the grid's times
+    and divided by its run maximum in place; the axis's first curve gets a
+    new array and its second is made in the velocity's buffer. The four
+    curves returned are the only grid-sized arrays held at the end."""
+    half = _half_f_max(f_max_hz)
+    curves: dict[Direction, np.ndarray] = {}
+    for v, v_max, ((first, s1), (second, s2)) in channel_velocities(traj, grid.axis):
+        u = np.divide(v, v_max, out=v) if v_max != 0.0 else None
+        curves[first] = _write_curve(u, s1, half, np.empty_like(v))
+        curves[second] = _write_curve(u, s2, half, v)
+    return {d: RateSeries(grid.t0, grid.dt, curves[d]) for d in DIRECTION_ORDER}
 
 
 def calibrate_f_max(measured: Mapping[Direction, RateSeries]) -> float:
@@ -229,25 +218,19 @@ class AccuracyScore:
     per_channel: dict[Direction, float]
 
 
-def _score(
-    ideal: Iterable[tuple[Direction, np.ndarray, Callable[[], np.ndarray] | None]],
-    measured: Mapping[Direction, RateSeries],
-) -> AccuracyScore:
-    """Mean over the channels `ideal` yields, summed in DIRECTION_ORDER, of
-    1 - |ideal - measured|^2 / |ideal|^2. A curve that can be rebuilt is its
-    own scratch; any other is scored with one scratch array."""
-    per: dict[Direction, float] = {}
-    for d, curve, rebuild in ideal:
-        scratch = np.square(curve, out=curve if rebuild else None)
-        denom = float(np.sum(scratch))
-        if denom <= 0.0:
-            raise DomainError(f"accuracy undefined: zero ideal signal on {d.value}")
-        if rebuild:
-            rebuild()
-        np.subtract(curve, measured[d].values, out=scratch)
-        np.square(scratch, out=scratch)
-        per[d] = 1.0 - float(np.sum(scratch)) / denom
-        del curve, scratch, rebuild  # before the next curve is made
+def _channel_score(
+    d: Direction, denom: float, curve: np.ndarray, measured: np.ndarray, out: np.ndarray
+) -> float:
+    """1 - |curve - measured|^2 / denom, with denom |curve|^2, found in `out`,
+    which may be `curve` itself."""
+    if denom <= 0.0:
+        raise DomainError(f"accuracy undefined: zero ideal signal on {d.value}")
+    np.subtract(curve, measured, out=out)
+    np.square(out, out=out)
+    return 1.0 - float(np.sum(out)) / denom
+
+
+def _mean_score(per: dict[Direction, float]) -> AccuracyScore:
     raw = sum(per[d] for d in DIRECTION_ORDER) / 4.0
     return AccuracyScore(raw=raw, clamped=max(raw, 0.0), per_channel=per)
 
@@ -255,22 +238,42 @@ def _score(
 def accuracy(
     ideal: Mapping[Direction, RateSeries], measured: Mapping[Direction, RateSeries]
 ) -> AccuracyScore:
-    """Mean over channels of 1 - |ideal - measured|^2 / |ideal|^2 over the samples given."""
+    """Mean over channels of 1 - |ideal - measured|^2 / |ideal|^2 over the
+    samples given, each channel found in one scratch array."""
     for d in DIRECTION_ORDER:
         if not ideal[d].same_grid(measured[d]):
             raise ConfigError(f"grids differ on channel {d.value}")
-    return _score(((d, ideal[d].values, None) for d in DIRECTION_ORDER), measured)
+    per: dict[Direction, float] = {}
+    for d in DIRECTION_ORDER:
+        curve = ideal[d].values
+        scratch = np.square(curve)
+        per[d] = _channel_score(d, float(np.sum(scratch)), curve, measured[d].values, scratch)
+        del scratch  # before the next channel's is made
+    return _mean_score(per)
 
 
 def window_accuracy(
     traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int, measured: Mapping[Direction, RateSeries]
 ) -> AccuracyScore:
     """`accuracy` of the ideal curves at samples k0 .. n - 1 of `grid` against
-    `measured` on the same samples, bit for bit. It holds two arrays of the
-    window's length at a time: an axis's velocity and one channel's ideal
-    curve, which is its own scratch; the axis's last curve is made in the
-    velocity's buffer and scored with one scratch array."""
-    return _score(_ideal_curves(traj, f_max_hz, grid, k0), measured)
+    `measured` on the same samples, bit for bit, one axis at a time.
+
+    It holds two arrays of the window's length: the axis's velocity, made in
+    a buffer of its sample times and divided by its run maximum in place,
+    and one more buffer. Each of the axis's channels is written there as its
+    ideal curve, squared in place for |ideal|^2, written again and scored."""
+    half = _half_f_max(f_max_hz)
+    per: dict[Direction, float] = {}
+    for v, v_max, channels in channel_velocities(traj, partial(grid.axis, k0)):
+        u = np.divide(v, v_max, out=v) if v_max != 0.0 else None
+        buf = np.empty_like(v)
+        for d, sign in channels:
+            np.square(_write_curve(u, sign, half, buf), out=buf)
+            denom = float(np.sum(buf))
+            _write_curve(u, sign, half, buf)
+            per[d] = _channel_score(d, denom, buf, measured[d].values, buf)
+        del v, u, buf  # before the next axis is made
+    return _mean_score(per)
 
 
 def transient_s(fp: FilterParams, period_s: float | None) -> float:

@@ -223,9 +223,8 @@ def writing(path: str) -> Iterator[None]:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _format_block(row: bytes, columns: Sequence[np.ndarray], i: int) -> bytes:
-    """Rows i .. i + CSV_BLOCK_ROWS as ASCII bytes: one %-format of `row`
-    repeated."""
+def _format_block(row: str, columns: Sequence[np.ndarray], i: int) -> str:
+    """Rows i .. i + CSV_BLOCK_ROWS as text: one %-format of `row` repeated."""
     # + 0.0 turns -0.0 into 0.0, as fmt_float does
     block = np.column_stack([c[i : i + CSV_BLOCK_ROWS] for c in columns]) + 0.0
     return (row * len(block)) % tuple(block.ravel().tolist())
@@ -320,30 +319,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _append_parts(parts: Sequence[BinaryIO], out: BinaryIO) -> None:
-    """Append each part, an unbuffered file, from its current position to
-    `out`, in order. os.copy_file_range copies in the kernel, after `out`
-    is flushed; where the first call fails, before any byte is copied (no
-    such call, or file systems it cannot copy between), shutil.copyfileobj
-    copies instead. A later failure is a write error and is raised."""
-    in_kernel, copied = hasattr(os, "copy_file_range"), False
-    out.flush()
-    for part in parts:
-        while in_kernel:
-            try:
-                n = os.copy_file_range(part.fileno(), out.fileno(), 1 << 30)
-            except OSError:
-                if copied:
-                    raise
-                in_kernel = False
-                break
-            if n == 0:
-                break
-            copied = True
-        if not in_kernel:
-            shutil.copyfileobj(part, out)
-
-
 class CsvWriter:
     """Equal-length columns written to `path` as CSV, byte for byte what
     `csv.writer` makes of the rows with each float passed through
@@ -364,13 +339,13 @@ class CsvWriter:
     def __init__(self, path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
         self.path = path
         self._head = (",".join(header) + "\r\n").encode()
-        row = b",".join(b"%d" if c.dtype.kind in "iu" else b"%.9g" for c in columns) + b"\r\n"
+        row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
         starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
         n = max(1, min(_usable_cpus(), len(starts)))
         shares = [starts[k * len(starts) // n : (k + 1) * len(starts) // n] for k in range(n)]
 
         def write_share(fd: int, share: Iterable[int]) -> None:
-            with open(fd, "wb", closefd=False) as fh:
+            with open(fd, "w", newline="", closefd=False) as fh:
                 fh.writelines(_format_block(row, columns, i) for i in share)
 
         with writing(path):
@@ -383,7 +358,8 @@ class CsvWriter:
             parts = self._parts.join()
             with open(self.path, "wb") as out:
                 out.write(self._head)
-                _append_parts(parts, out)
+                for part in parts:
+                    shutil.copyfileobj(part, out)
 
     def __enter__(self) -> "CsvWriter":
         return self

@@ -205,9 +205,9 @@ def test_spectral_summary_holds_about_five_window_sized_arrays(peak_bytes):
 
 
 def test_window_scoring_holds_two_window_sized_arrays(peak_bytes):
-    # one axis's velocity, and one channel's ideal curve, which is its own
-    # scratch; the axis's last curve is made in the velocity's buffer and
-    # takes one scratch array
+    # one axis's velocity, and one buffer in which each of the axis's
+    # channels is written as its ideal curve, squared, written again and
+    # scored
     traj = CircleTrajectory(10, 11, _periodic_t_end(0.05), freq_hz=0.05)
     ev = _evaluation(traj, 0.1, 20.0)
     k0, m = ev.window_index, ev.grid.n - ev.window_index
@@ -220,7 +220,7 @@ def test_window_scoring_holds_two_window_sized_arrays(peak_bytes):
 def test_evaluate_holds_the_measured_curves_and_three_window_sized_arrays(peak_bytes):
     # at its peak, while it scores, evaluate holds the four measured curves
     # and at most three arrays of the window's length (two today: one axis's
-    # velocity and one channel's ideal curve); it holds no time axis of the
+    # velocity and one buffer for each channel's curve); it holds no time axis of the
     # grid. A design that holds a grid axis, both velocities, a copy of
     # one and a scratch array needs 5n + 4m.
     result = run_experiment(RunConfig(trajectory={"kind": "circle", "freq_hz": 0.05}))

@@ -332,67 +332,6 @@ def test_host_without_fork_formats_serially(tmp_path, monkeypatch, usable_cpus):
     assert (tmp_path / "spikes.csv").read_bytes() == (tmp_path / "spikes_ref.csv").read_bytes()
 
 
-def _write_forked_spikes(tmp_path, usable_cpus, name):
-    """The tied record written by three part writers; its bytes and those of
-    the row-by-row reference."""
-    usable_cpus(3)
-    rec = _tied_spike_record(np.random.default_rng(4))
-    write_spikes_csv(rec, str(tmp_path / name)).join()
-    _reference_spikes_csv(rec, tmp_path / "spikes_ref.csv")
-    return (tmp_path / name).read_bytes(), (tmp_path / "spikes_ref.csv").read_bytes()
-
-
-def test_parts_are_appended_in_the_kernel(tmp_path, monkeypatch, usable_cpus):
-    if not hasattr(os, "copy_file_range"):
-        pytest.skip("this platform has no os.copy_file_range")
-    calls = []
-    copy = os.copy_file_range
-
-    def counted(*args):
-        calls.append(copy(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(os, "copy_file_range", counted)
-    monkeypatch.setattr(core.shutil, "copyfileobj", None)  # never reached
-    got, want = _write_forked_spikes(tmp_path, usable_cpus, "spikes.csv")
-    assert got == want
-    # each of the three parts is copied, then read to its end
-    assert len(calls) == 6 and calls[1::2] == [0, 0, 0]
-    assert sum(calls) == len(want) - len(b"neuron_id,t_s\r\n")
-
-
-@pytest.mark.parametrize("kernel", ["cross-device", "absent"])
-def test_parts_are_copied_in_python_where_the_kernel_cannot(tmp_path, monkeypatch, usable_cpus, kernel):
-    if kernel == "absent":
-        monkeypatch.delattr(os, "copy_file_range", raising=False)
-    else:
-        def cross_device(*args):
-            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
-
-        monkeypatch.setattr(os, "copy_file_range", cross_device)
-    got, want = _write_forked_spikes(tmp_path, usable_cpus, "spikes.csv")
-    assert got == want
-
-
-def test_a_kernel_copy_that_fails_after_the_first_is_a_write_error(tmp_path, monkeypatch, usable_cpus):
-    # once a byte is copied in the kernel, a failure is not a reason to fall
-    # back: the output is already part written
-    calls = []
-
-    def full_after_one(src, dst, count):
-        calls.append(count)
-        if len(calls) > 1:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return os.write(dst, os.read(src, min(count, 1 << 16)))
-
-    monkeypatch.setattr(os, "copy_file_range", full_after_one, raising=False)
-    monkeypatch.setattr(core.shutil, "copyfileobj", None)  # never reached
-    path = str(tmp_path / "spikes.csv")
-    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(path)}: {os.strerror(errno.ENOSPC)}$"):
-        _write_forked_spikes(tmp_path, usable_cpus, "spikes.csv")
-    assert len(calls) == 2
-
-
 def test_a_table_of_one_block_is_formatted_in_the_caller(tmp_path, usable_cpus, no_fork):
     usable_cpus(4)
     for n in (0, 1, CSV_BLOCK_ROWS):
