@@ -94,10 +94,10 @@ class RateGrid:
             hi = np.where(live & ~below, mid, hi)
         return lo
 
-    def axis(self, k0: int = 0) -> np.ndarray:
-        """A new array of the times of samples k0 .. n - 1, made in place:
-        the same bits as `time` gives."""
-        times = np.arange(k0, self.n, dtype=np.float64)
+    def axis(self, k0: int = 0, k1: int | None = None) -> np.ndarray:
+        """A new array of the times of samples k0 .. k1 - 1 (k1 defaults to
+        n), made in place: the same bits as `time` gives."""
+        times = np.arange(k0, self.n if k1 is None else k1, dtype=np.float64)
         times *= self.dt
         times += self.t0
         return times
@@ -185,22 +185,24 @@ def _half_f_max(f_max_hz: float) -> float:
 
 
 def ideal_rates(
-    traj: Trajectory, f_max_hz: float, grid: RateGrid
+    traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int = 0, k1: int | None = None
 ) -> dict[Direction, RateSeries]:
-    """Velocity-proportional target rate per channel:
-    f = (f_max / 2) * |p_dot / p_dot_max + 1|; motionless axes hold f_max / 2.
+    """Velocity-proportional target rate per channel at samples k0 .. k1 - 1
+    of `grid`, by default all: f = (f_max / 2) * |p_dot / p_dot_max + 1|;
+    motionless axes hold f_max / 2. A sample's value does not depend on k0
+    or k1, so the curves are the whole grid's sliced, bit for bit.
 
-    One axis at a time: its velocity is made in a buffer of the grid's times
-    and divided by its run maximum in place; the axis's first curve gets a
-    new array and its second is made in the velocity's buffer. The four
-    curves returned are the only grid-sized arrays held at the end."""
+    One axis at a time: its velocity is made in a buffer of the samples'
+    times and divided by its run maximum in place; the axis's first curve
+    gets a new array and its second is made in the velocity's buffer. The
+    four curves returned are the only such arrays held at the end."""
     half = _half_f_max(f_max_hz)
     curves: dict[Direction, np.ndarray] = {}
-    for v, v_max, ((first, s1), (second, s2)) in channel_velocities(traj, grid.axis):
+    for v, v_max, ((first, s1), (second, s2)) in channel_velocities(traj, partial(grid.axis, k0, k1)):
         u = np.divide(v, v_max, out=v) if v_max != 0.0 else None
         curves[first] = _write_curve(u, s1, half, np.empty_like(v))
         curves[second] = _write_curve(u, s2, half, v)
-    return {d: RateSeries(grid.t0, grid.dt, curves[d]) for d in DIRECTION_ORDER}
+    return {d: RateSeries(grid.time(k0), grid.dt, curves[d]) for d in DIRECTION_ORDER}
 
 
 def calibrate_f_max(measured: Mapping[Direction, RateSeries]) -> float:

@@ -82,18 +82,19 @@ def cmd_events(args: argparse.Namespace) -> int:
 
 def _write_rates_csv(path: str, traj, ev) -> CsvWriter:
     """rates.csv: the grid's times, the measured curves and the ideal curves
-    over the whole grid. The forked writers hold their own copies, so the
-    times and the ideal curves are dropped on return, before the spectra.
-    The times come first: made after the ideal curves, they raised
-    large-field's peak RSS by about 0.2 MB, with the same bytes live."""
+    over the whole grid. The writer of each block makes its times and ideal
+    curves over its samples only, the whole grid's values sliced, so the run
+    holds no grid-length array for this file but the measured curves."""
     header = ["t_s"]
     header += [f"{d.value}_hz" for d in DIRECTION_ORDER]
     header += [f"{d.value}_ideal_hz" for d in DIRECTION_ORDER]
-    columns = [ev.grid.axis()]
-    columns += [ev.measured[d].values for d in DIRECTION_ORDER]
-    ideal = ideal_rates(traj, ev.f_max_hz, ev.grid)
-    columns += [ideal[d].values for d in DIRECTION_ORDER]
-    return CsvWriter(path, header, columns)
+    measured = [ev.measured[d].values for d in DIRECTION_ORDER]
+
+    def block(i: int, j: int) -> list[np.ndarray]:
+        ideal = ideal_rates(traj, ev.f_max_hz, ev.grid, i, j)
+        return [ev.grid.axis(i, j), *(v[i:j] for v in measured), *(ideal[d].values for d in DIRECTION_ORDER)]
+
+    return CsvWriter(path, header, ev.grid.n, block)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -69,9 +69,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
-        # exact types: a bool is no size, and the string "false" is truthy
-        for name, kind in (("field_width", int), ("field_height", int), ("n_per_dir", int),
-                           ("lateral_inhibition", bool)):
+        # exact types: a bool is no size or version, and the string "false" is truthy
+        for name, kind in (("schema_version", int), ("field_width", int), ("field_height", int),
+                           ("n_per_dir", int), ("lateral_inhibition", bool)):
             if type(getattr(self, name)) is not kind:
                 raise ConfigError(f"{name} must be {kind.__name__}, got {getattr(self, name)!r}")
         _number("samples_per_pixel", self.samples_per_pixel)

@@ -223,10 +223,12 @@ def writing(path: str) -> Iterator[None]:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _format_block(row: str, columns: Sequence[np.ndarray], i: int) -> str:
-    """Rows i .. i + CSV_BLOCK_ROWS as text: one %-format of `row` repeated."""
+def _format_block(columns: Sequence[np.ndarray]) -> str:
+    """Equal-length columns as CSV rows: one %-format of a row template
+    repeated, `%d` for an integer column and `%.9g` for a float one."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
     # + 0.0 turns -0.0 into 0.0, as fmt_float does
-    block = np.column_stack([c[i : i + CSV_BLOCK_ROWS] for c in columns]) + 0.0
+    block = np.column_stack(columns) + 0.0
     return (row * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -320,33 +322,33 @@ def _usable_cpus() -> int:
 
 
 class CsvWriter:
-    """Equal-length columns written to `path` as CSV, byte for byte what
+    """A table of `n` rows written to `path` as CSV, byte for byte what
     `csv.writer` makes of the rows with each float passed through
     `fmt_float`: integer columns print as `%d`, float columns as `%.9g`,
-    lines end in CRLF. The columns are stacked as float64, so integer values
-    must stay below 2**53 in magnitude (ids and pixel coordinates do). Each
-    block of CSV_BLOCK_ROWS rows is one %-format of a repeated row template,
-    so the whole text is never held at once.
+    lines end in CRLF. `block(i, j)` returns the equal-length columns of rows
+    i .. j - 1, at most CSV_BLOCK_ROWS of them, stacked as float64, so
+    integer values must stay below 2**53 in magnitude (ids and pixel
+    coordinates do). Each block is made and formatted in turn, so neither the
+    text nor a column that exists only for the file is ever held whole.
 
     The blocks are cut into one contiguous share per usable CPU, at most one
-    per block, and formatted as `Parts` in the directory of `path`. `join`
-    is the only code that opens `path`: it writes the header and copies the
-    parts into it. Call `join` or use the writer as a context manager; one
-    left by an exception does not write `path`. A path that cannot be
-    written, a failed fork or a failed child raises ConfigError.
+    per block, and made as `Parts` in the directory of `path`. `join` is the
+    only code that opens `path`: it writes the header and copies the parts
+    into it. Call `join` or use the writer as a context manager; one left by
+    an exception does not write `path`. A path that cannot be written, a
+    failed fork or a failed child raises ConfigError.
     """
 
-    def __init__(self, path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    def __init__(self, path: str, header: Sequence[str], n: int, block: Callable) -> None:
         self.path = path
         self._head = (",".join(header) + "\r\n").encode()
-        row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
-        starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
-        n = max(1, min(_usable_cpus(), len(starts)))
-        shares = [starts[k * len(starts) // n : (k + 1) * len(starts) // n] for k in range(n)]
+        starts = range(0, n, CSV_BLOCK_ROWS)
+        k = max(1, min(_usable_cpus(), len(starts)))
+        shares = [starts[s * len(starts) // k : (s + 1) * len(starts) // k] for s in range(k)]
 
         def write_share(fd: int, share: Iterable[int]) -> None:
             with open(fd, "w", newline="", closefd=False) as fh:
-                fh.writelines(_format_block(row, columns, i) for i in share)
+                fh.writelines(_format_block(block(i, min(i + CSV_BLOCK_ROWS, n))) for i in share)
 
         with writing(path):
             self._parts = Parts(write_share, shares, os.path.dirname(path) or os.curdir)
@@ -373,10 +375,12 @@ class CsvWriter:
 
 def write_events_csv(stream: EventStream, path: str) -> CsvWriter:
     """All events as `x,y,t_s` rows in stream order; see CsvWriter."""
-    return CsvWriter(path, ["x", "y", "t_s"], [stream.x, stream.y, stream.t * TIME_QUANTUM])
+    x, y, t = stream.x, stream.y, stream.t
+    return CsvWriter(path, ["x", "y", "t_s"], len(t), lambda i, j: (x[i:j], y[i:j], t[i:j] * TIME_QUANTUM))
 
 
 def write_spikes_csv(record: SpikeRecord, path: str) -> CsvWriter:
     """All spikes as `neuron_id,t_s` rows ordered by (time, neuron id); see
     CsvWriter."""
-    return CsvWriter(path, ["neuron_id", "t_s"], [record.neuron, record.t * TIME_QUANTUM])
+    neuron, t = record.neuron, record.t
+    return CsvWriter(path, ["neuron_id", "t_s"], len(t), lambda i, j: (neuron[i:j], t[i:j] * TIME_QUANTUM))

@@ -131,13 +131,15 @@ def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
     """Dominant frequencies per channel and pooled-pair, plus the phase lags
     around the direction sequence, all over the settled window.
 
-    The phase sums come first: the basis exp(-2 pi i f t) over the window is
-    exponentiated in place, each channel's mean-removed window is summed
-    against it, and the basis is freed before any spectrum exists. Then the
-    pooled pairs are transformed one at a time, in AXES order: each
-    channel's dominant bin is read from its own spectrum, and the second
-    spectrum is added into the first. The rate filter is linear, so that sum
-    is the pooled pair's spectrum; only its argmax bin is reported.
+    The phase sums come first, one channel at a time: the basis
+    exp(-2 pi i f t) over the window is exponentiated in place, multiplied
+    in place by the channel's mean-removed window (the products of window *
+    basis in commuted order, so the same bits) and summed, and freed before
+    the next basis or any spectrum exists. Then the pooled pairs are
+    transformed one at a time, in AXES order: each channel's dominant bin is
+    read from its own spectrum, and the second spectrum is added into the
+    first. The rate filter is linear, so that sum is the pooled pair's
+    spectrum; only its argmax bin is reported.
     """
     m = ev.grid.n - ev.window_index
     span_s = m * ev.grid.dt
@@ -148,10 +150,13 @@ def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
         return w - np.mean(w)
 
     if period:
-        basis = -2j * math.pi * (1.0 / period) * RateGrid(ev.window_start_s, ev.grid.dt, m).axis()
-        np.exp(basis, out=basis)
-        z = {d: np.sum(centred(d) * basis) for d in DIRECTION_ORDER}
-        del basis
+        z = {}
+        for d in DIRECTION_ORDER:
+            basis = -2j * math.pi * (1.0 / period) * RateGrid(ev.window_start_s, ev.grid.dt, m).axis()
+            np.exp(basis, out=basis)
+            basis *= centred(d)
+            z[d] = np.sum(basis)
+            del basis
     dom, pooled = {}, {}
     for first, second in AXES:
         spectrum = np.fft.rfft(centred(first))

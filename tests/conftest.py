@@ -72,10 +72,10 @@ def failing_children(monkeypatch):
     def fail(error):
         parent, real = os.getpid(), core._format_block
 
-        def format_block(row, columns, i):
+        def format_block(columns):
             if os.getpid() != parent:
                 raise error
-            return real(row, columns, i)
+            return real(columns)
 
         monkeypatch.setattr(core, "_format_block", format_block)
 

@@ -166,9 +166,10 @@ def _reference_rates_csv(path, ev):
 
 def _random_rates(n):
     """A run evaluation stand-in: n grid rows of wide-ranging rates with 0,
-    -0.0 and the smallest subnormal mixed in."""
+    -0.0 and the smallest subnormal mixed in. RateGrid refuses an empty
+    grid, so a namespace with its fields stands in for one of no rows."""
     rng = np.random.default_rng(8)
-    grid = RateGrid(0.0, 1e-3, n)
+    grid = RateGrid(0.0, 1e-3, n) if n else SimpleNamespace(t0=0.0, dt=1e-3, n=0)
 
     def series(k):
         v = rng.uniform(0.0, 40.0, n) * 10.0 ** rng.integers(-12, 12, n)
@@ -183,24 +184,38 @@ def _random_rates(n):
         measured={d: series(i) for i, d in enumerate(DIRECTION_ORDER)},
         ideal={d: series(i + 4) for i, d in enumerate(DIRECTION_ORDER)},
     )
-    ev.measured[DIRECTION_ORDER[0]].values[CSV_BLOCK_ROWS] = -0.0
+    if n > CSV_BLOCK_ROWS:
+        ev.measured[DIRECTION_ORDER[0]].values[CSV_BLOCK_ROWS] = -0.0
     return ev
 
 
+def _sliced_ideal_rates(ev):
+    """An `ideal_rates` stand-in that gives the samples k0 .. k1 - 1 of the
+    evaluation's ideal curves."""
+
+    def ideal_rates(traj, f_max_hz, grid, k0, k1):
+        return {d: RateSeries(grid.time(k0), grid.dt, ev.ideal[d].values[k0:k1]) for d in DIRECTION_ORDER}
+
+    return ideal_rates
+
+
 def test_rates_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch):
-    n = 2 * CSV_BLOCK_ROWS + 37  # crosses block boundaries, ends mid-block
-    ev = _random_rates(n)
-    monkeypatch.setattr(cli, "ideal_rates", lambda traj, f_max_hz, grid: ev.ideal)
-    _write_rates_csv(str(tmp_path / "new.csv"), None, ev).join()
-    _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "ref.csv").read_bytes()
-    assert b"-0," not in new and b",-0\r" not in new
+    # no rows, exactly one block, and a table that crosses block boundaries
+    # and ends mid-block
+    for n in (0, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 37):
+        ev = _random_rates(n)
+        monkeypatch.setattr(cli, "ideal_rates", _sliced_ideal_rates(ev))
+        _write_rates_csv(str(tmp_path / "new.csv"), None, ev).join()
+        _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.count(b"\r\n") == n + 1
+        assert b"-0," not in new and b",-0\r" not in new
 
 
 def test_forked_rates_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch, usable_cpus, forks):
     ev = _random_rates(4 * CSV_BLOCK_ROWS + 37)
-    monkeypatch.setattr(cli, "ideal_rates", lambda traj, f_max_hz, grid: ev.ideal)
+    monkeypatch.setattr(cli, "ideal_rates", _sliced_ideal_rates(ev))
     _reference_rates_csv(str(tmp_path / "ref.csv"), ev)
     for parts in (2, 3, 4):
         usable_cpus(parts)
@@ -211,40 +226,71 @@ def test_forked_rates_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch, u
         assert sorted(os.listdir(tmp_path)) == ["new.csv", "ref.csv"]
 
 
-def test_run_frees_the_ideal_curves_before_the_spectra(tmp_path, monkeypatch):
-    # the run makes the ideal curves and the grid's time axis only for
-    # rates.csv, whose writers hold their own copies, so neither is left
-    # when the spectra allocate; holding them raises the run's peak memory
-    # by five grid-sized arrays
+def test_run_frees_the_ideal_curves_before_the_spectra(tmp_path, monkeypatch, usable_cpus, forks):
+    # the run makes the t_s column and the ideal curves only for rates.csv,
+    # and each writer makes them block by block, in the parent when the
+    # writers run in-process and in the children when they fork; no call for
+    # the file spans more than one block, and nothing made for it is left
+    # when the spectra allocate. Calls are logged to a file, so that the
+    # children's calls are seen too.
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
-    ideal, axes = [], []
+    log = tmp_path / "calls"
+    made = []
+    scored = [False]  # set once evaluate returns, so the scoring's axes are not logged
 
-    def ideal_rates(*args):
-        curves = cli_ideal_rates(*args)
-        ideal.extend(weakref.ref(series.values) for series in curves.values())
-        return curves
+    def record(kind, k0, k1, arrays):
+        if scored[0]:
+            made.extend(weakref.ref(a) for a in arrays)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {kind} {k0} {k1}\n")
 
-    def axis(grid, k0=0):
-        times = grid_axis(grid, k0)
-        axes.append(weakref.ref(times))
+    def axis(grid, k0=0, k1=None):
+        times = grid_axis(grid, k0, k1)
+        record("axis", k0, grid.n if k1 is None else k1, [times])
         return times
 
+    def ideal_rates(traj, f_max_hz, grid, k0=0, k1=None):
+        curves = cli_ideal_rates(traj, f_max_hz, grid, k0, k1)
+        record("ideal", k0, grid.n if k1 is None else k1, [c.values for c in curves.values()])
+        return curves
+
+    def evaluate(result):
+        ev = cli_evaluate(result)
+        scored[0] = True
+        return ev
+
     def spectral_summary(result, ev):
-        assert len(ideal) == 4 and all(ref() is None for ref in ideal)
-        # the scoring window's y and x velocity axes, the t_s column, then
-        # the y and x velocity axes of the ideal curves
-        assert len(axes) == 5 and all(ref() is None for ref in axes)
+        scored[0] = False
+        assert all(ref() is None for ref in made)
         return cli_spectral_summary(result, ev)
 
-    cli_ideal_rates, cli_spectral_summary = cli.ideal_rates, cli.spectral_summary
+    cli_ideal_rates, cli_spectral_summary, cli_evaluate = cli.ideal_rates, cli.spectral_summary, cli.evaluate
     grid_axis = RateGrid.axis
     monkeypatch.setattr(RateGrid, "axis", axis)
     monkeypatch.setattr(cli, "ideal_rates", ideal_rates)
+    monkeypatch.setattr(cli, "evaluate", evaluate)
     monkeypatch.setattr(cli, "spectral_summary", spectral_summary)
-    out = tmp_path / "out"
-    assert main(["run", "--set", "trajectory.freq_hz=0.05", "-d", str(out)]) == 0
-    with open(out / "rates.csv", "rb") as fh:
-        assert sum(1 for _ in fh) - 1 >= 80_001
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        del forks[:], made[:]
+        log.write_text("")
+        out = tmp_path / f"out{cpus}"
+        assert main(["run", "--set", "trajectory.freq_hz=0.05", "-d", str(out)]) == 0
+        with open(out / "rates.csv", "rb") as fh:
+            n = sum(1 for _ in fh) - 1
+        assert n >= 80_001
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert all(int(k1) - int(k0) <= CSV_BLOCK_ROWS for _, _, k0, k1 in calls)
+        # each block's ideal curves once, from one axis per axis of motion,
+        # and its t_s column from one more axis
+        blocks = sorted((int(k0), int(k1)) for _, kind, k0, k1 in calls if kind == "ideal")
+        assert [k0 for k0, _ in blocks] == list(range(0, n, CSV_BLOCK_ROWS)) and blocks[-1][1] == n
+        assert sum(kind == "axis" for _, kind, _, _ in calls) == 3 * len(blocks)
+        pids = {int(pid) for pid, _, _, _ in calls}
+        if cpus == 1:
+            assert pids == {os.getpid()} and forks == []
+        else:  # two rates.csv writers; spikes.csv is one block, made in the parent
+            assert len(pids) == 2 and pids == set(forks)
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -327,6 +373,7 @@ RESUME = ["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"]
     (["run", "--set", 'field_width="x"'], None),
     (["run", "--set", 'output_taus_s=["a"]'], None),
     (["run", "--set", 'lateral_inhibition="false"'], None),
+    (["run", "--set", "schema_version=true"], None),
     (["run", "--set", "samples_per_pixel=NaN"], None),
     (["run", "--set", "samples_per_pixel=Infinity"], None),
     (["events", "--set", "samples_per_pixel=NaN"], None),
@@ -355,7 +402,7 @@ RESUME = ["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"]
     (["run", "--set", "field_width=100000", "--set", "field_height=100000"], None),
     (["topo", "--set", "network.t_pw_s=1e-4"], None),
 ], ids=["network-value", "trajectory-value", "field-width", "output-tau",
-        "lateral-string", "run-nan-samples", "run-inf-samples", "events-nan-samples",
+        "lateral-string", "bool-schema-version", "run-nan-samples", "run-inf-samples", "events-nan-samples",
         "events-inf-samples", "run-huge-samples", "run-huge-t-end", "run-huge-freq",
         "run-huge-grid", "events-huge-samples", "events-huge-t-end", "events-huge-freq",
         "short-sweep-row", "sweep-freq", "ok-row-without-score",

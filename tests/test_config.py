@@ -40,6 +40,10 @@ def test_from_dict_rejects_unknown_keys():
         RunConfig.from_dict({"schema_version": 1, "bogus": 1})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"schema_version": 2})
+    # True == 1.0 == 1, but neither is the integer version
+    for version in (True, 1.0):
+        with pytest.raises(ConfigError, match="^schema_version must be int, got "):
+            RunConfig.from_dict({"schema_version": version})
 
 
 def test_trajectory_validation():

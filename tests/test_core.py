@@ -32,6 +32,7 @@ from motionsnn import core
 from motionsnn.core import (
     CSV_BLOCK_ROWS,
     TIME_QUANTUM,
+    CsvWriter,
     Parts,
     fmt_float,
     write_events_csv,
@@ -342,6 +343,22 @@ def test_a_table_of_one_block_is_formatted_in_the_caller(tmp_path, usable_cpus, 
         assert len(lines) == n + 2 and lines[0] == b"neuron_id,t_s" and lines[-1] == b""
 
 
+def test_csv_writer_asks_for_each_block_once_in_order(tmp_path, usable_cpus, no_fork):
+    usable_cpus(1)
+    for n in (0, 5, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 5):
+        calls = []
+
+        def block(i, j):
+            calls.append((i, j))
+            return np.arange(i, j), np.arange(i, j) * 0.5
+
+        CsvWriter(str(tmp_path / "t.csv"), ["i", "v"], n, block).join()
+        assert calls == [(i, min(i + CSV_BLOCK_ROWS, n)) for i in range(0, n, CSV_BLOCK_ROWS)]
+        lines = (tmp_path / "t.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"i,v" and lines[-1] == b""
+        assert lines[1:-1] == [f"{i},{fmt_float(i * 0.5)}".encode() for i in range(n)]
+
+
 @pytest.mark.parametrize("error, reason", [
     (OSError(errno.ENOSPC, "No space left on device"), "No space left on device"),
     (RuntimeError("not an OSError"), "part writer exited with status 255"),
@@ -394,7 +411,9 @@ def test_a_process_that_ends_before_join_leaves_no_file(tmp_path):
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from motionsnn.core import CSV_BLOCK_ROWS, CsvWriter\n"
         "n = 4 * CSV_BLOCK_ROWS + 5\n"
-        "CsvWriter(sys.argv[1] + '/t.csv', ['i', 'v'], [np.arange(n), np.arange(n) * 0.5])\n"
+        "def block(i, j):\n"
+        "    return np.arange(i, j), np.arange(i, j) * 0.5\n"
+        "CsvWriter(sys.argv[1] + '/t.csv', ['i', 'v'], n, block)\n"
         "os._exit(0)\n"
     )
     src = str(Path(motionsnn.__file__).resolve().parents[1])
@@ -414,9 +433,9 @@ def test_part_writers_stop_when_their_process_ends(tmp_path):
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from motionsnn import core\n"
         "format_block = core._format_block\n"
-        "def slow_format_block(row, columns, i):\n"
+        "def slow_format_block(columns):\n"
         "    time.sleep(0.1)\n"
-        "    return format_block(row, columns, i)\n"
+        "    return format_block(columns)\n"
         "core._format_block = slow_format_block\n"
         "fork, pids = os.fork, []\n"
         "def recording_fork():\n"
@@ -424,7 +443,8 @@ def test_part_writers_stop_when_their_process_ends(tmp_path):
         "    pids.append(pid)\n"
         "    return pid\n"
         "os.fork = recording_fork\n"
-        "core.CsvWriter(sys.argv[1] + '/t.csv', ['i'], [np.arange(20 * core.CSV_BLOCK_ROWS)])\n"
+        "n = 20 * core.CSV_BLOCK_ROWS\n"
+        "core.CsvWriter(sys.argv[1] + '/t.csv', ['i'], n, lambda i, j: (np.arange(i, j),))\n"
         "with open(sys.argv[1] + '/pids', 'w') as fh:\n"
         "    fh.write(' '.join(map(str, pids)))\n"
         "os._exit(0)\n"

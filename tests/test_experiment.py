@@ -23,6 +23,7 @@ from motionsnn import (
 )
 from motionsnn import analysis, cli, experiment, stimulus
 from motionsnn.analysis import transient_s
+from motionsnn.core import CSV_BLOCK_ROWS
 
 from oracles import grid_times
 
@@ -212,7 +213,7 @@ def test_sweep_scores_keep_their_recorded_values():
     )
 
 
-def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path):
+def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path, usable_cpus, forks):
     result = run_experiment(RunConfig())
 
     def counted(record, fn):
@@ -261,18 +262,27 @@ def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: result)
     monkeypatch.setattr(cli, "evaluate", lambda res: ev)
     monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
-    assert cli.main(["run", "-d", str(tmp_path)]) == 0
-    # the run makes the ideal curves once, over the full grid, for rates.csv,
-    # with one trig pass per axis
-    ((_, f_max_hz, grid),) = ideal
-    assert f_max_hz == ev.f_max_hz and grid is ev.grid
-    assert trig == [n, n]
-    assert rate_calls == []
-    assert len(ffts) <= 4
-    # grid-length times: the two velocity axes of the ideal curves and the
-    # t_s column; the phase basis is built once over the window's own axis
-    assert lengths.count(n) == 3
-    assert lengths.count(m) == 1
+    # the rates.csv writers make its ideal curves block by block, with one
+    # trig pass per axis of motion in each block; run in-process, every
+    # block's calls are seen here, and forked, the run makes none of them
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        del lengths[:], trig[:], ideal[:], ffts[:], forks[:]
+        assert cli.main(["run", "-d", str(tmp_path)]) == 0
+        assert len(forks) == (0 if cpus == 1 else 2)
+        blocks = range(0, n, CSV_BLOCK_ROWS) if cpus == 1 else range(0)
+        assert [(k0, k1) for _, _, _, k0, k1 in ideal] == [(k, min(k + CSV_BLOCK_ROWS, n)) for k in blocks]
+        assert all(f_max_hz == ev.f_max_hz and grid is ev.grid for _, f_max_hz, grid, _, _ in ideal)
+        assert trig == [min(CSV_BLOCK_ROWS, n - k) for k in blocks for _ in range(2)]
+        assert rate_calls == []
+        assert len(ffts) <= 4
+        # no grid-length times: the block times of the two velocity axes and
+        # the t_s column, and the phase basis over the window's own axis,
+        # once per channel
+        assert lengths.count(m) == 4
+        assert sorted(k for k in lengths if k != m) == sorted(
+            min(CSV_BLOCK_ROWS, n - k) for k in blocks for _ in range(3)
+        )
 
 
 def test_scoring_window_starts_at_the_first_sample_after_the_transient():
