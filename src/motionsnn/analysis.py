@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    AXES,
     ConfigError,
     DIRECTION_ORDER,
     Direction,
@@ -22,7 +22,7 @@ from .core import (
     SpikeRecord,
     TIME_QUANTUM,
 )
-from .stimulus import Trajectory, channel_velocities
+from .stimulus import Trajectory
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,33 @@ def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> Rat
     return RateSeries(grid.t0, grid.dt, values)
 
 
-def _write_curve(u: np.ndarray | None, sign: float, half: float, out: np.ndarray) -> np.ndarray:
-    """half * |sign * u + 1| into `out`, with u an axis's velocity over its
-    run maximum; `half` throughout for a motionless axis (u None). For sign
+# The velocity component each pair of AXES reads, and each channel's sign:
+# UP +dy/dt, DOWN -dy/dt, LEFT -dx/dt, RIGHT +dx/dt.
+_AXIS_SIGNS = (("y", 1.0, -1.0), ("x", -1.0, 1.0))
+
+
+def _ideal_axes(traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int, k1: int | None = None) -> Iterator:
+    """The ideal detector one axis of motion at a time, in AXES order (y, then
+    x), as (u, f_max / 2, the axis's two channels with their signs): u is the
+    velocity along the axis at samples k0 .. k1 - 1 over its run maximum.
+
+    Each u is made in a new buffer of sample times, only once the caller asks
+    for its axis, and is the caller's to keep or overwrite. A motionless axis
+    has a run maximum of 0 and a velocity of exactly +-0.0, which is left as
+    it is: half * |1 +- 0| is half, bit for bit."""
+    if not (f_max_hz > 0.0 and math.isfinite(f_max_hz)):
+        raise ConfigError("f_max_hz must be positive")
+    bound = dict(zip("xy", traj.speed_bound()))
+    for (first, second), (axis, s1, s2) in zip(AXES, _AXIS_SIGNS):
+        u = traj.velocity(axis, grid.axis(k0, k1))
+        if bound[axis] != 0.0:
+            u /= bound[axis]
+        yield u, f_max_hz / 2.0, ((first, s1), (second, s2))
+
+
+def _write_curve(u: np.ndarray, sign: float, half: float, out: np.ndarray) -> np.ndarray:
+    """half * |sign * u + 1| into `out`, with u from `_ideal_axes`. For sign
     -1 that is 1 - u: (-v) / v_max is -(v / v_max) bit for bit."""
-    if u is None:
-        out.fill(half)
-        return out
     if sign > 0.0:
         np.add(u, 1.0, out=out)
     else:
@@ -176,12 +196,6 @@ def _write_curve(u: np.ndarray | None, sign: float, half: float, out: np.ndarray
     np.abs(out, out=out)
     out *= half
     return out
-
-
-def _half_f_max(f_max_hz: float) -> float:
-    if not (f_max_hz > 0.0 and math.isfinite(f_max_hz)):
-        raise ConfigError("f_max_hz must be positive")
-    return f_max_hz / 2.0
 
 
 def ideal_rates(
@@ -192,16 +206,13 @@ def ideal_rates(
     motionless axes hold f_max / 2. A sample's value does not depend on k0
     or k1, so the curves are the whole grid's sliced, bit for bit.
 
-    One axis at a time: its velocity is made in a buffer of the samples'
-    times and divided by its run maximum in place; the axis's first curve
-    gets a new array and its second is made in the velocity's buffer. The
-    four curves returned are the only such arrays held at the end."""
-    half = _half_f_max(f_max_hz)
+    One axis at a time, from `_ideal_axes`: the axis's first curve gets a
+    new array and its second is made in the velocity's buffer. The four
+    curves returned are the only such arrays held at the end."""
     curves: dict[Direction, np.ndarray] = {}
-    for v, v_max, ((first, s1), (second, s2)) in channel_velocities(traj, partial(grid.axis, k0, k1)):
-        u = np.divide(v, v_max, out=v) if v_max != 0.0 else None
-        curves[first] = _write_curve(u, s1, half, np.empty_like(v))
-        curves[second] = _write_curve(u, s2, half, v)
+    for u, half, ((first, s1), (second, s2)) in _ideal_axes(traj, f_max_hz, grid, k0, k1):
+        curves[first] = _write_curve(u, s1, half, np.empty_like(u))
+        curves[second] = _write_curve(u, s2, half, u)
     return {d: RateSeries(grid.time(k0), grid.dt, curves[d]) for d in DIRECTION_ORDER}
 
 
@@ -260,21 +271,19 @@ def window_accuracy(
     """`accuracy` of the ideal curves at samples k0 .. n - 1 of `grid` against
     `measured` on the same samples, bit for bit, one axis at a time.
 
-    It holds two arrays of the window's length: the axis's velocity, made in
-    a buffer of its sample times and divided by its run maximum in place,
-    and one more buffer. Each of the axis's channels is written there as its
-    ideal curve, squared in place for |ideal|^2, written again and scored."""
-    half = _half_f_max(f_max_hz)
+    It holds two arrays of the window's length: the axis's velocity from
+    `_ideal_axes` and one more buffer. Each of the axis's channels is written
+    there as its ideal curve, squared in place for |ideal|^2, written again
+    and scored."""
     per: dict[Direction, float] = {}
-    for v, v_max, channels in channel_velocities(traj, partial(grid.axis, k0)):
-        u = np.divide(v, v_max, out=v) if v_max != 0.0 else None
-        buf = np.empty_like(v)
+    for u, half, channels in _ideal_axes(traj, f_max_hz, grid, k0):
+        buf = np.empty_like(u)
         for d, sign in channels:
             np.square(_write_curve(u, sign, half, buf), out=buf)
             denom = float(np.sum(buf))
             _write_curve(u, sign, half, buf)
             per[d] = _channel_score(d, denom, buf, measured[d].values, buf)
-        del v, u, buf  # before the next axis is made
+        del u, buf  # before the next axis is made
     return _mean_score(per)
 
 

@@ -252,17 +252,19 @@ def frequency_sweep(
     for v in variants if variants is not None else default_sweep_variants():
         by_label.setdefault(v.label, v)
     points = [(f, v) for v in by_label.values() for f in sorted(set(freqs))]
-    done = precomputed or {}
+    done = dict(precomputed or {})
     tasks = [(sweep_config(base, f, v), f, v.label) for f, v in points if (f, v.label) not in done]
     # child k gets every n-th task from k, which spreads each variant's slow low frequencies
     n = min(jobs, len(tasks))
+    shares = [tasks[k::n] for k in range(n)]
     try:
-        with Parts(_run_share, [tasks[k::n] for k in range(n)]) as parts:
-            shares = [pickle.load(part) for part in parts.join()]
+        with Parts(_run_share, shares) as parts:
+            for share, part in zip(shares, parts.join()):
+                # keyed by each task's own point, which a NaN frequency only equals by identity
+                done.update(zip([(f, label) for _, f, label in share], pickle.load(part)))
     except OSError as exc:
         raise ConfigError(f"cannot run a sweep worker: {exc.strerror or exc}") from exc
-    fresh = (shares[i % n][i // n] for i in range(len(tasks)))
-    return [done[(f, v.label)] if (f, v.label) in done else next(fresh) for f, v in points]
+    return [done[(f, v.label)] for f, v in points]
 
 
 def normalize_rows(rows: list[SweepRow]) -> dict[tuple[float, str], float]:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import MAX_SAMPLES, TIME_QUANTUM, ConfigError, Direction, DomainError, EventStream
+from .core import MAX_SAMPLES, TIME_QUANTUM, ConfigError, DomainError, EventStream
 
 
 def round_half_up(v: np.ndarray | float) -> np.ndarray | float:
@@ -238,22 +237,6 @@ class WaypointTrajectory(Trajectory):
             vx = max(vx, abs((xb - xa) / (tb - ta)))
             vy = max(vy, abs((yb - ya) / (tb - ta)))
         return vx, vy
-
-
-def channel_velocities(
-    traj: Trajectory, times: Callable[[], np.ndarray]
-) -> Iterator[tuple[np.ndarray, float, tuple[tuple[Direction, float], tuple[Direction, float]]]]:
-    """The object's velocity along each axis of motion in AXES order, y and
-    then x, as (v, v_max, channels): v at the sample times, v_max its run
-    maximum, and the axis's two channels, each with the sign it reads v with:
-    UP reads +dy/dt, DOWN -dy/dt, LEFT -dx/dt, RIGHT +dx/dt.
-
-    One axis at a time: each v is computed in a new buffer of the sample
-    times from `times()`, which is called for the next axis only once the
-    caller asks for it. v is the caller's to keep or overwrite."""
-    vx_max, vy_max = traj.speed_bound()
-    yield traj.velocity("y", times()), vy_max, ((Direction.UP, 1.0), (Direction.DOWN, -1.0))
-    yield traj.velocity("x", times()), vx_max, ((Direction.LEFT, -1.0), (Direction.RIGHT, 1.0))
 
 
 def footprint(px: int, py: int) -> tuple[tuple[int, int], ...]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,19 +23,23 @@ from motionsnn import (
     EmitMode,
     Event,
     EventStream,
+    FilterParams,
     LinearTrajectory,
     MotionSnnError,
     NetworkGraph,
     NetworkParams,
     NumericFault,
     RateGrid,
+    RateSeries,
     SimulationOutput,
     SpikeRecord,
     WaypointTrajectory,
+    accuracy,
     assemble_network,
     dominant_frequency,
     phase_lag_deg,
 )
+from motionsnn.config import build_network, build_trajectory
 from motionsnn.core import TIME_QUANTUM
 from motionsnn.stimulus import footprint, round_half_up
 
@@ -520,3 +525,62 @@ def reference_events(
             events.append(Event(x, y, t_snap))
         covered = new_cover
     return event_stream(events, traj.field_width, traj.field_height).events
+
+
+def reference_run(cfg) -> SimpleNamespace:
+    """One run of `cfg` with an oracle at every stage; only the path, the
+    network and the filter's time constants come from the package.
+
+    `reference_events` encodes the path and `per_edge_heap_simulate` runs it.
+    Each output group is pooled from `net.output_ids` and filtered by
+    `brute_force_rate`. The window starts at the `np.searchsorted` of the
+    settling time on the materialised time axis, f_max is the largest rate
+    in the window, and `ideal_curves`, sliced to the window, are scored by
+    `accuracy`. `spectral_summary_all_at_once` takes the spectra.
+
+    The fields run up to the first stage the package must refuse: f_max is
+    None when no output fires before the window's end, and `zero` names
+    the first channel whose ideal curve is zero over the window, in place
+    of a score and spectra."""
+    traj = build_trajectory(cfg)
+    net = build_network(cfg)
+    events = reference_events(traj, cfg.encoding, cfg.samples_per_pixel)
+    sim = per_edge_heap_simulate(net, event_stream(events, cfg.field_width, cfg.field_height), traj.t_end)
+    tau1 = float(np.mean(cfg.output_taus_s))
+    fp = FilterParams(tau1, 2.0 * tau1)
+    grid = RateGrid(0.0, cfg.grid_dt_s, int(math.floor(traj.t_end / cfg.grid_dt_s)) + 1)
+    k0 = int(np.searchsorted(grid_times(grid), max(2.0 * fp.tau2, traj.period_s or 0.0), side="left"))
+    trains = sim.record.spike_times
+    pooled = {d: sorted(t for i in net.output_ids[d] for t in trains[i]) for d in DIRECTION_ORDER}
+    out = SimpleNamespace(
+        sim=sim,
+        grid=grid,
+        k0=k0,
+        pooled_counts={d: len(pooled[d]) for d in DIRECTION_ORDER},
+        measured={d: brute_force_rate(pooled[d], fp, grid) for d in DIRECTION_ORDER},
+        f_max=None,
+        zero=None,
+        score=None,
+        spectra=None,
+    )
+    peak = max(float(np.max(out.measured[d][k0:])) for d in DIRECTION_ORDER)
+    if not peak > 0.0:
+        return out
+    out.f_max = peak
+    ideal = ideal_curves(traj, peak, grid)
+    out.zero = next((d for d in DIRECTION_ORDER if not ideal[d][k0:].any()), None)
+    if out.zero is not None:
+        return out
+
+    def window(curves):
+        return {d: RateSeries(grid.time(k0), grid.dt, curves[d][k0:]) for d in DIRECTION_ORDER}
+
+    out.score = accuracy(window(ideal), window(out.measured))
+    ev = SimpleNamespace(
+        grid=grid,
+        window_index=k0,
+        window_start_s=grid.time(k0),
+        measured={d: RateSeries(0.0, grid.dt, out.measured[d]) for d in DIRECTION_ORDER},
+    )
+    out.spectra = spectral_summary_all_at_once(SimpleNamespace(trajectory=traj), ev)
+    return out

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from motionsnn import (
     DIRECTION_ORDER,
     CircleTrajectory,
+    Direction,
     DomainError,
     EightTrajectory,
     LinearTrajectory,
@@ -27,9 +28,8 @@ from motionsnn import (
     run_experiment,
     spectral_summary,
 )
-from motionsnn.analysis import window_accuracy
+from motionsnn.analysis import _ideal_axes, window_accuracy
 from motionsnn.core import CSV_BLOCK_ROWS
-from motionsnn.stimulus import channel_velocities
 
 from oracles import (
     grid_times,
@@ -134,29 +134,72 @@ def test_a_run_of_samples_is_the_whole_grid_sliced_bit_for_bit(name, t0, dt, n, 
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))
-def test_each_velocity_projection_belongs_to_the_caller(name):
+def test_each_velocity_projection_belongs_to_the_caller(name, monkeypatch):
     # each axis's velocity is made in a new buffer of the sample times, the
     # x axis's only once the y axis's has been taken; the in-place kinematics
-    # keep every bit of the all-at-once formulas, and overwriting one axis
-    # must leave the next intact
+    # and division keep every bit of the all-at-once formulas, and
+    # overwriting one axis must leave the next intact
     traj = PATHS[name][0]
     grid = _grid(traj)
     vx, vy = reference_velocities(traj, grid_times(grid))
     vx_max, vy_max = traj.speed_bound()
     buffers = []
+    axis = RateGrid.axis
 
-    def times():
-        buffers.append(grid.axis())
+    def spy(self, *args):
+        buffers.append(axis(self, *args))
         return buffers[-1]
 
-    axes = channel_velocities(traj, times)
-    for i, (v, v_max, channels) in enumerate(axes):
-        assert len(buffers) == i + 1 and v is buffers[i]
-        want, want_max = ((vy, vy_max), (vx, vx_max))[i]
-        assert _same_bits(v, want) and v_max == want_max
-        assert [d for d, _ in channels] == list(DIRECTION_ORDER[2 * i : 2 * i + 2])
-        v.fill(np.nan)
+    monkeypatch.setattr(RateGrid, "axis", spy)
+    signs = (((Direction.UP, 1.0), (Direction.DOWN, -1.0)), ((Direction.LEFT, -1.0), (Direction.RIGHT, 1.0)))
+    for i, (u, half, channels) in enumerate(_ideal_axes(traj, F_MAX_HZ, grid, 0)):
+        assert len(buffers) == i + 1 and u is buffers[i]
+        v, v_max = ((vy, vy_max), (vx, vx_max))[i]
+        assert _same_bits(u, v / v_max if v_max != 0.0 else v)
+        assert half == F_MAX_HZ / 2.0 and channels == signs[i]
+        u.fill(np.nan)
     assert len(buffers) == 2
+
+
+# paths whose y axis is motionless: its velocity is +0.0 or -0.0 throughout
+MOTIONLESS_Y = {
+    "linear-vy+0": LinearTrajectory(10, 11, 0.5, x0=1.5, y0=5.0, vx=10.0, vy=0.0),
+    "linear-vy-0": LinearTrajectory(10, 11, 0.5, x0=1.5, y0=5.0, vx=10.0, vy=-0.0),
+    "one-point": WaypointTrajectory(10, 11, 0.0, points=((0.0, 4.5, 5.0),)),
+    "flat-y": WaypointTrajectory(
+        10, 11, 0.0, points=((0.0, 2.5, 5.0), (1.0, 6.0, 5.0), (2.0, 3.0, 5.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOTIONLESS_Y))
+def test_a_motionless_axis_holds_half_f_max_bit_for_bit(name):
+    # a motionless axis's velocity is left undivided: half * |1 +- 0| must be
+    # f_max / 2 by its bytes, on every channel that reads such an axis
+    traj = MOTIONLESS_Y[name]
+    grid = RateGrid(0.0, 1e-3, 2_001)
+    vx_max, vy_max = traj.speed_bound()
+    still = [d for d, v_max in zip(DIRECTION_ORDER, (vy_max, vy_max, vx_max, vx_max)) if v_max == 0.0]
+    assert still[:2] == [Direction.UP, Direction.DOWN]
+    assert (len(still) == 4) == (name == "one-point")
+    half = np.full(grid.n, F_MAX_HZ / 2.0)
+    curves = ideal_rates(traj, F_MAX_HZ, grid)
+    want = ideal_curves(traj, F_MAX_HZ, grid)
+    for d in DIRECTION_ORDER:
+        assert _same_bits(curves[d].values, want[d])
+    for d in still:
+        assert _same_bits(curves[d].values, half)
+    # the window score reads the same curves
+    measured = {d: RateSeries(0.0, grid.dt, np.linspace(0.0, F_MAX_HZ, grid.n)) for d in DIRECTION_ORDER}
+    try:
+        score = accuracy(curves, measured)
+    except DomainError as exc:
+        # a linear path moves RIGHT at full speed, so its ideal LEFT is zero
+        with pytest.raises(DomainError, match=f"^{exc}$"):
+            window_accuracy(traj, F_MAX_HZ, grid, 0, measured)
+        return
+    got = window_accuracy(traj, F_MAX_HZ, grid, 0, measured)
+    assert [x.hex() for x in got.per_channel.values()] == [x.hex() for x in score.per_channel.values()]
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))
@@ -216,7 +259,7 @@ def test_the_oracle_inputs_reach_every_branch():
     # flat windows have no dominant bin
     assert spectra["linear"]["pooled"] == {"lr_hz": None, "ud_hz": None, "lr_over_ud": None}
     assert spectra["waypoints"]["phase_lags_deg"] is None
-    # the motionless y axis takes the constant branch of ideal_rates
+    # the motionless y axis is left undivided by its zero run maximum
     assert PATHS["linear"][0].speed_bound()[1] == 0.0
 
 

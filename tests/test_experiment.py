@@ -1,6 +1,7 @@
 """The run path works on the array forms of the network and the stimulus,
 and scores and spectra keep their recorded values."""
 
+import math
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -110,6 +111,18 @@ def test_sweep_runs_each_repeated_point_once(tmp_path, capsys, monkeypatch):
         calls.clear()
     assert sweeps["0.8,0.8"] == sweeps["0.8"]
     assert sweeps["0.8"][0] == 1
+
+
+def test_a_nan_frequency_gets_the_row_its_own_task_scored():
+    # a NaN frequency equals no float, itself only by identity, and a row
+    # that comes back pickled from a child is a new object; the point still
+    # gets its error row, in the calling process and from forked children
+    nan = float("nan")
+    for jobs in (1, 2):
+        rows = experiment.frequency_sweep(RunConfig(), (nan,), jobs=jobs)
+        assert [r.variant for r in rows] == ["n1", "n5"]
+        assert all(math.isnan(r.freq_hz) for r in rows)
+        assert {r.status for r in rows} == {"error: freq_hz must be positive"}
 
 
 def test_sweep_returns_one_row_per_requested_point(monkeypatch):

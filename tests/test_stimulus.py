@@ -16,13 +16,14 @@ from motionsnn import (
     EightTrajectory,
     EmitMode,
     LinearTrajectory,
+    RateGrid,
     WaypointTrajectory,
     generate_events,
 )
+from motionsnn.analysis import _ideal_axes
 from motionsnn.config import RunConfig, build_stimulus, build_trajectory
 from motionsnn.core import TIME_QUANTUM, ConfigError
 from motionsnn.stimulus import (
-    channel_velocities,
     footprint,
     round_half_up,
 )
@@ -151,20 +152,21 @@ def test_eight_is_periodic_and_centered():
 
 
 def test_channel_velocity_projection():
-    traj = TRAJECTORIES[2]  # vx=4, vy=2
-    axes = [
-        (v.tolist(), v_max, channels)
-        for v, v_max, channels in channel_velocities(traj, lambda: np.array([0.5]))
-    ]
+    traj = TRAJECTORIES[3]  # vx 4 then 0, vy 0 then 6: each axis's run maximum
+    grid = RateGrid(0.5, 1.0, 2)  # one sample on each leg
+    axes = [(u.tolist(), half, channels) for u, half, channels in _ideal_axes(traj, 3.0, grid, 0)]
     assert axes == [
-        ([2.0], pytest.approx(2.0), ((Direction.UP, 1.0), (Direction.DOWN, -1.0))),
-        ([4.0], pytest.approx(4.0), ((Direction.LEFT, -1.0), (Direction.RIGHT, 1.0))),
+        ([0.0, 1.0], 1.5, ((Direction.UP, 1.0), (Direction.DOWN, -1.0))),
+        ([1.0, 0.0], 1.5, ((Direction.LEFT, -1.0), (Direction.RIGHT, 1.0))),
     ]
     # each channel reads its axis with its sign, in DIRECTION_ORDER
-    projected = {d: sign * v[0] for v, _, channels in axes for d, sign in channels}
+    projected = {d: [sign * x for x in u] for u, _, channels in axes for d, sign in channels}
     assert list(projected) == list(DIRECTION_ORDER)
     assert projected == {
-        Direction.UP: 2.0, Direction.DOWN: -2.0, Direction.LEFT: -4.0, Direction.RIGHT: 4.0
+        Direction.UP: [0.0, 1.0],
+        Direction.DOWN: [0.0, -1.0],
+        Direction.LEFT: [-1.0, 0.0],
+        Direction.RIGHT: [1.0, 0.0],
     }
 
 
