@@ -223,13 +223,125 @@ def writing(path: str) -> Iterator[None]:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _format_block(columns: Sequence[np.ndarray]) -> str:
-    """Equal-length columns as CSV rows: one %-format of a row template
-    repeated, `%d` for an integer column and `%.9g` for a float one."""
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\r\n"
-    # + 0.0 turns -0.0 into 0.0, as fmt_float does
-    block = np.column_stack(columns) + 0.0
-    return (row * len(block)) % tuple(block.ravel().tolist())
+# `_format_block` lays each value out in a 32-byte slot, four little-endian
+# 8-byte words, in which a 0 byte stands for no byte:
+#
+#   sign, "0.000" prefix, d0 p0 d1 p1 ... p7 d8, "e", exponent sign and
+#   2-3 digits, "," or "\r\n", two 0 bytes
+#
+# d0 .. d8 are the value's 9 significant digits, D = round(|v| * 10**(8 - x))
+# for x = floor(log10 |v|), and p0 .. p7 the places the point may take.
+# Word 0 holds the sign, the prefix, d0 and p0; word 1 d1 .. p4; word 2
+# d5 .. d8 and the "e"; word 3 the exponent and the separator. The digits
+# of D's three 3-digit groups come from 1000-entry tables with 0xFF in
+# every other byte, and a table of patterns indexed by (sign, notation,
+# significant digits) masks them: 0xFF where a digit shows, 0 where it is a
+# trailing zero, and the sign, prefix, point and "e" elsewhere.
+_X = np.arange(-324, 309)  # floor(log10 |v|) of every finite nonzero double
+# 10**(8 - x), each power correctly rounded; capped at 1e308, so every value
+# below 1e-300 in magnitude scales to below 1e8 and is formatted by %
+_SCALE = np.array(["1e%d" % (8 - x) for x in _X.tolist()], dtype=np.float64).clip(max=1e308)
+_CSV_PASS = 8192  # values formatted per pass, so the work arrays stay in cache
+
+
+def _words(slots: np.ndarray) -> np.ndarray:
+    """(k, 32) slot bytes as a (4, k) array of little-endian words."""
+    return np.ascontiguousarray(slots, dtype=np.uint8).view("<u8").T.copy()
+
+
+def _slot_tables() -> tuple[np.ndarray, ...]:
+    """The digit words of a 3-digit group n at each group place, (3, 4,
+    1000); the significant digits of D up to and including group place g
+    when that group is n, (3, 1000), 0 when n is 0; the pattern words of
+    each (sign, notation, significant digits), (4, 280); the pattern index
+    of each decimal exponent x, (x + 4) * 10 for fixed notation (x in -4 ..
+    8) and 130 for exponent notation; and the exponent word of each x."""
+    n = np.arange(1000)
+    digits = np.full((3, 1000, 32), 0xFF, dtype=np.uint8)
+    for g in range(3):
+        digits[g, :, 6 + 6 * g : 12 + 6 * g : 2] = np.stack([n // 100, n // 10 % 10, n % 10], axis=1) + ord("0")
+    shown = 3 - (n % 10 == 0) - (n % 100 == 0)
+    keep = np.stack([np.where(n == 0, 0, shown + 3 * g) for g in range(3)]).astype(np.uint8)
+
+    # x = 9 stands for exponent notation, x = -4 .. 8 for fixed notation
+    sign, x, k = np.ix_(range(2), range(-4, 10), range(10))
+    fixed = x <= 8
+    last = np.where(fixed & (x >= 0), np.maximum(k - 1, x), np.maximum(k - 1, 0))  # last digit shown
+    point = np.where(fixed, x, 0)  # the digit the point follows, if any digit after it shows
+    i = np.arange(9)[:, None, None, None]
+    j = np.arange(5)[:, None, None, None]
+    slots = np.zeros((32, 2, 14, 10), dtype=np.uint8)
+    slots[0] = sign * ord("-")
+    slots[1:6] = np.where((x < 0) & (j < 1 - x), np.where(j == 1, ord("."), ord("0")), 0)
+    slots[6:23:2] = np.where(i <= last, 0xFF, 0)
+    slots[7:23:2] = np.where((i[:8] == point) & (i[:8] < last), ord("."), 0)
+    slots[23] = np.where(fixed, 0, ord("e"))
+    patterns = _words(slots.reshape(32, -1).T)
+
+    fixed_x = (_X >= -4) & (_X <= 8)
+    e = np.abs(_X)
+    big = e >= 100
+    exponent = np.zeros((len(_X), 32), dtype=np.uint8)
+    exponent[:, 24] = np.where(_X < 0, ord("-"), ord("+"))
+    exponent[:, 25] = np.where(big, e // 100, e // 10 % 10) + ord("0")
+    exponent[:, 26] = np.where(big, e // 10 % 10, e % 10) + ord("0")
+    exponent[:, 27] = np.where(big, e % 10 + ord("0"), 0)
+    exponent[fixed_x] = 0
+    place = np.where(fixed_x, (_X + 4) * 10, 130)
+    return np.stack([_words(d) for d in digits]), keep, patterns, place, _words(exponent)[3]
+
+
+_DIGITS, _KEEP, _PATTERNS, _PLACE, _EXPONENT = _slot_tables()
+
+
+def _format_block(columns: Sequence[np.ndarray]) -> bytes:
+    """Equal-length columns as the bytes of CSV rows, each value as `%d`
+    formats it for an integer column and as `%.9g` for a float one, with
+    -0.0 as 0; see CsvWriter for the method and the values % formats."""
+    ints = [c.dtype.kind in "iu" for c in columns]
+    m = len(columns)
+    block = np.column_stack(columns).astype(np.float64, copy=False)
+    limit = np.where(ints, 1e9, np.inf)  # %d and %.9g differ from 1e9 on
+    sep = np.array([ord(",") << 32] * (m - 1) + [(ord("\r") | ord("\n") << 8) << 32], dtype="<u8")
+    rows = max(1, _CSV_PASS // m)
+    out = np.empty((min(rows, len(block)), m, 4), dtype="<u8")
+    text = []
+    for r in range(0, len(block), rows):
+        v = block[r : r + rows]
+        a = np.abs(v)
+        zero, finite = a == 0, a < np.inf
+        a[zero | ~finite] = 1.0
+        x = np.floor(np.log10(a)).astype(np.intp)
+        x -= _X[0]
+        s = a * _SCALE[x]
+        d = np.rint(s)
+        # below 1e9, s carries at most two roundings of 2**-53 each, so it lies within
+        # 1e9 * 2**-52 < 2.3e-7 of |v| * 10**(8 - x): inside the band (1e8 + 0.5,
+        # 1e9 - 1.5), x is the exact exponent and D stays below 1e9, and more than
+        # 2**-20 from a half, rint(s) is the correctly rounded D
+        fallback = ~((s > 100000000.5) & (s < 999999998.5) & finite)
+        fallback |= (np.abs(s - d) >= 0.5 - 2.0**-20) | (a >= limit)
+        fallback &= ~zero
+        d[fallback | zero] = 0  # D of a zero, and in-range digits for the slots % overwrites
+        lo = d.astype(np.int64)
+        hi = lo // 1000000
+        lo -= hi * 1000000
+        mid = lo // 1000
+        lo -= mid * 1000
+        idx = _PLACE[x]
+        idx += np.maximum(np.maximum(_KEEP[0][hi], _KEEP[1][mid]), _KEEP[2][lo])
+        idx += 140 * (v < 0)
+        o = out[: len(v)]
+        o[..., 0] = _DIGITS[0, 0][hi] & _PATTERNS[0][idx]
+        o[..., 1] = _DIGITS[0, 1][hi] & _DIGITS[1, 1][mid] & _PATTERNS[1][idx]
+        o[..., 2] = _DIGITS[1, 2][mid] & _DIGITS[2, 2][lo] & _PATTERNS[2][idx]
+        o[..., 3] = _EXPONENT[x] | sep
+        slot = o.view(np.uint8)
+        for i, j in zip(*np.nonzero(fallback)):
+            value = (("%d" if ints[j] else "%.9g") % v[i, j].item()).encode()
+            slot[i, j, :28] = np.frombuffer(value.ljust(28, b"\0"), dtype=np.uint8)
+        text.append(o.tobytes().translate(None, b"\0"))
+    return b"".join(text)
 
 
 def _write_part(work: Callable, fd: int, share: Iterable, parent: int) -> NoReturn:
@@ -331,6 +443,17 @@ class CsvWriter:
     coordinates do). Each block is made and formatted in turn, so neither the
     text nor a column that exists only for the file is ever held whole.
 
+    A block is formatted in numpy, at most 8,192 values per pass: each value
+    gets a 32-byte slot (sign, "0.000" prefix, nine digits with the places a
+    point may take, exponent, separator) in which 0 bytes stand for no byte
+    and are deleted. The digits are D = round(|v| * 10**(8 - x)) for
+    x = floor(log10 |v|), scaled in float64 with at most two roundings, so
+    within 2.3e-7. Python's `%` formats a value instead when it is not finite
+    or below 1e-300 in magnitude, when its scaled value lies within 2**-20 of
+    a rounding half or outside (1e8 + 0.5, 1e9 - 1.5), or when an integer
+    column holds 1e9 or more in magnitude; so every byte is the one `%`
+    writes.
+
     The blocks are cut into one contiguous share per usable CPU, at most one
     per block, and made as `Parts` in the directory of `path`. `join` is the
     only code that opens `path`: it writes the header and copies the parts
@@ -347,7 +470,7 @@ class CsvWriter:
         shares = [starts[s * len(starts) // k : (s + 1) * len(starts) // k] for s in range(k)]
 
         def write_share(fd: int, share: Iterable[int]) -> None:
-            with open(fd, "w", newline="", closefd=False) as fh:
+            with open(fd, "wb", closefd=False) as fh:
                 fh.writelines(_format_block(block(i, min(i + CSV_BLOCK_ROWS, n))) for i in share)
 
         with writing(path):

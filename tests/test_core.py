@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motionsnn
@@ -492,3 +492,85 @@ def test_spike_record_round_trips_its_trains(trains):
     assert rec.spike_times == tuple(tuple(t * TIME_QUANTUM for t in train) for train in trains)
     rows = sorted((t, n) for n, train in enumerate(trains) for t in train)
     assert list(zip(rec.t.tolist(), rec.neuron.tolist())) == rows
+
+
+def _percent_block(columns):
+    """The per-value reference: `%d` or `%.9g` of each value, -0.0 as 0,
+    joined with "," and "\r\n"."""
+    fmts = ["%d" if c.dtype.kind in "iu" else "%.9g" for c in columns]
+    rows = zip(*(c.tolist() for c in columns))
+    cells = (",".join(f % (v + 0.0 if f == "%.9g" else v) for f, v in zip(fmts, row)) for row in rows)
+    return "".join(cell + "\r\n" for cell in cells).encode()
+
+
+def _ulps(v, k):
+    """v moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+_bit_floats = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+# up to 2 ulps either side of 10**k and of 9.9999999995 * 10**k, where the 9 digits carry into a new power
+_near_powers = st.builds(
+    lambda m, k, u: _ulps(float(f"{m}e{k}"), u),
+    st.sampled_from(["1", "9.9999999995"]), st.integers(-323, 307), st.integers(-2, 2),
+)
+# the doubles nearest to a decimal tie at the 10th significant digit, and their neighbours
+_near_ties = st.builds(
+    lambda b, x, u: _ulps(float(f"{b}5e{x - 9}"), u),
+    st.integers(10**8, 10**9 - 1), st.integers(-300, 300), st.integers(-1, 1),
+)
+# the fixed/exponent switches at x = -5/-4 and 8/9
+_switches = st.one_of(st.floats(5e-6, 2e-4), st.floats(5e7, 2e9))
+_float_values = st.one_of(
+    st.floats(width=64), _bit_floats, _near_powers, _near_ties, _switches,
+).flatmap(lambda v: st.sampled_from([v, -v]))
+_int_values = st.one_of(
+    st.integers(-(2**53 - 1), 2**53 - 1), st.integers(10**9 - 3, 10**9 + 3).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+_columns = st.lists(
+    st.one_of(
+        st.lists(_float_values, min_size=1, max_size=20).map(lambda vs: np.array(vs, dtype=np.float64)),
+        st.lists(_int_values, min_size=1, max_size=20).map(lambda vs: np.array(vs, dtype=np.int64)),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns, st.sampled_from([(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2.5, 0)]))
+def test_a_block_is_formatted_as_percent_formats_each_value(columns, rows):
+    # a block of one or two rows, or of passes + extra rows across the
+    # per-pass chunk boundary
+    passes, extra = rows
+    n = int(passes * (core._CSV_PASS // len(columns))) + extra
+    block = [np.resize(c, n) for c in columns]
+    assert core._format_block(block) == _percent_block(block)
+
+
+# One or more values for each case `_format_block` leaves to `%`.
+_LEFT_TO_PERCENT = {
+    "not finite": [math.nan, math.inf, -math.inf],
+    "below 1e-300 in magnitude": [9.99e-301, -2.5e-308, 5e-324],
+    # scaled, these lie within 2**-20 of a half and round the other way in float64
+    "near a decimal tie": [8.872909265e-73, 9.512271425e79, 9.901803385e-21, 9.139958325e216],
+    "an exact decimal tie, rounded half to even": [1234567885.0, 123456788.5, -98765432.25, 12345678850.0],
+    "at the bottom of the band": [1.0, 10.0, 1e-3, -1e100, 100000000.4, _ulps(1e5, -1)],
+    "at the top of the band, where the digits carry": [9.999999995e5, 999999998.7, -9.9999999996e-7, 9.9999999999e299],
+}
+
+
+@pytest.mark.parametrize("case", _LEFT_TO_PERCENT)
+def test_each_value_left_to_percent_is_formatted_by_it(case):
+    values = np.array(_LEFT_TO_PERCENT[case])
+    columns = [values, values[::-1].copy(), np.arange(len(values))]
+    assert core._format_block(columns) == _percent_block(columns)
+
+
+def test_an_integer_column_from_1e9_on_is_formatted_by_percent_d():
+    ints = np.array([10**9 - 1, 10**9, -(10**9), 1234567890, 2**53 - 1, -(2**53 - 1)])
+    floats = ints.astype(np.float64)
+    text = core._format_block([ints, floats]).decode()
+    assert text.splitlines()[1] == "1000000000,1e+09"
+    assert core._format_block([ints, floats]) == _percent_block([ints, floats])
