@@ -7,6 +7,7 @@ velocity-derived ideal response channel by channel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -73,8 +74,8 @@ class RateGrid:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ConfigError("grid dt must be positive")
-        if self.n < 1:
-            raise ConfigError("grid needs at least one sample")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ConfigError(f"grid needs a whole number of samples >= 1, got {self.n!r}")
 
     def time(self, k):
         """The time of sample k, or of each sample index in an int array k."""
@@ -162,11 +163,6 @@ def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> Rat
     return RateSeries(grid.t0, grid.dt, values)
 
 
-# The velocity component each pair of AXES reads, and each channel's sign:
-# UP +dy/dt, DOWN -dy/dt, LEFT -dx/dt, RIGHT +dx/dt.
-_AXIS_SIGNS = (("y", 1.0, -1.0), ("x", -1.0, 1.0))
-
-
 def _ideal_axes(traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int, k1: int | None = None) -> Iterator:
     """The ideal detector one axis of motion at a time, in AXES order (y, then
     x), as (u, f_max / 2, the axis's two channels with their signs): u is the
@@ -178,12 +174,14 @@ def _ideal_axes(traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int, k1: 
     it is: half * |1 +- 0| is half, bit for bit."""
     if not (f_max_hz > 0.0 and math.isfinite(f_max_hz)):
         raise ConfigError("f_max_hz must be positive")
-    bound = dict(zip("xy", traj.speed_bound()))
-    for (first, second), (axis, s1, s2) in zip(AXES, _AXIS_SIGNS):
-        u = traj.velocity(axis, grid.axis(k0, k1))
-        if bound[axis] != 0.0:
-            u /= bound[axis]
-        yield u, f_max_hz / 2.0, ((first, s1), (second, s2))
+    bound = traj.speed_bound()
+    for pair in AXES:
+        # i: the axis the pair's steps move along; each step's sign on it is its channel's
+        i = 0 if pair[0].step[0] else 1
+        u = traj.velocity("xy"[i], grid.axis(k0, k1))
+        if bound[i] != 0.0:
+            u /= bound[i]
+        yield u, f_max_hz / 2.0, tuple((d, float(d.step[i])) for d in pair)
 
 
 def _write_curve(u: np.ndarray, sign: float, half: float, out: np.ndarray) -> np.ndarray:

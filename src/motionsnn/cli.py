@@ -28,7 +28,6 @@ from .core import (
     DIRECTION_ORDER,
     DomainError,
     NumericFault,
-    fmt_float,
     write_events_csv,
     write_spikes_csv,
     writing,
@@ -205,7 +204,7 @@ def _write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
                     r.variant,
                     # also .17g: resume recomputes norms from this column
                     format(r.s_acc, ".17g") if r.s_acc is not None else "",
-                    fmt_float(norm) if norm is not None else "",
+                    format(norm + 0.0, ".9g") if norm is not None else "",  # -0.0 as 0
                     r.status,
                 ]
             )

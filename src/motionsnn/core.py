@@ -58,6 +58,11 @@ class Direction(Enum):
     def opposite(self) -> "Direction":
         return next(b if a is self else a for a, b in AXES if self in (a, b))
 
+    @property
+    def step(self) -> tuple[int, int]:
+        """The one-pixel (dx, dy) of motion this way, with y up."""
+        return {"up": (0, 1), "down": (0, -1), "left": (-1, 0), "right": (1, 0)}[self.value]
+
 
 # The two axes of motion as opposite pairs, in the order the lateral
 # inhibition is wired and the pooled spectra are taken.
@@ -197,13 +202,6 @@ class RateSeries:
             and self.dt == other.dt
             and len(self.values) == len(other.values)
         )
-
-
-def fmt_float(v: float) -> str:
-    """Canonical float formatting for exports: 9 significant digits."""
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return format(v, ".9g")
 
 
 CSV_BLOCK_ROWS = 4096
@@ -435,9 +433,9 @@ def _usable_cpus() -> int:
 
 class CsvWriter:
     """A table of `n` rows written to `path` as CSV, byte for byte what
-    `csv.writer` makes of the rows with each float passed through
-    `fmt_float`: integer columns print as `%d`, float columns as `%.9g`,
-    lines end in CRLF. `block(i, j)` returns the equal-length columns of rows
+    `csv.writer` makes of the rows with integer columns printed as `%d` and
+    float columns as `'%.9g' % (v + 0.0)`, which writes -0.0 as 0; lines end
+    in CRLF. `block(i, j)` returns the equal-length columns of rows
     i .. j - 1, at most CSV_BLOCK_ROWS of them, stacked as float64, so
     integer values must stay below 2**53 in magnitude (ids and pixel
     coordinates do). Each block is made and formatted in turn, so neither the

@@ -6,6 +6,7 @@ provides the frequency sweep used to map the responsive band.
 from __future__ import annotations
 
 import math
+import numbers
 import pickle
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -248,6 +249,8 @@ def frequency_sweep(
     variant order and then frequency. A repeated frequency or variant label
     is one point (the first variant with a label wins); a point found in
     `precomputed` is reused instead of run."""
+    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+        raise ConfigError(f"jobs must be a whole number >= 1, got {jobs!r}")
     by_label: dict[str, SweepVariant] = {}
     for v in variants if variants is not None else default_sweep_variants():
         by_label.setdefault(v.label, v)

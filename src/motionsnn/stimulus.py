@@ -80,7 +80,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CircleTrajectory(Trajectory):
-    """Counterclockwise circle starting at the leftmost point moving upward:
+    """Clockwise circle (y up) starting at the leftmost point moving upward,
+    so left, top, right and bottom at t = 0, P/4, P/2 and 3P/4:
     x = cx - r cos(2 pi f t), y = cy + r sin(2 pi f t)."""
 
     cx: float = 4.5
@@ -298,7 +299,6 @@ def generate_events(
     traj: Trajectory,
     mode: EmitMode | str = EmitMode.ONSET,
     samples_per_pixel: float = 8.0,
-    oversample: int = 1,
 ) -> EventStream:
     """Encode a trajectory as stimulus events.
 
@@ -310,23 +310,23 @@ def generate_events(
     At t = 0 and, in footprint mode, at every change, all 9 covered pixels
     emit; in onset mode only pixels that just became covered emit.
     """
-    mode = EmitMode(mode)
-    if oversample < 1:
-        raise ConfigError("oversample must be >= 1")
+    try:
+        mode = EmitMode(mode)
+    except ValueError:
+        raise ConfigError(f"unknown mode {mode!r}: one of {', '.join(m.value for m in EmitMode)}") from None
     if not (samples_per_pixel > 0.0 and math.isfinite(samples_per_pixel)):
         raise ConfigError("samples_per_pixel must be positive and finite")
 
     vx_max, vy_max = traj.speed_bound()
     vmax = max(vx_max, vy_max)
     scan = traj.t_end * vmax * samples_per_pixel
-    if not scan * oversample <= MAX_SAMPLES:
+    if not scan <= MAX_SAMPLES:
         raise ConfigError(
-            f"the trajectory scan needs {scan * oversample:.3g} samples, over the "
+            f"the trajectory scan needs {scan:.3g} samples, over the "
             f"limit of {MAX_SAMPLES:.0e}: lower samples_per_pixel, t_end_s or the speed"
         )
     n = max(16, int(math.ceil(scan)))
     n += n % 2  # even count keeps shared midpoints across scan densities
-    n *= oversample
 
     ts = (np.arange(n + 1, dtype=np.float64) * traj.t_end) / n if traj.t_end > 0 else np.zeros(1)
     ts[-1] = traj.t_end  # n * t_end / n can round one ulp past the path's end

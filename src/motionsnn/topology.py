@@ -24,16 +24,10 @@ from .core import (
     TIME_QUANTUM,
 )
 
-# The pixels of a cell in input id order, each at its offset from the center
-# (y increases upward). A position in the cell is a Direction, or None for
-# the center.
-CELL_PIXELS: dict[Direction | None, tuple[int, int]] = {
-    None: (0, 0),
-    Direction.UP: (0, 1),
-    Direction.DOWN: (0, -1),
-    Direction.LEFT: (-1, 0),
-    Direction.RIGHT: (1, 0),
-}
+# The pixels of a cell in input id order, each at its offset from the center:
+# the center, then one step each way in DIRECTION_ORDER. A position in the
+# cell is a Direction, or None for the center.
+CELL_PIXELS: dict[Direction | None, tuple[int, int]] = {None: (0, 0), **{d: d.step for d in DIRECTION_ORDER}}
 
 
 class Layer(Enum):

@@ -478,9 +478,7 @@ def _locate_changes(traj, lo: int, hi: int, p_lo, p_hi, out) -> None:
         _locate_changes(traj, mid, hi, pm, p_hi, out)
 
 
-def reference_events(
-    traj, mode=EmitMode.ONSET, samples_per_pixel: float = 8.0, oversample: int = 1
-) -> tuple[Event, ...]:
+def reference_events(traj, mode=EmitMode.ONSET, samples_per_pixel: float = 8.0) -> tuple[Event, ...]:
     """The event encoder one change at a time: the same dense scan, then a
     recursive bisection of each moved scan step in nanosecond ticks, each
     probe one scalar `Trajectory.position` call. Scan steps are taken in
@@ -490,7 +488,6 @@ def reference_events(
     vmax = max(traj.speed_bound())
     n = max(16, int(math.ceil(traj.t_end * vmax * samples_per_pixel)))
     n += n % 2
-    n *= oversample
     ts = (np.arange(n + 1, dtype=np.float64) * traj.t_end) / n if traj.t_end > 0 else np.zeros(1)
     ts[-1] = traj.t_end  # the path ends at t_end, which n * t_end / n can pass by one ulp
     xs, ys = traj.positions(ts)

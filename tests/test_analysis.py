@@ -328,8 +328,10 @@ def test_rate_grid_holds_no_time_axis():
     assert grid == RateGrid(1.0, 0.5, 3) and grid != RateGrid(1.0, 0.5, 4)
     with pytest.raises(ConfigError):
         RateGrid(0.0, 0.0, 3)
-    with pytest.raises(ConfigError):
-        RateGrid(0.0, 1e-3, 0)
+    for n in (0, -1, 2.5, float("nan"), 3.0):
+        with pytest.raises(ConfigError, match="whole number of samples"):
+            RateGrid(0.0, 1e-3, n)
+    assert RateGrid(0.0, 1e-3, np.int64(3)).n == 3
 
 
 @settings(max_examples=300, deadline=None)

@@ -24,7 +24,6 @@ from motionsnn.core import (
     CSV_BLOCK_ROWS,
     DIRECTION_ORDER,
     RateSeries,
-    fmt_float,
 )
 
 from oracles import grid_times
@@ -158,9 +157,9 @@ def _reference_rates_csv(path, ev):
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, t in enumerate(grid_times(ev.grid)):
-            row = [fmt_float(float(t))]
-            row += [fmt_float(float(ev.measured[d].values[i])) for d in DIRECTION_ORDER]
-            row += [fmt_float(float(ev.ideal[d].values[i])) for d in DIRECTION_ORDER]
+            row = ["%.9g" % (float(t) + 0.0)]
+            row += ["%.9g" % (float(ev.measured[d].values[i]) + 0.0) for d in DIRECTION_ORDER]
+            row += ["%.9g" % (float(ev.ideal[d].values[i]) + 0.0) for d in DIRECTION_ORDER]
             writer.writerow(row)
 
 

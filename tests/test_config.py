@@ -210,6 +210,48 @@ def test_package_defines_no_public_api_it_never_uses():
     assert uncalled == set(UNCALLED_PUBLIC_API)
 
 
+UNPASSED_PARAMETERS = {
+    "main(argv)": "the console script and `python -m motionsnn` call main(); the tests pass argv",
+}
+
+
+def test_package_defines_no_parameter_it_never_passes():
+    """Every defaulted parameter of every function and method in the package
+    is passed, by position or by keyword, by some call of that name inside
+    the package, unless UNPASSED_PARAMETERS says why not. A call `C(...)`
+    counts for `C.__init__`; a `*args` or `**kwargs` argument passes every
+    parameter it could fill."""
+    src = Path(__file__).resolve().parents[1] / "src" / "motionsnn"
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        calls.setdefault(name, []).append(node)
+    methods = {
+        id(item): cls
+        for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body if isinstance(item, ast.FunctionDef)
+    }
+    unpassed = set()
+    for fn in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        cls = methods.get(id(fn))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][1 if cls and not static else 0:]
+        defaulted = list(enumerate(positional))[len(positional) - len(fn.args.defaults):]
+        defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        called = cls.name if cls and fn.name == "__init__" else fn.name
+        qualname = f"{cls.name}.{fn.name}" if cls and fn.name != "__init__" else called
+        for i, param in defaulted:
+            if not any(
+                any(k.arg in (param, None) for k in call.keywords)
+                or (i is not None and (
+                    len(call.args) > i or any(isinstance(a, ast.Starred) for a in call.args)))
+                for call in calls.get(called, [])
+            ):
+                unpassed.add(f"{qualname}({param})")
+    assert unpassed == set(UNPASSED_PARAMETERS)
+
+
 def test_network_param_overrides_are_applied():
     cfg = RunConfig(network={"output_v_th": 1.8, "w_lateral": 0.7})
     params = build_network_params(cfg)

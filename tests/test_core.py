@@ -34,7 +34,6 @@ from motionsnn.core import (
     TIME_QUANTUM,
     CsvWriter,
     Parts,
-    fmt_float,
     write_events_csv,
     write_spikes_csv,
 )
@@ -217,13 +216,6 @@ def test_rate_series_grid():
         RateSeries(0.0, 0.5, [[1.0, 2.0]])
 
 
-def test_fmt_float():
-    assert fmt_float(-0.0) == "0"
-    assert fmt_float(2.0) == "2"
-    assert fmt_float(0.15) == "0.15"
-    assert fmt_float(1.0 / 3.0) == "0.333333333"
-
-
 def test_events_csv_round_trip(tmp_path):
     evs = [Event(1, 2, 0.0), Event(2, 2, 0.000123457), Event(4, 0, 0.5)]
     stream = event_stream(evs, 5, 5)
@@ -259,7 +251,7 @@ def _reference_spikes_csv(rec, path):
         writer.writerow(["neuron_id", "t_s"])
         rows = sorted((t, n) for n, train in enumerate(rec.spike_times) for t in train)
         for t, n in rows:
-            writer.writerow([n, fmt_float(t)])
+            writer.writerow([n, "%.9g" % (t + 0.0)])
 
 
 def _random_stream(rng, n):
@@ -273,7 +265,7 @@ def _reference_events_csv(stream, path):
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "t_s"])
         for ev in stream.events:
-            writer.writerow([ev.x, ev.y, fmt_float(ev.t)])
+            writer.writerow([ev.x, ev.y, "%.9g" % (ev.t + 0.0)])
 
 
 def test_spikes_and_events_csv_match_the_row_by_row_writer(tmp_path):
@@ -356,7 +348,7 @@ def test_csv_writer_asks_for_each_block_once_in_order(tmp_path, usable_cpus, no_
         assert calls == [(i, min(i + CSV_BLOCK_ROWS, n)) for i in range(0, n, CSV_BLOCK_ROWS)]
         lines = (tmp_path / "t.csv").read_bytes().split(b"\r\n")
         assert lines[0] == b"i,v" and lines[-1] == b""
-        assert lines[1:-1] == [f"{i},{fmt_float(i * 0.5)}".encode() for i in range(n)]
+        assert lines[1:-1] == [("%d,%.9g" % (i, i * 0.5 + 0.0)).encode() for i in range(n)]
 
 
 @pytest.mark.parametrize("error, reason", [

@@ -11,6 +11,7 @@ import pytest
 
 from motionsnn import (
     DIRECTION_ORDER,
+    ConfigError,
     Direction,
     DomainError,
     FilterParams,
@@ -123,6 +124,15 @@ def test_a_nan_frequency_gets_the_row_its_own_task_scored():
         assert [r.variant for r in rows] == ["n1", "n5"]
         assert all(math.isnan(r.freq_hz) for r in rows)
         assert {r.status for r in rows} == {"error: freq_hz must be positive"}
+
+
+def test_a_bad_jobs_count_is_refused_before_any_task_is_built(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "sweep_config", lambda *args: calls.append(args))
+    for jobs in (0, -3, 2.5):
+        with pytest.raises(ConfigError, match=f"^jobs must be a whole number >= 1, got {jobs}$"):
+            experiment.frequency_sweep(RunConfig(), (0.2, 0.3), jobs=jobs)
+    assert calls == []
 
 
 def test_sweep_returns_one_row_per_requested_point(monkeypatch):

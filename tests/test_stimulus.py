@@ -49,17 +49,19 @@ def test_round_half_up():
 
 
 def test_circle_quarter_period_positions():
-    # starts at the left edge of the orbit and goes up first
-    traj = CircleTrajectory(field_width=10, field_height=11, t_end=1.0,
-                            radius=3.0, freq_hz=1.0)
-    for t, (ex, ey) in [
-        (0.0, (1.5, 5.0)),
-        (0.25, (4.5, 8.0)),
-        (0.5, (7.5, 5.0)),
-        (0.75, (4.5, 2.0)),
-    ]:
-        x, y = traj.position(t)
-        assert (x, y) == pytest.approx((ex, ey), abs=1e-12)
+    # starts at the left edge of the orbit and goes up first, so with y up it
+    # runs clockwise: left, top, right, bottom at t = 0, P/4, P/2 and 3P/4,
+    # which is why the phase-lag chain runs RIGHT -> DOWN -> LEFT -> UP
+    for traj in (
+        CircleTrajectory(field_width=10, field_height=11, t_end=1.0, radius=3.0, freq_hz=1.0),
+        build_trajectory(RunConfig()),
+    ):
+        points = [traj.position(k * traj.period_s / 4.0) for k in range(4)]
+        for (x, y), expected in zip(points, [(1.5, 5.0), (4.5, 8.0), (7.5, 5.0), (4.5, 2.0)]):
+            assert (x, y) == pytest.approx(expected, abs=1e-12)
+        # the signed (shoelace) area of a clockwise loop is negative
+        area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])) / 2.0
+        assert area == pytest.approx(-18.0)
 
 
 def velocity_at(traj, t):
@@ -228,7 +230,7 @@ def test_a_change_is_stamped_with_its_first_tick():
     traj = CircleTrajectory(field_width=10, field_height=11, t_end=40.0, freq_hz=0.1)
     for tick, column in ((7_499_999_999, 5), (7_500_000_000, 4)):
         assert round_half_up(traj.position(tick * TIME_QUANTUM)[0]) == column
-    for scan in ({}, {"oversample": 4}, {"samples_per_pixel": 8.48}):
+    for scan in ({}, {"samples_per_pixel": 16.96}, {"samples_per_pixel": 8.48}):
         ticks = set(generate_events(traj, **scan).t.tolist())
         assert 7_500_000_000 in ticks
         assert 7_500_000_001 not in ticks
@@ -269,8 +271,8 @@ def test_changes_sharing_a_tick_keep_their_scan_order():
 def test_oversampling_leaves_the_stream_unchanged(factor):
     traj = CircleTrajectory(field_width=10, field_height=11, t_end=10.0 / 3.0,
                             radius=3.0, freq_hz=0.3)
-    base = generate_events(traj, oversample=1)
-    dense = generate_events(traj, oversample=factor)
+    base = generate_events(traj, samples_per_pixel=8.0)
+    dense = generate_events(traj, samples_per_pixel=8.0 * factor)
     assert base.events == dense.events
 
 
@@ -314,11 +316,12 @@ def test_the_stream_does_not_depend_on_the_scan_density():
 
 def test_generate_events_validation():
     with pytest.raises(ConfigError):
-        generate_events(TRAJECTORIES[0], oversample=0)
-    with pytest.raises(ConfigError):
         generate_events(TRAJECTORIES[0], samples_per_pixel=0.0)
-    with pytest.raises(ValueError):
+    # a ConfigError, which is also a ValueError, naming the modes
+    with pytest.raises(ValueError, match="^unknown mode 'both': one of onset, footprint$"):
         generate_events(TRAJECTORIES[0], mode="both")
+    with pytest.raises(ConfigError):
+        generate_events(TRAJECTORIES[0], mode=None)
     # 1e10 s is more 1 ns ticks than an int64 holds; a still object needs none
     slow = dict(field_width=10, field_height=11, t_end=1e10, x0=1.5, y0=5.0, vy=0.0)
     with pytest.raises(DomainError, match="1 ns clock"):
@@ -366,10 +369,10 @@ def trajectories(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(trajectories(), st.sampled_from(["onset", "footprint"]), st.sampled_from([1, 3]))
-def test_encoder_matches_the_change_by_change_reference(traj, mode, oversample):
+@given(trajectories(), st.sampled_from(["onset", "footprint"]), st.sampled_from([8.0, 24.0]))
+def test_encoder_matches_the_change_by_change_reference(traj, mode, samples_per_pixel):
     # The vectorised bisection probes many instants per positions() call;
     # the reference probes one per position() call. Equal streams also mean
     # the two calls agree bit for bit.
-    stream = generate_events(traj, mode=mode, oversample=oversample)
-    assert stream.events == reference_events(traj, mode=mode, oversample=oversample)
+    stream = generate_events(traj, mode=mode, samples_per_pixel=samples_per_pixel)
+    assert stream.events == reference_events(traj, mode=mode, samples_per_pixel=samples_per_pixel)

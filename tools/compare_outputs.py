@@ -6,12 +6,15 @@ Runs the seed-0 configs of `perfbench/workloads.py` through the
 `motionsnn` command line twice: once with the working tree's `src/`, once
 with the `src/` of REV, extracted with `git archive` into a temporary
 directory (the repository's own state is not touched). Then it compares
-18 files byte for byte:
+21 files byte for byte:
 
 - `spikes.csv`, `rates.csv` and `summary.json` of `default-run`,
-  `long-window` and `large-field`, and of `eight`: the default run with
+  `long-window` and `large-field`; of `eight`: the default run with
   the figure-eight path in its default geometry, the one path whose x and
-  y speed bounds differ and whose pooled LR bin differs from the UD one
+  y speed bounds differ and whose pooled LR bin differs from the UD one;
+  and of `waypoints`: the default run on a zigzag of waypoints whose y axis
+  never moves, so UP and DOWN hold f_max / 2, and whose knots lie off the
+  rounding boundaries, so its events do not depend on the scan density
 - `events.csv` of `default-run` and `large-field`
 - `sweep.csv` of the default sweep
 - `topo` of `default-run`, `large-field` and the default run with the
@@ -22,7 +25,7 @@ come the number of rows that differ and the first differing pair. Then
 each command's peak RSS, as `wait4` reports it for the process and the
 children it reaped, is listed at REV, in the tree and their difference, in
 MB: one run each, so a difference under about 0.5 MB may be noise. Exit 0
-when all 18 files are identical, 1 when any differs or a command fails, 2
+when all 21 files are identical, 1 when any differs or a command fails, 2
 on a bad REV.
 """
 from __future__ import annotations
@@ -41,7 +44,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads as wl  # noqa: E402
 
-RUNS = ("default-run", "long-window", "large-field", "eight")
+RUNS = ("default-run", "long-window", "large-field", "eight", "waypoints")
+WAYPOINTS = [[0, 2, 5], [4, 7, 5], [8, 2, 5], [12, 7, 5]]
 EVENTS = ("default-run", "large-field")
 
 
@@ -50,6 +54,7 @@ def _commands() -> list[tuple[str, dict, list[str]]]:
     cfg = {name: wl.make_config(wl.WORKLOADS[name], 0) for name in wl.WORKLOADS}
     freq = cfg["default-run"]["trajectory"]["freq_hz"]
     cfg["eight"] = dict(cfg["default-run"], trajectory={"kind": "eight", "freq_hz": freq})
+    cfg["waypoints"] = dict(cfg["default-run"], trajectory={"kind": "waypoints", "points": WAYPOINTS})
     n5 = dict(cfg["default-run"], n_per_dir=5, output_taus_s=list(wl.SWEEP_VARIANTS[1][1]))
     sweep = wl.WORKLOADS["sweep"]
     out = [(f"{name}/", cfg[name], ["run", "-c", "{cfg}", "-d", "{out}"]) for name in RUNS]
