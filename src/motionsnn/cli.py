@@ -42,13 +42,11 @@ from .experiment import (
     spectral_summary,
 )
 
-CONFIG_ENV = "MOTIONSNN_CONFIG"
 SWEEP_HEADER = ["freq_hz", "variant", "s_acc", "s_acc_norm", "status"]
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    path = args.config or os.environ.get(CONFIG_ENV)
-    data = (RunConfig.from_json_file(path) if path else RunConfig()).to_dict()
+    data = (RunConfig.from_json_file(args.config) if args.config else RunConfig()).to_dict()
     if args.set:
         data = apply_overrides(data, args.set)
     return RunConfig.from_dict(data)
@@ -244,11 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--config",
-            "-c",
-            help=f"JSON config file (default: ${CONFIG_ENV} if set, else built-ins)",
-        )
+        p.add_argument("--config", "-c", help="JSON config file (default: built-ins)")
         p.add_argument(
             "--set",
             action="append",

@@ -51,6 +51,27 @@ def _number(name: str, value: Any) -> float:
     return float(value)
 
 
+def _trajectory_args(trajectory: Mapping[str, Any]) -> tuple[type[Trajectory], dict[str, Any]]:
+    """The trajectory object's class and its keyword arguments: each number
+    as a float, and `points` as (t, x, y) tuples."""
+    kind = trajectory.get("kind")
+    if not isinstance(kind, str) or kind not in _TRAJECTORY_KINDS:
+        raise ConfigError(f"unknown trajectory kind {kind!r}")
+    cls = _TRAJECTORY_KINDS[kind]
+    extra = set(trajectory) - {"kind"} - ({f.name for f in dataclasses.fields(cls)} - _BASE_FIELDS)
+    if extra:
+        raise ConfigError(f"unknown trajectory keys: {sorted(extra)}")
+    params = {k: _number(f"trajectory.{k}", v) for k, v in trajectory.items() if k not in ("kind", "points")}
+    if "points" in trajectory:
+        points = trajectory["points"]
+        if not isinstance(points, list | tuple) or not all(
+            isinstance(p, list | tuple) and len(p) == 3 for p in points
+        ):
+            raise ConfigError("each waypoint must be [t, x, y]")
+        params["points"] = tuple(tuple(_number("trajectory.points", v) for v in p) for p in points)
+    return cls, params
+
+
 @dataclass(frozen=True)
 class RunConfig:
     schema_version: int = SCHEMA_VERSION
@@ -67,6 +88,15 @@ class RunConfig:
     network: dict = field(default_factory=dict)  # NetworkParams overrides
 
     def __post_init__(self) -> None:
+        # The one check of a config, however it is made: copy the tables and
+        # make their numbers floats, then check the rest.
+        for key, types in (("output_taus_s", (list, tuple)), ("trajectory", dict), ("network", dict)):
+            if not isinstance(getattr(self, key), types):
+                raise ConfigError(f"{key} has the wrong type: {getattr(self, key)!r}")
+        taus = tuple(_number("output_taus_s", v) for v in self.output_taus_s)
+        object.__setattr__(self, "output_taus_s", taus)
+        object.__setattr__(self, "trajectory", dict(self.trajectory))
+        object.__setattr__(self, "network", {k: _number(f"network.{k}", v) for k, v in self.network.items()})
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
         # exact types: a bool is no size or version, and the string "false" is truthy
@@ -77,23 +107,7 @@ class RunConfig:
         _number("samples_per_pixel", self.samples_per_pixel)
         if self.field_width < 1 or self.field_height < 1:
             raise ConfigError("field dimensions must be positive")
-        kind = self.trajectory.get("kind")
-        if not isinstance(kind, str) or kind not in _TRAJECTORY_KINDS:
-            raise ConfigError(f"unknown trajectory kind {kind!r}")
-        fields = dataclasses.fields(_TRAJECTORY_KINDS[kind])
-        extra = set(self.trajectory) - {"kind"} - ({f.name for f in fields} - _BASE_FIELDS)
-        if extra:
-            raise ConfigError(f"unknown trajectory keys: {sorted(extra)}")
-        numbers = [(k, v) for k, v in self.trajectory.items() if k != "kind"]
-        if kind == "waypoints":
-            points = self.trajectory.get("points") or []
-            if not isinstance(points, list | tuple) or not all(
-                isinstance(p, list | tuple) and len(p) == 3 for p in points
-            ):
-                raise ConfigError("each waypoint must be [t, x, y]")
-            numbers = [("points", v) for p in points for v in p]
-        for key, value in numbers:
-            _number(f"trajectory.{key}", value)
+        _trajectory_args(self.trajectory)
         if self.encoding not in [m.value for m in EmitMode]:
             raise ConfigError(f"unknown encoding {self.encoding!r}")
         if self.n_per_dir < 1:
@@ -111,21 +125,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key, types in (("output_taus_s", (list, tuple)), ("trajectory", dict), ("network", dict)):
-            if key in kwargs and not isinstance(kwargs[key], types):
-                raise ConfigError(f"{key} has the wrong type: {kwargs[key]!r}")
-        if "output_taus_s" in kwargs:
-            kwargs["output_taus_s"] = tuple(_number("output_taus_s", v) for v in kwargs["output_taus_s"])
-        if "trajectory" in kwargs:
-            kwargs["trajectory"] = dict(kwargs["trajectory"])
-        if "network" in kwargs:
-            kwargs["network"] = {k: _number(f"network.{k}", v) for k, v in kwargs["network"].items()}
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -153,17 +156,14 @@ def build_trajectory(cfg: RunConfig) -> Trajectory:
     runs for the settling stretch the scoring window skips
     (`analysis.transient_s`) plus three full periods; a waypoint path always
     ends at its last waypoint; other kinds require t_end_s."""
-    kind = cfg.trajectory["kind"]
-    params = {k: float(v) for k, v in cfg.trajectory.items() if k not in ("kind", "points")}
-    if "points" in cfg.trajectory:
-        params["points"] = tuple(tuple(float(v) for v in p) for p in cfg.trajectory["points"])
+    cls, params = _trajectory_args(cfg.trajectory)
     t_end = cfg.t_end_s if cfg.t_end_s is not None else 0.0
-    traj = _TRAJECTORY_KINDS[kind](cfg.field_width, cfg.field_height, t_end, **params)
-    if cfg.t_end_s is not None or kind == "waypoints":
+    traj = cls(cfg.field_width, cfg.field_height, t_end, **params)
+    if cfg.t_end_s is not None or cls is WaypointTrajectory:
         return traj
     period = traj.period_s
     if period is None:
-        raise ConfigError(f"t_end_s is required for trajectory kind {kind!r}")
+        raise ConfigError(f"t_end_s is required for trajectory kind {cfg.trajectory['kind']!r}")
     fp = FilterParams.from_output_taus(cfg.output_taus_s)
     return dataclasses.replace(traj, t_end=transient_s(fp, period) + 3.0 * period)
 
@@ -188,7 +188,7 @@ def build_network(cfg: RunConfig, layout: CellLayout | None = None) -> NetworkGr
 def build_stimulus(cfg: RunConfig, traj: Trajectory | None = None) -> EventStream:
     return generate_events(
         traj if traj is not None else build_trajectory(cfg),
-        mode=EmitMode(cfg.encoding),
+        mode=cfg.encoding,
         samples_per_pixel=cfg.samples_per_pixel,
     )
 

@@ -17,7 +17,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -236,9 +236,6 @@ def writing(path: str) -> Iterator[None]:
 # significant digits) masks them: 0xFF where a digit shows, 0 where it is a
 # trailing zero, and the sign, prefix, point and "e" elsewhere.
 _X = np.arange(-324, 309)  # floor(log10 |v|) of every finite nonzero double
-# 10**(8 - x), each power correctly rounded; capped at 1e308, so every value
-# below 1e-300 in magnitude scales to below 1e8 and is formatted by %
-_SCALE = np.array(["1e%d" % (8 - x) for x in _X.tolist()], dtype=np.float64).clip(max=1e308)
 _CSV_PASS = 8192  # values formatted per pass, so the work arrays stay in cache
 
 
@@ -247,12 +244,16 @@ def _words(slots: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(slots, dtype=np.uint8).view("<u8").T.copy()
 
 
+@cache
 def _slot_tables() -> tuple[np.ndarray, ...]:
-    """The digit words of a 3-digit group n at each group place, (3, 4,
-    1000); the significant digits of D up to and including group place g
-    when that group is n, (3, 1000), 0 when n is 0; the pattern words of
-    each (sign, notation, significant digits), (4, 280); the pattern index
-    of each decimal exponent x, (x + 4) * 10 for fixed notation (x in -4 ..
+    """The formatter's tables, built by the first CSV writer, not at import:
+    10**(8 - x) for each decimal exponent x, each power correctly rounded and
+    capped at 1e308, so every value below 1e-300 in magnitude scales to below
+    1e8 and is formatted by %; the digit words of a 3-digit group n at each
+    group place, (3, 4, 1000); the significant digits of D up to and
+    including group place g when that group is n, (3, 1000), 0 when n is 0;
+    the pattern words of each (sign, notation, significant digits), (4, 280);
+    the pattern index of each x, (x + 4) * 10 for fixed notation (x in -4 ..
     8) and 130 for exponent notation; and the exponent word of each x."""
     n = np.arange(1000)
     digits = np.full((3, 1000, 32), 0xFF, dtype=np.uint8)
@@ -286,16 +287,15 @@ def _slot_tables() -> tuple[np.ndarray, ...]:
     exponent[:, 27] = np.where(big, e % 10 + ord("0"), 0)
     exponent[fixed_x] = 0
     place = np.where(fixed_x, (_X + 4) * 10, 130)
-    return np.stack([_words(d) for d in digits]), keep, patterns, place, _words(exponent)[3]
-
-
-_DIGITS, _KEEP, _PATTERNS, _PLACE, _EXPONENT = _slot_tables()
+    scale = np.array(["1e%d" % (8 - x) for x in _X.tolist()], dtype=np.float64).clip(max=1e308)
+    return scale, np.stack([_words(d) for d in digits]), keep, patterns, place, _words(exponent)[3]
 
 
 def _format_block(columns: Sequence[np.ndarray]) -> bytes:
     """Equal-length columns as the bytes of CSV rows, each value as `%d`
     formats it for an integer column and as `%.9g` for a float one, with
     -0.0 as 0; see CsvWriter for the method and the values % formats."""
+    scale, digits, keep, patterns, place, exponent = _slot_tables()
     ints = [c.dtype.kind in "iu" for c in columns]
     m = len(columns)
     block = np.column_stack(columns).astype(np.float64, copy=False)
@@ -311,7 +311,7 @@ def _format_block(columns: Sequence[np.ndarray]) -> bytes:
         a[zero | ~finite] = 1.0
         x = np.floor(np.log10(a)).astype(np.intp)
         x -= _X[0]
-        s = a * _SCALE[x]
+        s = a * scale[x]
         d = np.rint(s)
         # below 1e9, s carries at most two roundings of 2**-53 each, so it lies within
         # 1e9 * 2**-52 < 2.3e-7 of |v| * 10**(8 - x): inside the band (1e8 + 0.5,
@@ -326,14 +326,14 @@ def _format_block(columns: Sequence[np.ndarray]) -> bytes:
         lo -= hi * 1000000
         mid = lo // 1000
         lo -= mid * 1000
-        idx = _PLACE[x]
-        idx += np.maximum(np.maximum(_KEEP[0][hi], _KEEP[1][mid]), _KEEP[2][lo])
+        idx = place[x]
+        idx += np.maximum(np.maximum(keep[0][hi], keep[1][mid]), keep[2][lo])
         idx += 140 * (v < 0)
         o = out[: len(v)]
-        o[..., 0] = _DIGITS[0, 0][hi] & _PATTERNS[0][idx]
-        o[..., 1] = _DIGITS[0, 1][hi] & _DIGITS[1, 1][mid] & _PATTERNS[1][idx]
-        o[..., 2] = _DIGITS[1, 2][mid] & _DIGITS[2, 2][lo] & _PATTERNS[2][idx]
-        o[..., 3] = _EXPONENT[x] | sep
+        o[..., 0] = digits[0, 0][hi] & patterns[0][idx]
+        o[..., 1] = digits[0, 1][hi] & digits[1, 1][mid] & patterns[1][idx]
+        o[..., 2] = digits[1, 2][mid] & digits[2, 2][lo] & patterns[2][idx]
+        o[..., 3] = exponent[x] | sep
         slot = o.view(np.uint8)
         for i, j in zip(*np.nonzero(fallback)):
             value = (("%d" if ints[j] else "%.9g") % v[i, j].item()).encode()
@@ -471,6 +471,7 @@ class CsvWriter:
             with open(fd, "wb", closefd=False) as fh:
                 fh.writelines(_format_block(block(i, min(i + CSV_BLOCK_ROWS, n))) for i in share)
 
+        _slot_tables()  # built before the part writers fork, so that they share one copy
         with writing(path):
             self._parts = Parts(write_share, shares, os.path.dirname(path) or os.curdir)
 

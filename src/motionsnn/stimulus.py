@@ -40,16 +40,10 @@ class Trajectory:
             raise ConfigError("t_end must be finite and >= 0")
         x_lo, x_hi, y_lo, y_hi = self.extent()
         # The 3x3 footprint around the rounded center must stay in-field.
-        if not (x_lo >= 0.5 and x_hi < self.field_width - 1.5):
-            raise DomainError(
-                f"x range [{x_lo}, {x_hi}] leaves the {self.field_width}x"
-                f"{self.field_height} field"
-            )
-        if not (y_lo >= 0.5 and y_hi < self.field_height - 1.5):
-            raise DomainError(
-                f"y range [{y_lo}, {y_hi}] leaves the {self.field_width}x"
-                f"{self.field_height} field"
-            )
+        for axis, lo, hi, size in (("x", x_lo, x_hi, self.field_width), ("y", y_lo, y_hi, self.field_height)):
+            if not (lo >= 0.5 and hi < size - 1.5):
+                field = f"{self.field_width}x{self.field_height}"
+                raise DomainError(f"{axis} range [{lo}, {hi}] leaves the {field} field")
 
     # Subclasses implement vectorized kinematics; scalar queries reuse them so
     # every caller sees bit-identical values.

@@ -64,10 +64,9 @@ def test_events_writes_csv(tmp_path, capsys):
     assert f"wrote {len(lines) - 1} events" in capsys.readouterr().out
 
 
-def test_a_trajectory_kind_is_switched_by_one_whole_object_override(tmp_path, capsys, monkeypatch):
+def test_a_trajectory_kind_is_switched_by_one_whole_object_override(tmp_path, capsys):
     # The README's command. A dotted `trajectory.kind` override keeps the
     # default circle's other keys, which a linear path does not take.
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     out = tmp_path / "ev.csv"
     linear = 'trajectory={"kind":"linear","x0":1.5,"y0":5,"vx":10,"vy":0}'
     assert main(["events", "--set", linear, "--set", "t_end_s=0.5", "-o", str(out)]) == 0
@@ -79,6 +78,13 @@ def test_a_trajectory_kind_is_switched_by_one_whole_object_override(tmp_path, ca
     assert main(["events", "--set", "trajectory.kind=linear", "--set", "t_end_s=0.5",
                  "-o", str(tmp_path / "dotted.csv")]) == 2
     assert capsys.readouterr().err == "config error: unknown trajectory keys: ['freq_hz']\n"
+
+
+@pytest.mark.parametrize("points", ["null", "0", "false"])
+def test_waypoints_that_are_not_a_list_exit_2(tmp_path, capsys, points):
+    trajectory = f'trajectory={{"kind":"waypoints","points":{points}}}'
+    assert main(["events", "--set", trajectory, "-o", str(tmp_path / "ev.csv")]) == 2
+    assert capsys.readouterr().err == "config error: each waypoint must be [t, x, y]\n"
 
 
 # sha256 of `motionsnn events` output, recorded from the encoder that built
@@ -100,8 +106,7 @@ EVENTS_GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(EVENTS_GOLDEN))
-def test_events_csv_matches_the_recorded_bytes(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+def test_events_csv_matches_the_recorded_bytes(name, tmp_path):
     overrides, digest = EVENTS_GOLDEN[name]
     out = tmp_path / "ev.csv"
     args = ["events", "-o", str(out)] + [a for item in overrides for a in ("--set", item)]
@@ -109,11 +114,12 @@ def test_events_csv_matches_the_recorded_bytes(name, tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_config_comes_from_the_environment(tmp_path, capsys, monkeypatch):
+def test_the_environment_names_no_config(tmp_path, capsys, monkeypatch):
+    # `-c` is the only way to name a config file
     monkeypatch.setenv("MOTIONSNN_CONFIG", write_cfg(tmp_path, {"field_width": 12}))
     assert main(["topo"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["field"]["width"] == 12
+    assert data["field"]["width"] == 10
 
 
 def test_run_writes_spikes_rates_and_summary(tmp_path, capsys):
@@ -137,8 +143,7 @@ def test_run_writes_spikes_rates_and_summary(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("s_acc=")
 
 
-def test_readme_run_without_a_config_file(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+def test_readme_run_without_a_config_file(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["run", "--set", "trajectory.freq_hz=0.3",
                "--set", "lateral_inhibition=false", "-d", str(out)])
@@ -232,7 +237,6 @@ def test_run_frees_the_ideal_curves_before_the_spectra(tmp_path, monkeypatch, us
     # the file spans more than one block, and nothing made for it is left
     # when the spectra allocate. Calls are logged to a file, so that the
     # children's calls are seen too.
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     log = tmp_path / "calls"
     made = []
     scored = [False]  # set once evaluate returns, so the scoring's axes are not logged
@@ -408,8 +412,7 @@ RESUME = ["sweep", "--freqs", "0.8", "--variants", "n1", "--resume"]
         "ok-row-nan-score", "unused-lateral-weight", "tau-of-no-cell",
         "resume-from-a-directory", "resume-not-utf8", "config-not-utf8",
         "config-is-a-directory", "topo-huge-field", "run-huge-field", "removed-pulse-width"])
-def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, args, out_file):
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+def test_malformed_input_exits_2(tmp_path, capsys, args, out_file):
     out = tmp_path / "out"
     if out_file is DIRECTORY:
         out.mkdir()
@@ -438,11 +441,10 @@ def test_the_benchmark_tracer_finds_its_hooks_and_counts_the_run(tmp_path):
     # name, and reports any it cannot find as absent
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     src = str(Path(motionsnn.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "MOTIONSNN_CONFIG"}
     trace, out = tmp_path / "trace.json", tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, str(spans), str(trace), "--", "run", "-d", str(out)],
-        env=dict(env, PYTHONPATH=src), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(trace.read_text())
@@ -467,10 +469,9 @@ def _pool_modules_after(code, *args):
     # runs `code` in a fresh interpreter and returns its stdout lines;
     # `code` calls pool_modules() to print the pool modules loaded so far
     src = str(Path(motionsnn.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "MOTIONSNN_CONFIG"}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, motionsnn.cli\n" + POOL_MODULES + code, *args],
-        env=dict(env, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
     return proc.stdout.splitlines()
 
@@ -511,9 +512,8 @@ def test_a_forked_sweep_loads_no_process_pool_module(tmp_path):
     (["topo", "--out", "{tmp}/missing/net.json"], "{tmp}/missing/net.json"),
 ], ids=["run-rates-is-a-directory", "events", "sweep", "topo"])
 def test_an_output_that_cannot_be_written_exits_2(
-    tmp_path, capsys, monkeypatch, usable_cpus, command, target
+    tmp_path, capsys, usable_cpus, command, target
 ):
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     usable_cpus(2)  # rates.csv of the default run is forked in parts
     (tmp_path / "out" / "rates.csv").mkdir(parents=True)
     target = target.format(tmp=tmp_path)
@@ -523,8 +523,7 @@ def test_an_output_that_cannot_be_written_exits_2(
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
 
 
-def test_a_failed_writer_child_exits_2(tmp_path, capsys, monkeypatch, usable_cpus, failing_children):
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
+def test_a_failed_writer_child_exits_2(tmp_path, capsys, usable_cpus, failing_children):
     usable_cpus(2)
     failing_children(OSError(errno.ENOSPC, "No space left on device"))
     out = tmp_path / "out"
@@ -536,7 +535,6 @@ def test_a_failed_writer_child_exits_2(tmp_path, capsys, monkeypatch, usable_cpu
 
 
 def test_a_failed_fork_exits_2(tmp_path, capsys, monkeypatch, usable_cpus, forks):
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     usable_cpus(2)  # rates.csv of the default run is forked in two parts
     fork = os.fork
 

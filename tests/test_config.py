@@ -71,6 +71,23 @@ def test_parameter_validation():
     RunConfig(network={"output_v_th": 1.8})
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"trajectory": None},
+    {"network": {"t_ref_s": "x"}},
+    {"output_taus_s": ("a",)},
+    {"trajectory": {"kind": "waypoints", "points": None}},
+    {"output_taus_s": 0.5},
+    {"network": None},
+], ids=["trajectory-none", "network-string", "tau-string", "points-none", "taus-number", "network-none"])
+def test_a_config_made_in_python_is_checked_like_a_config_file(kwargs):
+    # the constructor runs the checks that a file's config gets, so nothing
+    # it accepts fails later as another error than ConfigError
+    with pytest.raises(ConfigError):
+        cfg = RunConfig(**kwargs)
+        build_trajectory(cfg)
+        build_network(cfg)
+
+
 def test_build_trajectory_dispatch():
     assert isinstance(build_trajectory(RunConfig(t_end_s=5.0)), CircleTrajectory)
     cfg8 = RunConfig(trajectory={"kind": "eight", "freq_hz": 0.2}, t_end_s=5.0)
@@ -319,3 +336,5 @@ def test_output_taus_are_coerced_to_floats():
     cfg = RunConfig.from_dict({"n_per_dir": 2, "output_taus_s": [1, 2]})
     assert cfg.output_taus_s == (1.0, 2.0)
     assert all(isinstance(t, float) for t in cfg.output_taus_s)
+    # the constructor makes the same tuple as from_dict
+    assert RunConfig(n_per_dir=2, output_taus_s=[1, 2]) == cfg

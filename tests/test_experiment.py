@@ -83,7 +83,6 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, forks):
 
 
 def test_an_oversized_rate_grid_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     calls = []
     for name in ("build_network", "build_stimulus", "simulate"):
         monkeypatch.setattr(experiment, name, lambda *args, name=name: calls.append(name))
@@ -98,7 +97,6 @@ def test_an_oversized_rate_grid_is_refused_before_any_work(tmp_path, capsys, mon
 
 
 def test_sweep_runs_each_repeated_point_once(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     calls = []
     run = experiment.run_experiment
     monkeypatch.setattr(experiment, "run_experiment", lambda cfg: calls.append(cfg) or run(cfg))
@@ -284,7 +282,6 @@ def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path, usab
     monkeypatch.setattr(cli, "ideal_rates", counted(ideal, cli.ideal_rates))
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: result)
     monkeypatch.setattr(cli, "evaluate", lambda res: ev)
-    monkeypatch.delenv("MOTIONSNN_CONFIG", raising=False)
     # the rates.csv writers make its ideal curves block by block, with one
     # trig pass per axis of motion in each block; run in-process, every
     # block's calls are seen here, and forked, the run makes none of them

@@ -54,8 +54,9 @@ def paths(draw, t_end_s: float) -> dict:
         # at most 2 px/s for at most 1.8 s from the middle of the field
         v = st.floats(-2.0, 2.0)
         return {"kind": kind, "x0": 4.5, "y0": 5.0, "vx": draw(v), "vy": draw(v)}
-    inner = draw(st.lists(st.floats(0.05, 0.95), min_size=0, max_size=3, unique=True))
-    knots = [0.0, *sorted(t * t_end_s for t in inner), t_end_s]
+    # one to four gaps, each at least 1/61 of the run, the last knot at t_end_s
+    gaps = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4)))
+    knots = [0.0, *(gaps[:-1] / gaps[-1] * t_end_s).tolist(), t_end_s]
     return {
         "kind": kind,
         "points": [[t, draw(st.floats(1.0, 8.0)), draw(st.floats(1.0, 9.0))] for t in knots],
