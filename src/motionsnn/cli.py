@@ -41,6 +41,7 @@ from .experiment import (
     run_experiment,
     spectral_summary,
 )
+from .parser import build_parser
 
 SWEEP_HEADER = ["freq_hz", "variant", "s_acc", "s_acc_norm", "status"]
 
@@ -234,56 +235,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="motionsnn",
-        description="Spiking-network motion detector: build, stimulate, simulate, score.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", "-c", help="JSON config file (default: built-ins)")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config entry, dotted keys allowed (repeatable)",
-        )
-
-    p_topo = sub.add_parser("topo", help="export the wired network as JSON")
-    common(p_topo)
-    p_topo.add_argument("--out", "-o", help="output path (default: stdout)")
-    p_topo.set_defaults(fn=cmd_topo)
-
-    p_events = sub.add_parser("events", help="encode the stimulus as an event CSV")
-    common(p_events)
-    p_events.add_argument("--out", "-o", required=True, help="output CSV path")
-    p_events.set_defaults(fn=cmd_events)
-
-    p_run = sub.add_parser("run", help="simulate one experiment and score it")
-    common(p_run)
-    p_run.add_argument("--out-dir", "-d", required=True, help="directory for outputs")
-    p_run.set_defaults(fn=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="score accuracy across stimulus frequencies")
-    common(p_sweep)
-    p_sweep.add_argument("--out", "-o", required=True, help="output CSV path")
-    p_sweep.add_argument("--freqs", help="comma-separated frequencies in Hz")
-    p_sweep.add_argument("--freq-min", type=float, default=0.01)
-    p_sweep.add_argument("--freq-max", type=float, default=1.0)
-    p_sweep.add_argument("--n-freqs", type=int, default=9)
-    p_sweep.add_argument("--variants", default="n1,n5", help="comma list: n1,n5")
-    p_sweep.add_argument("--jobs", "-j", type=int, default=1, help="parallel workers")
-    p_sweep.add_argument("--resume", action="store_true", help="reuse rows already in --out")
-    p_sweep.set_defaults(fn=cmd_sweep)
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a wrapper set on this module's cmd_* is called
+    commands = {"topo": cmd_topo, "events": cmd_events, "run": cmd_run, "sweep": cmd_sweep}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -293,7 +250,3 @@ def main(argv: list[str] | None = None) -> int:
     except NumericFault as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

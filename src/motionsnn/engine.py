@@ -221,10 +221,13 @@ def simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOu
         while arr_t[i] == t_now:
             sums[arr_post[i]] = arr_sum[i]
             i += 1
+        # `pres` is in pre order: the spikes due now come from one wave, in
+        # its sorted(sums) order. With d_out > 0 waves run at distinct
+        # instants, and it is the wave at t_now - d_out; with d_out = 0 it is
+        # the wave just run, which popped every spike due now before its own.
         pres = []
         while fifo and fifo[0][0] == t_now:
             pres.append(fifo.popleft()[1])
-        pres.sort()
         for pre in pres:
             for k in range(indptr[pre], indptr[pre + 1]):
                 post = out_post[k]

@@ -312,7 +312,7 @@ def generate_events(
         raise ConfigError("samples_per_pixel must be positive and finite")
 
     vx_max, vy_max = traj.speed_bound()
-    vmax = max(vx_max, vy_max)
+    vmax = np.maximum(vx_max, vy_max)  # unlike max, keeps a NaN speed for the check below
     scan = traj.t_end * vmax * samples_per_pixel
     if not scan <= MAX_SAMPLES:
         raise ConfigError(

@@ -228,7 +228,8 @@ def test_package_defines_no_public_api_it_never_uses():
 
 
 UNPASSED_PARAMETERS = {
-    "main(argv)": "the console script and `python -m motionsnn` call main(); the tests pass argv",
+    "main(argv)": "`__main__.main`, the console script and `python -m motionsnn`, calls main() "
+    "after its light parse; the tests pass argv",
 }
 
 

@@ -1,6 +1,10 @@
-"""The exit-code contract as a property: whatever a config file or a
-`sweep --resume` file holds, `cli.main` returns 0, 2, 3 or 4 and never
-raises.
+"""The exit-code contract as a table and as a property: whatever a config
+file or a `sweep --resume` file holds, `cli.main` returns 0, 2, 3 or 4 and
+never raises.
+
+The table sets each key of a config, of each trajectory kind and of the
+network to each class of bad value in turn. The property mutates up to three
+keys at once, drawn at random.
 
 The configs start from a small valid run of one of the four trajectory
 kinds (a 1 Hz circle or eight, or a linear or waypoint path of four
@@ -18,6 +22,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +92,37 @@ def mutate(cfg: dict, path: tuple[str, ...], value) -> None:
         table.pop(path[-1], None)
     else:
         table[path[-1]] = copy.deepcopy(value)
+
+
+BAD_VALUES = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0, "negative": -1.0,
+    "bool": True, "string": "x", "null": None, "list": [1.0],
+}
+TABLE = [
+    (base, path, value_id)
+    for base, paths in [
+        (BASE, [(key,) for key in BASE] + [("network", key) for key in BASE["network"]]),
+        *((b, [("trajectory", key) for key in b["trajectory"]]) for b in BASES),
+    ]
+    for path in paths
+    for value_id in BAD_VALUES
+]
+
+
+@pytest.mark.parametrize(
+    "base, path, value_id", TABLE,
+    ids=[f"{b['trajectory']['kind']}-{'.'.join(p)}-{v}" for b, p, v in TABLE],
+)
+def test_each_key_set_to_each_bad_value_exits_0_2_3_or_4(base, path, value_id, tmp_path):
+    cfg = copy.deepcopy(base)
+    mutate(cfg, path, BAD_VALUES[value_id])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for args in (
+        ["run", "-d", str(tmp_path / "out")],
+        ["sweep", "-o", str(tmp_path / "sweep.csv"), "--freqs", "0.8,1", "--variants", "n1"],
+    ):
+        assert exit_code(args + ["-c", str(cfg_path)]) in (0, 2, 3, 4)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -327,6 +327,12 @@ def test_generate_events_validation():
     with pytest.raises(DomainError, match="1 ns clock"):
         generate_events(LinearTrajectory(**slow, vx=5e-10))
     assert len(generate_events(LinearTrajectory(**slow, vx=0.0))) == 9
+    # a NaN speed on either axis passes the range check, which takes a min
+    # and a max of the path's ends, and is refused by the scan size check
+    for v in ({"vx": math.nan, "vy": 0.0}, {"vx": 0.0, "vy": math.nan}):
+        path = LinearTrajectory(field_width=10, field_height=11, t_end=1.0, x0=4.0, y0=5.0, **v)
+        with pytest.raises(ConfigError, match="^the trajectory scan needs nan samples"):
+            generate_events(path)
 
 
 # Paths on the 10 x 11 field: x must stay in [0.5, 8.5) and y in [0.5, 9.5).
