@@ -119,48 +119,71 @@ def pool_group(record: SpikeRecord, direction: Direction, n_per_dir: int) -> tup
     return tuple((record.t[group] * TIME_QUANTUM).tolist())
 
 
-def decay_accumulate(n: int, bins: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
+DECAY_SCRATCH = 8192  # samples in decay_accumulate's scratch for those before k0
+
+
+def decay_accumulate(n: int, bins: np.ndarray, c: np.ndarray, r: float, k0: int = 0) -> np.ndarray:
     """y[k] = x[k] + r * y[k-1] over n samples, y[-1] = 0, where x is zero
-    except x[bins] = c (bins non-empty and strictly increasing).
+    except x[bins] = c (bins non-empty and strictly increasing); returns
+    y[k0:], samples k0 .. n - 1.
 
     Between two input bins the recursion is repeated multiplication by r, so
     each segment is one cumulative product seeded with the recursion's own
     value at its first bin; the result matches the sample-by-sample loop
-    (scipy.signal.lfilter([1], [1, -r], x)) bit for bit.
+    (scipy.signal.lfilter([1], [1, -r], x)) bit for bit. The samples of a
+    segment before k0 are multiplied out in chunks of one scratch array of
+    DECAY_SCRATCH samples, made only if some bin lies before k0: each chunk
+    starts with r times the previous chunk's last value, the multiplication
+    the cumulative product makes at that step, so y[k0:] has the bits of
+    the whole recursion sliced.
     """
-    y = np.full(n, r)
-    y[: bins[0]] = 0.0
+    y = np.full(n - k0, r)
+    y[: max(bins[0] - k0, 0)] = 0.0
+    scratch = np.empty(min(DECAY_SCRATCH, k0 - bins[0])) if bins[0] < k0 else None
     ends = [*bins[1:].tolist(), n]
     prev = 0.0
     for b, e, cb in zip(bins.tolist(), ends, c.tolist()):
-        y[b] = cb + r * prev
-        np.multiply.accumulate(y[b:e], out=y[b:e])
-        prev = y[e - 1]
+        first = cb + r * prev
+        while b < min(e, k0):
+            chunk = scratch[: min(e, k0, b + len(scratch)) - b]
+            chunk.fill(r)
+            chunk[0] = first
+            np.multiply.accumulate(chunk, out=chunk)
+            b += len(chunk)
+            prev = chunk[-1]
+            first = r * prev
+        if b < e:
+            seg = y[b - k0 : e - k0]
+            seg[0] = first
+            np.multiply.accumulate(seg, out=seg)
+            prev = seg[-1]
     return y
 
 
-def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid) -> RateSeries:
+def firing_rate(train: Sequence[float], fp: FilterParams, grid: RateGrid, k0: int = 0) -> RateSeries:
     """Causal rate estimate: the kernel summed over all past spikes, evaluated
-    in closed form at every grid point."""
+    in closed form at samples k0 .. n - 1 of the grid, by default all. A
+    sample's value does not depend on k0, so the series is the whole grid's
+    sliced, bit for bit."""
     spikes = np.asarray(sorted(train), dtype=np.float64)
     bins = grid.at_or_after(spikes)
     inside = bins < grid.n  # a spike after the last sample adds nothing
     spikes, bins = spikes[inside], bins[inside]
     if len(spikes) == 0:
-        return RateSeries(grid.t0, grid.dt, np.zeros(grid.n))
+        return RateSeries(grid.time(k0), grid.dt, np.zeros(grid.n - k0))
     spike_bins, slot = np.unique(bins, return_inverse=True)
     # Per-step recursion A_k = A_{k-1} * exp(-dt/tau) + (new spikes decayed to t_k)
     acc = []
     for tau in (fp.tau1, fp.tau2):
         c = np.zeros(len(spike_bins))
         np.add.at(c, slot, np.exp(-(grid.time(bins) - spikes) / tau))
-        acc.append(decay_accumulate(grid.n, spike_bins, c, math.exp(-grid.dt / tau)))
+        acc.append(decay_accumulate(grid.n, spike_bins, c, math.exp(-grid.dt / tau), k0))
     # Both sums are >= 0, so acc1 - acc2 in acc1's buffer is bit for bit the
     # same as 0 + acc1 + (-1 * acc2).
     values = np.subtract(acc[0], acc[1], out=acc[0])
     values *= fp.lam
     np.maximum(values, 0.0, out=values)  # clip float dust below zero
-    return RateSeries(grid.t0, grid.dt, values)
+    return RateSeries(grid.time(k0), grid.dt, values)
 
 
 def _ideal_axes(traj: Trajectory, f_max_hz: float, grid: RateGrid, k0: int, k1: int | None = None) -> Iterator:

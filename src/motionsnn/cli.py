@@ -82,11 +82,14 @@ def _write_rates_csv(path: str, traj, ev) -> CsvWriter:
     """rates.csv: the grid's times, the measured curves and the ideal curves
     over the whole grid. The writer of each block makes its times and ideal
     curves over its samples only, the whole grid's values sliced, so the run
-    holds no grid-length array for this file but the measured curves."""
+    holds no grid-length array for this file but the measured curves, which
+    must be the whole grid's, not a window-only evaluation's."""
     header = ["t_s"]
     header += [f"{d.value}_hz" for d in DIRECTION_ORDER]
     header += [f"{d.value}_ideal_hz" for d in DIRECTION_ORDER]
     measured = [ev.measured[d].values for d in DIRECTION_ORDER]
+    if any(len(v) != ev.grid.n for v in measured):
+        raise ValueError("rates.csv needs the measured curves of the whole grid")
 
     def block(i: int, j: int) -> list[np.ndarray]:
         ideal = ideal_rates(traj, ev.f_max_hz, ev.grid, i, j)
@@ -240,7 +243,16 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, so a wrapper set on this module's cmd_* is called
     commands = {"topo": cmd_topo, "events": cmd_events, "run": cmd_run, "sweep": cmd_sweep}
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a reader that closed stdout is found here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit; devnull takes what is left
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"config error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -75,8 +75,11 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class RunEvaluation:
-    """Full-grid measured curves plus the score taken over the settled
-    window, which is samples window_index onwards of the grid."""
+    """Measured curves plus the score taken over the settled window, which
+    is samples window_index onwards of the grid. The curves hold the whole
+    grid, or the window alone (`evaluate(..., whole_grid=False)`); either
+    way they end at the grid's last sample, so a curve's window is its last
+    grid.n - window_index values."""
 
     grid: RateGrid
     window_index: int
@@ -90,7 +93,10 @@ class RunEvaluation:
         return self.grid.time(self.window_index)
 
 
-def evaluate(result: ExperimentResult) -> RunEvaluation:
+def evaluate(result: ExperimentResult, whole_grid: bool = True) -> RunEvaluation:
+    """Filter the output groups' trains and score them over the settled
+    window. With whole_grid False the measured curves are filtered from the
+    window's first sample on, the same values as the whole grid's sliced."""
     cfg, net, traj = result.config, result.network, result.trajectory
     fp = FilterParams.from_output_taus(net.output_taus_s)
     # refuse a run too short to score before any curve is filtered
@@ -106,8 +112,9 @@ def evaluate(result: ExperimentResult) -> RunEvaluation:
     t0 = grid.time(k0)
 
     trains = {d: pool_group(result.sim.record, d, net.n_per_dir) for d in DIRECTION_ORDER}
-    measured = {d: firing_rate(trains[d], fp, grid) for d in DIRECTION_ORDER}
-    measured_w = {d: RateSeries(t0, grid.dt, measured[d].values[k0:]) for d in DIRECTION_ORDER}
+    first = 0 if whole_grid else k0
+    measured = {d: firing_rate(trains[d], fp, grid, first) for d in DIRECTION_ORDER}
+    measured_w = {d: RateSeries(t0, grid.dt, measured[d].values[k0 - first :]) for d in DIRECTION_ORDER}
     f_max = calibrate_f_max(measured_w)
     score = window_accuracy(traj, f_max, grid, k0, measured_w)
     counts = {d: len(trains[d]) for d in DIRECTION_ORDER}
@@ -146,8 +153,8 @@ def spectral_summary(result: ExperimentResult, ev: RunEvaluation) -> dict:
     span_s = m * ev.grid.dt
     period = result.trajectory.period_s
 
-    def centred(d: Direction) -> np.ndarray:
-        w = ev.measured[d].values[ev.window_index :]
+    def centred(d: Direction) -> np.ndarray:  # a curve's window is its last m values
+        w = ev.measured[d].values[-m:]
         return w - np.mean(w)
 
     if period:
@@ -226,7 +233,7 @@ def sweep_config(base: RunConfig, freq_hz: float, variant: SweepVariant) -> RunC
 def _sweep_worker(args: tuple[RunConfig, float, str]) -> SweepRow:
     cfg, freq, label = args
     try:
-        ev = evaluate(run_experiment(cfg))
+        ev = evaluate(run_experiment(cfg), whole_grid=False)
         return SweepRow(freq, label, ev.score.clamped, "ok")
     except MotionSnnError as exc:
         return SweepRow(freq, label, None, f"error: {exc}")

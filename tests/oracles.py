@@ -7,6 +7,7 @@ filter. The package has to agree with these, not the other way around.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from types import SimpleNamespace
@@ -199,6 +200,23 @@ def tie_heavy_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
                 events.append(Event(x, y, float(tick + ref_ticks) * 1e-4))
     stream = event_stream(events, 5, 5)
     return net, stream, stream.events[-1].t + 1e-3
+
+
+# Output-to-output weights that excite, inhibit or do both within one graph.
+MIXED_LATERAL_WEIGHTS = (-1.3, -0.7, 0.4, 0.9, 1.7)
+
+
+def mixed_lateral_single_cell(seed: int) -> tuple[NetworkGraph, EventStream, float]:
+    """`tie_heavy_single_cell` with each output-to-output weight drawn from
+    MIXED_LATERAL_WEIGHTS. `assemble_network` gives every such edge one
+    inhibitory weight, but `simulate` accepts any sign there; an excitatory
+    delivery can fire an output, at the end tick too."""
+    net, stream, t_end = tie_heavy_single_cell(seed)
+    lateral = int(net.indptr[net.n_inputs + net.n_hidden])  # the first output's first edge
+    signed_w = net.signed_w.copy()
+    rng = np.random.default_rng([seed, 1])
+    signed_w[lateral:] = rng.choice(MIXED_LATERAL_WEIGHTS, size=len(signed_w) - lateral)
+    return dataclasses.replace(net, signed_w=signed_w), stream, t_end
 
 
 def per_edge_heap_simulate(net: NetworkGraph, stim: EventStream, t_end: float) -> SimulationOutput:
@@ -426,7 +444,7 @@ def spectral_summary_all_at_once(result, ev) -> dict:
     period = result.trajectory.period_s
     xs = {}
     for d in DIRECTION_ORDER:
-        w = ev.measured[d].values[ev.window_index :]
+        w = ev.measured[d].values[-m:]  # the window ends every curve, whole grid or not
         xs[d] = w - np.mean(w)
     spectra = {d: np.fft.rfft(x) for d, x in xs.items()}
     lr_hz = maybe(dominant_frequency, spectra[Direction.LEFT] + spectra[Direction.RIGHT], span_s)

@@ -29,7 +29,7 @@ from motionsnn import (
     pool_group,
 )
 import motionsnn
-from motionsnn.analysis import decay_accumulate, transient_s
+from motionsnn.analysis import DECAY_SCRATCH, decay_accumulate, transient_s
 
 from oracles import brute_force_rate, grid_times, on_grid, rel_err, spike_record
 
@@ -177,6 +177,41 @@ def test_decay_accumulate_matches_lfilter_bit_for_bit():
     # Repeated rounding stalls at a subnormal fixed point, where the closed
     # form r ** m has long reached 0: only the stepwise product matches.
     assert y[-1] > 0.0 and 0.99 ** (80000 - 10) == 0.0
+
+
+# Gaps between spike bins: none (one bin), short, and longer than three
+# scratch chunks, so a prefix is chained through the scratch chunk by chunk.
+SPIKE_GAPS = st.integers(0, 3) | st.integers(4, 200) | st.integers(3 * DECAY_SCRATCH + 1, 3 * DECAY_SCRATCH + 500)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gaps=st.lists(SPIKE_GAPS, max_size=6),
+    lead=st.integers(0, 50),
+    offsets=st.lists(st.floats(0.0, 0.999), max_size=3),
+    tail=st.integers(-100, 300),
+    fp=st.sampled_from([FP, FAST_FP, FilterParams(tau1=0.5, tau2=1.0)]),
+    extra_k0=st.floats(0.0, 1.0),
+)
+def test_a_rate_from_sample_k0_is_the_whole_grid_sliced_bit_for_bit(gaps, lead, offsets, tail, fp, extra_k0):
+    # no spike, one, or several per bin, each a fraction of a sample before
+    # its bin's time; a negative tail puts the last bins past the grid's
+    # end, where they add nothing. k0 sits before the first spike bin, on
+    # each bin, between bins, after the last, at n - 1 and at one drawn
+    # sample.
+    bins = np.cumsum([lead, *gaps])
+    n = max(int(bins[-1]) + 1 + tail, 1)
+    grid = RateGrid(0.0, 1e-3, n)
+    train = [grid.time(int(b)) - u * grid.dt for b in bins for u in offsets]
+    full = firing_rate(train, fp, grid).values
+    spike_bins = [b for b in np.unique(grid.at_or_after(train)).tolist() if b < n]
+    starts = {0, n - 1, min(int(extra_k0 * n), n - 1)}
+    for a, b in zip([0, *spike_bins], [*spike_bins, n]):
+        starts.update((a, (a + b) // 2, max(b - 1, 0), min(b + 1, n - 1)))
+    for k0 in sorted(starts):
+        got = firing_rate(train, fp, grid, k0)
+        assert got.t0 == grid.time(k0) and got.dt == grid.dt
+        assert np.array_equal(got.values.view(np.uint64), full[k0:].view(np.uint64)), k0
 
 
 def test_importing_the_cli_does_not_load_scipy():

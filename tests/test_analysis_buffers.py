@@ -28,7 +28,7 @@ from motionsnn import (
     run_experiment,
     spectral_summary,
 )
-from motionsnn.analysis import _ideal_axes, window_accuracy
+from motionsnn.analysis import DECAY_SCRATCH, _ideal_axes, window_accuracy
 from motionsnn.core import CSV_BLOCK_ROWS
 
 from oracles import (
@@ -306,3 +306,18 @@ def test_evaluate_holds_the_measured_curves_and_three_window_sized_arrays(peak_b
     assert n == 80_001 and m < n
     del ev
     assert peak_bytes(evaluate, result) <= (4 * n + 3 * m) * 8 * 1.01
+
+
+def test_a_window_only_evaluation_holds_six_window_sized_arrays(peak_bytes):
+    # a sweep point: the four measured curves over the window alone, and
+    # while it scores one axis's velocity and one buffer, 6m in all. While
+    # the last channel is filtered it holds three curves, the channel's two
+    # decay sums and the scratch that chains the samples before the window.
+    # Filtering the whole grid holds 4n + 2m at its peak.
+    result = run_experiment(RunConfig(trajectory={"kind": "circle", "freq_hz": 0.05}))
+    ev = evaluate(result, whole_grid=False)
+    n, m = ev.grid.n, ev.grid.n - ev.window_index
+    assert (n, m) == (80_001, 60_001)
+    del ev
+    slack = 16_384  # the dicts, RateSeries and small arrays of the score
+    assert peak_bytes(lambda: evaluate(result, whole_grid=False)) <= 6 * 8 * m + 8 * DECAY_SCRATCH + slack

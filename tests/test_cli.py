@@ -675,3 +675,20 @@ def test_numeric_overflow_reports_the_first_faulty_relay_and_nothing_else(tmp_pa
     )
     assert proc.returncode == 4
     assert proc.stderr == "numeric fault: non-finite potential on neuron 127\n"
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_2_and_one_line():
+    # the 100 x 101 field's JSON is megabytes, far more than a pipe holds, so
+    # the write is still going on when the reader closes after 100 bytes
+    src = str(Path(motionsnn.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "motionsnn", "topo", "--set", "field_width=100", "--set", "field_height=101"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait()
+    # all of stderr: no traceback, and no "Exception ignored" from the exit flush
+    assert code == 2
+    assert err == "config error: cannot write standard output: Broken pipe\n"

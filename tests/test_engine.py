@@ -29,6 +29,7 @@ from oracles import (
     engine_spike_steps,
     event_stream,
     fixed_step_spikes,
+    mixed_lateral_single_cell,
     per_edge_heap_simulate,
     random_single_cell,
     tie_heavy_single_cell,
@@ -378,6 +379,28 @@ def test_per_spike_queue_sums_ties_like_the_per_edge_heap():
         output_spikes += sim.spike_totals["output"]
     # the streams really exercise the gate and reach the outputs
     assert refractory_dropped > 0 and output_spikes > 0
+
+
+def test_mixed_sign_output_to_output_weights_match_the_per_edge_heap():
+    # simulate accepts output-to-output edges of any sign. An output spike
+    # that lands on the end tick is still delivered there: an excitatory
+    # delivery can fire an output, and an inhibitory one can cancel an
+    # excitatory delivery of the same instant. Each run is also cut at the
+    # tick of its middle output spike, so that such deliveries happen.
+    mixed = output_spikes = 0
+    for seed in range(200):
+        net, stim, t_end = mixed_lateral_single_cell(seed)
+        sim = simulate(net, stim, t_end)
+        assert_same_simulation(sim, per_edge_heap_simulate(net, stim, t_end))
+        base = net.n_inputs + net.n_hidden
+        lateral = net.signed_w[net.indptr[base]:]
+        mixed += bool((lateral > 0.0).any() and (lateral < 0.0).any())
+        ticks = sim.record.t[sim.record.neuron >= base]
+        output_spikes += len(ticks)
+        if len(ticks):
+            cut = float(ticks[len(ticks) // 2]) * TIME_QUANTUM
+            assert_same_simulation(simulate(net, stim, cut), per_edge_heap_simulate(net, stim, cut))
+    assert mixed > 100 and output_spikes > 0
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -234,6 +234,33 @@ def test_sweep_scores_keep_their_recorded_values():
     )
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"trajectory": EIGHT}, {"n_per_dir": 5, "output_taus_s": experiment.default_sweep_variants()[1].output_taus_s}],
+    ids=["circle", "eight", "n5"],
+)
+def test_a_window_only_evaluation_scores_and_reads_like_the_whole_grid(overrides):
+    result = run_experiment(RunConfig(**overrides))
+    whole, window = evaluate(result), evaluate(result, whole_grid=False)
+    assert window.f_max_hz.hex() == whole.f_max_hz.hex()
+    assert window.score.raw.hex() == whole.score.raw.hex()
+    assert window.score.clamped.hex() == whole.score.clamped.hex()
+    assert {d: x.hex() for d, x in window.score.per_channel.items()} == {
+        d: x.hex() for d, x in whole.score.per_channel.items()
+    }
+    assert window.pooled_counts == whole.pooled_counts
+    k0 = whole.window_index
+    assert (window.grid, window.window_index) == (whole.grid, k0)
+    for d in DIRECTION_ORDER:
+        assert window.measured[d].t0 == whole.window_start_s
+        assert np.array_equal(window.measured[d].values.view(np.uint64), whole.measured[d].values[k0:].view(np.uint64))
+    # the spectra read a curve's window from its end, whichever sample it
+    # starts at; rates.csv needs every sample, and refuses the window alone
+    assert spectral_summary(result, window) == spectral_summary(result, whole)
+    with pytest.raises(ValueError, match="whole grid"):
+        cli._write_rates_csv(os.devnull, result.trajectory, window)
+
+
 def test_analysis_derives_each_grid_sized_array_once(monkeypatch, tmp_path, usable_cpus, forks):
     result = run_experiment(RunConfig())
 
